@@ -1,0 +1,306 @@
+"""Grid-partition TSK fuzzy regression systems with Gaussian membership functions.
+
+A system over M inputs holds Mm shared Gaussian MFs per input and one rule
+for every point of the Mm^M antecedent grid. Each rule's consequent is an
+affine function of the inputs, and the system output is the firing-level
+weighted average of the rule consequents.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ConstantFeature, LengthMismatch, MaskShapeMismatch
+from .masks import DropMask
+
+SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
+
+
+@dataclass(frozen=True)
+class GaussianMF:
+    """One Gaussian membership function with a center and a width sigma > 0."""
+
+    center: float
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+    def grade(self, x):
+        """Membership grade exp(-(x - center)^2 / (2 sigma^2)), in (0, 1]."""
+        x = np.asarray(x, dtype=float)
+        g = np.exp(-((x - self.center) ** 2) / (2.0 * self.sigma**2))
+        return float(g) if g.ndim == 0 else g
+
+
+class RuleGrid:
+    """Full grid partition: one rule per combination of per-input MF indices.
+
+    Rule r uses MF ``antecedents[r, m]`` for input m; the last input's index
+    varies fastest in the enumeration. MFs are shared across rules, so input
+    m carries ``mfs_per_input`` Gaussians no matter how many rules use them.
+    """
+
+    def __init__(self, num_inputs: int, mfs_per_input: int):
+        if num_inputs < 1 or mfs_per_input < 1:
+            raise ValueError("num_inputs and mfs_per_input must both be >= 1")
+        self.num_inputs = int(num_inputs)
+        self.mfs_per_input = int(mfs_per_input)
+        self.antecedents = np.array(
+            list(itertools.product(range(self.mfs_per_input), repeat=self.num_inputs)),
+            dtype=np.intp,
+        )
+
+    @property
+    def num_rules(self) -> int:
+        return self.antecedents.shape[0]
+
+    def rules_using(self, m: int, i: int) -> np.ndarray:
+        """Indices of the rules whose antecedent for input m is that input's MF i.
+
+        For a full grid this set always has mfs_per_input^(num_inputs - 1)
+        members, and over i it partitions the rule set.
+        """
+        return np.flatnonzero(self.antecedents[:, m] == i)
+
+
+class TskModel:
+    """Trainable TSK system: a RuleGrid plus its numeric parameters.
+
+    centers, sigmas: [M, Mm] shared Gaussian MF parameters per input.
+    consequents: [R, M + 1] affine rule consequents; column 0 is the bias.
+
+    Instances are treated as immutable during inference, so concurrent
+    reads are safe; training code swaps parameters via flatten/unflatten.
+    """
+
+    def __init__(self, grid: RuleGrid, centers, sigmas, consequents):
+        centers = np.asarray(centers, dtype=float)
+        sigmas = np.asarray(sigmas, dtype=float)
+        consequents = np.asarray(consequents, dtype=float)
+        mf_shape = (grid.num_inputs, grid.mfs_per_input)
+        if centers.shape != mf_shape or sigmas.shape != mf_shape:
+            raise ValueError(f"centers/sigmas must have shape {mf_shape}")
+        if consequents.shape != (grid.num_rules, grid.num_inputs + 1):
+            raise ValueError(
+                f"consequents must have shape {(grid.num_rules, grid.num_inputs + 1)}"
+            )
+        if not np.all(sigmas > 0):
+            raise ValueError("all sigmas must be positive")
+        self.grid = grid
+        self.centers = centers
+        self.sigmas = sigmas
+        self.consequents = consequents
+
+    @property
+    def num_inputs(self) -> int:
+        return self.grid.num_inputs
+
+    @property
+    def mfs_per_input(self) -> int:
+        return self.grid.mfs_per_input
+
+    @property
+    def num_rules(self) -> int:
+        return self.grid.num_rules
+
+    def mf(self, m: int, i: int) -> GaussianMF:
+        """The i-th shared MF of input m."""
+        return GaussianMF(float(self.centers[m, i]), float(self.sigmas[m, i]))
+
+    def copy(self) -> "TskModel":
+        return TskModel(
+            self.grid, self.centers.copy(), self.sigmas.copy(), self.consequents.copy()
+        )
+
+
+def param_count(num_inputs: int, mfs_per_input: int) -> int:
+    """Total trainable parameters: 2*M*Mm MF parameters plus (M+1)*Mm^M consequents."""
+    if num_inputs < 1 or mfs_per_input < 1:
+        raise ValueError("num_inputs and mfs_per_input must both be >= 1")
+    n = 2 * num_inputs * mfs_per_input + (num_inputs + 1) * mfs_per_input**num_inputs
+    if n > np.iinfo(np.int64).max:
+        raise OverflowError(f"parameter count {n} exceeds the supported integer range")
+    return n
+
+
+def init_model(mins, maxs, stds, mfs_per_input: int) -> TskModel:
+    """Fresh model from per-input statistics.
+
+    Centers are evenly spaced over each input's [min, max] (endpoints
+    included), every width starts at the input's standard deviation, and
+    all consequents start at zero.
+    """
+    mins = np.asarray(mins, dtype=float)
+    maxs = np.asarray(maxs, dtype=float)
+    stds = np.asarray(stds, dtype=float)
+    if not (mins.shape == maxs.shape == stds.shape) or mins.ndim != 1:
+        raise ValueError("mins, maxs, stds must be 1-D arrays of equal length")
+    flat = np.flatnonzero(maxs - mins <= 0)
+    if flat.size:
+        raise ConstantFeature(f"input {flat[0]} has zero range")
+    if np.any(stds <= 0):
+        raise ConstantFeature("every input needs a positive standard deviation")
+    grid = RuleGrid(mins.size, mfs_per_input)
+    centers = np.linspace(mins, maxs, mfs_per_input, axis=1)
+    sigmas = np.maximum(np.repeat(stds[:, None], mfs_per_input, axis=1), SIGMA_MIN)
+    consequents = np.zeros((grid.num_rules, mins.size + 1))
+    return TskModel(grid, centers, sigmas, consequents)
+
+
+def init_model_from_data(X, mfs_per_input: int) -> TskModel:
+    """init_model with min/max/std taken from the rows of X (sample std)."""
+    X = np.asarray(X, dtype=float)
+    return init_model(X.min(axis=0), X.max(axis=0), X.std(axis=0, ddof=1), mfs_per_input)
+
+
+def flatten(model: TskModel) -> np.ndarray:
+    """Concatenate all parameters into one vector.
+
+    Layout, relied on by optimizer state and checkpoints: all centers
+    (input-major, MF-index minor), all sigmas in the same order, then
+    consequents rule-major with coefficients 0..M.
+    """
+    return np.concatenate(
+        [model.centers.ravel(), model.sigmas.ravel(), model.consequents.ravel()]
+    )
+
+
+def unflatten(values, num_inputs: int, mfs_per_input: int) -> TskModel:
+    """Rebuild a model from a flat vector in the flatten() layout."""
+    values = np.asarray(values, dtype=float)
+    expected = param_count(num_inputs, mfs_per_input)
+    if values.size != expected:
+        raise LengthMismatch(f"expected {expected} values, got {values.size}")
+    grid = RuleGrid(num_inputs, mfs_per_input)
+    n_mf = num_inputs * mfs_per_input
+    centers = values[:n_mf].reshape(num_inputs, mfs_per_input).copy()
+    sigmas = values[n_mf : 2 * n_mf].reshape(num_inputs, mfs_per_input).copy()
+    consequents = values[2 * n_mf :].reshape(grid.num_rules, num_inputs + 1).copy()
+    return TskModel(grid, centers, sigmas, consequents)
+
+
+def save_model(model: TskModel, path) -> None:
+    """Write a checkpoint: `M=`/`Mm=` header lines, then one parameter per line."""
+    lines = [f"M={model.num_inputs}", f"Mm={model.mfs_per_input}"]
+    lines.extend(repr(float(v)) for v in flatten(model))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_model(path) -> TskModel:
+    """Read a checkpoint written by save_model."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if len(lines) < 2 or not lines[0].startswith("M=") or not lines[1].startswith("Mm="):
+        raise ValueError("checkpoint must start with 'M=<int>' and 'Mm=<int>' lines")
+    num_inputs = int(lines[0][2:])
+    mfs_per_input = int(lines[1][3:])
+    values = np.array([float(ln) for ln in lines[2:]])
+    return unflatten(values, num_inputs, mfs_per_input)
+
+
+class Forward(NamedTuple):
+    """Intermediate quantities of one (possibly masked) batched forward pass."""
+
+    slot_grades: np.ndarray  # [N, R, M] membership grades after drop substitutions
+    slot_active: np.ndarray | None  # [N, R, M] bool, None when nothing is substituted
+    firing: np.ndarray  # [N, R]
+    norm_firing: np.ndarray  # [N, R] firing / firing_sum; all-zero on dead rows
+    rule_out: np.ndarray  # [N, R]
+    firing_sum: np.ndarray  # [N]
+    pred: np.ndarray  # [N]
+    dead: np.ndarray  # [N] bool: firing sum underflowed to exactly zero
+
+
+def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> Forward:
+    """Batched forward pass. keep is the stacked per-example keep array.
+
+    The output is computed from normalized firing levels (each in [0, 1])
+    so a denormal firing sum cannot overflow anything. Rows whose firing
+    sum underflows to exactly zero fall back to the unweighted mean of the
+    rule outputs (the limit of equal weights).
+    """
+    A = model.grid.antecedents
+    R, M = A.shape
+    mu = np.exp(-((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2))
+    rows = np.broadcast_to(np.arange(M), (R, M))
+    # the gather returns a non-C layout; normalize it so reduction order
+    # (and hence bit-level results) never depends on the masking path
+    slot = np.ascontiguousarray(mu[:, rows, A])
+    if variant == "mf":
+        slot_active = np.ascontiguousarray(keep[:, rows, A])
+    elif variant == "membership":
+        slot_active = keep
+    else:
+        slot_active = None
+    if slot_active is not None:
+        slot = np.where(slot_active, slot, 1.0)
+    firing = slot.prod(axis=2)
+    if variant == "rule":
+        firing = np.where(keep, firing, 0.0)
+    rule_out = model.consequents[:, 0] + X @ model.consequents[:, 1:].T
+    firing_sum = firing.sum(axis=1)
+    dead = firing_sum == 0.0
+    norm_firing = firing / np.where(dead, 1.0, firing_sum)[:, None]
+    pred = np.where(dead, rule_out.mean(axis=1), (norm_firing * rule_out).sum(axis=1))
+    return Forward(slot, slot_active, firing, norm_firing, rule_out, firing_sum, pred, dead)
+
+
+def _mask_shape(model: TskModel, variant: str) -> tuple:
+    if variant == "rule":
+        return (model.num_rules,)
+    if variant == "mf":
+        return (model.num_inputs, model.mfs_per_input)
+    if variant == "membership":
+        return (model.num_rules, model.num_inputs)
+    raise MaskShapeMismatch(f"unknown mask variant {variant!r}")
+
+
+def _single_mask(model: TskModel, mask: DropMask | None):
+    """Validate one example's mask and lift it to a batch of one."""
+    if mask is None or mask.variant == "none":
+        return "none", None
+    keep = np.asarray(mask.keep, dtype=bool)
+    expected = _mask_shape(model, mask.variant)
+    if keep.shape != expected:
+        raise MaskShapeMismatch(
+            f"{mask.variant} mask has shape {keep.shape}, expected {expected}"
+        )
+    return mask.variant, keep[None]
+
+
+def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarray:
+    """Firing level of every rule for one input vector.
+
+    With a mask, dropped rules fire at 0 while dropped MFs or membership
+    slots contribute grade 1 in place of their Gaussian value.
+    """
+    x = np.asarray(x, dtype=float)
+    variant, keep = _single_mask(model, mask)
+    return _forward(model, x[None], variant, keep).firing[0]
+
+
+def rule_outputs(model: TskModel, x) -> np.ndarray:
+    """Affine consequent value of every rule: b_0 + sum_m b_m x_m."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    out = model.consequents[:, 0] + np.atleast_2d(x) @ model.consequents[:, 1:].T
+    return out[0] if single else out
+
+
+def predict(model: TskModel, x):
+    """System output for one input vector or a batch of rows.
+
+    Test-time inference never applies drop masks. If every firing level
+    underflows to exactly zero, the output is the unweighted mean of the
+    rule outputs.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pred = _forward(model, np.atleast_2d(x)).pred
+    return float(pred[0]) if single else pred
