@@ -17,16 +17,20 @@ from .masks import DropMask
 from .model import TskModel, _forward, _mask_shape, flatten, predict, unflatten
 
 
-def loss(model: TskModel, X, y, lam: float = 0.0) -> float:
+def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     """Half squared error over the batch plus the l2 consequent penalty.
 
-    Rule biases (consequent column 0) are never penalized.
+    Rule biases (consequent column 0) are never penalized. masks is an
+    optional sequence with one DropMask per example, applied as in
+    gradients(); without it this is the test-time loss.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if X.shape[0] == 0:
         raise EmptyBatch("loss needs at least one example")
-    resid = y - predict(model, X)
+    variant, keep = _stack_masks(model, masks, X.shape[0])
+    pred = predict(model, X) if variant == "none" else _forward(model, X, variant, keep).pred
+    resid = y - pred
     penalty = 0.5 * lam * float(np.sum(model.consequents[:, 1:] ** 2))
     return 0.5 * float(resid @ resid) + penalty
 
@@ -110,9 +114,13 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     return np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
 
 
-def finite_diff_grad(model: TskModel, X, y, lam: float = 0.0, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the unmasked loss, one coordinate at a time.
+def finite_diff_grad(
+    model: TskModel, X, y, lam: float = 0.0, h: float = 1e-6, masks=None
+) -> np.ndarray:
+    """Central-difference gradient of the loss, one coordinate at a time.
 
+    masks, if given, is held fixed while the parameters move, so this
+    differentiates the same masked loss that gradients() differentiates.
     Independent of the analytic path; kept simple on purpose so it can act
     as an oracle. O(h^2) truncation error per coordinate.
     """
@@ -127,6 +135,7 @@ def finite_diff_grad(model: TskModel, X, y, lam: float = 0.0, h: float = 1e-6) -
         minus = theta.copy()
         minus[i] -= h
         grad[i] = (
-            loss(unflatten(plus, M, Mm), X, y, lam) - loss(unflatten(minus, M, Mm), X, y, lam)
+            loss(unflatten(plus, M, Mm), X, y, lam, masks)
+            - loss(unflatten(minus, M, Mm), X, y, lam, masks)
         ) / (2.0 * h)
     return grad

@@ -9,10 +9,15 @@ from tskfuzzy import (
     RuleGrid,
     TskModel,
     finite_diff_grad,
+    firing_levels,
     flatten,
     gradients,
     loss,
     predict,
+    rule_outputs,
+    sample_membership_mask,
+    sample_mf_mask,
+    sample_rule_mask,
 )
 from tskfuzzy.errors import EmptyBatch, MaskShapeMismatch
 
@@ -110,6 +115,57 @@ class TestGradientsAgainstOracle:
         X = rng.standard_normal((4, 2))
         fd = finite_diff_grad(model, X, np.zeros(4), 0.0, h=1e-6)
         assert np.max(np.abs(fd)) <= 1e-9
+
+
+def sample_masks(variant, model, n, rng):
+    if variant == "rule":
+        return [sample_rule_mask(model.num_rules, 0.5, rng) for _ in range(n)]
+    if variant == "mf":
+        return [sample_mf_mask(model.num_inputs, model.mfs_per_input, 0.5, rng) for _ in range(n)]
+    return [sample_membership_mask(model.num_rules, model.num_inputs, 0.5, rng) for _ in range(n)]
+
+
+class TestMaskedGradientsAgainstOracle:
+    @pytest.mark.parametrize("variant", ["rule", "mf", "membership"])
+    def test_matches_finite_differences(self, variant):
+        """Criterion 1's instances and limit, with one drop mask per example.
+
+        Masks often leave coordinates with |g| between 1e-8 and 1e-5, where
+        no single central-difference step meets the mixed 1e-5 limit: at
+        h=1e-6 roundoff of the O(1) loss (about eps * loss / h) exceeds it,
+        and at h=1e-4 the h^2 truncation term does on sigma coordinates with
+        ordinary curvature. Extrapolating the h and 2h differences cancels
+        the h^2 term, so a step of 1e-3 can keep roundoff small as well.
+        """
+        rng = np.random.default_rng(2024)
+        h = 1e-3
+        for trial in range(102):
+            m = [1, 2, 3][trial % 3]
+            lam = 0.05 if trial % 2 else 0.0
+            model = random_model(m, 2, rng)
+            X = rng.standard_normal((4, m))
+            y = rng.standard_normal(4)
+            masks = sample_masks(variant, model, 4, rng)
+            g = gradients(model, X, y, lam, masks)
+            fd = (
+                4.0 * finite_diff_grad(model, X, y, lam, h, masks)
+                - finite_diff_grad(model, X, y, lam, 2.0 * h, masks)
+            ) / 3.0
+            assert max_mixed_error(g, fd) <= 1e-5, f"trial {trial}"
+
+    def test_masked_loss_matches_forward(self):
+        rng = np.random.default_rng(15)
+        model = random_model(2, 2, rng)
+        X = rng.standard_normal((3, 2))
+        y = rng.standard_normal(3)
+        keep = np.array([True, False, False, True])
+        masks = [DropMask("rule", keep)] * 3
+        pred = []
+        for x in X:
+            f = firing_levels(model, x, masks[0])
+            pred.append(f @ rule_outputs(model, x) / f.sum())
+        assert abs(loss(model, X, y, 0.0, masks) - 0.5 * np.sum((y - np.array(pred)) ** 2)) < 1e-12
+        assert loss(model, X, y, 0.0, [DropMask.none()] * 3) == loss(model, X, y, 0.0)
 
 
 class TestGradientStructure:
