@@ -1,0 +1,83 @@
+"""Check that training is bit-identical to the frozen reference copy.
+
+Trains every stock algorithm of the command line with the package in
+src/ and with perfbench/reference/tskfuzzy_ref on the same data, split
+and seed, and compares every per-iteration history curve and the final
+parameters bit for bit (ridge: the fitted weights and bias).
+
+    python3 scripts/compare_reference.py --mfs 2 3 4 --iterations 100
+
+Exits non-zero if any algorithm differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench" / "reference")]
+
+import tskfuzzy  # noqa: E402
+import tskfuzzy.cli  # noqa: E402
+import tskfuzzy_ref  # noqa: E402
+import tskfuzzy_ref.cli  # noqa: E402
+
+CURVES = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
+
+
+def prepared(pkg, rows: int, seed: int):
+    data = pkg.make_synthetic(rows, seed=seed)
+    tr, te = pkg.split(data, 0.7, np.random.default_rng(seed))
+    pre = pkg.fit_preprocessor(tr)
+    return pkg.apply_preprocessor(pre, tr), pkg.apply_preprocessor(pre, te)
+
+
+def run(pkg, name: str, overrides: dict, rows: int, seed: int) -> dict:
+    """Every array one algorithm produces, keyed by a readable name."""
+    cfg = pkg.cli.algorithm_config(name, overrides)
+    tr, te = prepared(pkg, rows, seed)
+    if isinstance(cfg, pkg.RidgeConfig):
+        lin = pkg.ridge_fit(tr.X, tr.y, cfg.lam)
+        return {"weights": lin.weights, "bias": np.array([lin.bias])}
+    model, hist = pkg.train(cfg, tr, te)
+    out = {c: getattr(hist, c) for c in CURVES}
+    out["theta"] = pkg.flatten(model)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mfs", type=int, nargs="+", default=[2, 3, 4])
+    parser.add_argument("--iterations", type=int, default=100)
+    parser.add_argument("--rows", type=int, default=1500)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+
+    failures = 0
+    for mm in args.mfs:
+        overrides = {"mfs_per_input": mm, "iterations": args.iterations, "seed": args.seed}
+        for name in tskfuzzy.cli.ALGORITHMS:
+            t0 = time.perf_counter()
+            new = run(tskfuzzy, name, overrides, args.rows, args.seed)
+            t1 = time.perf_counter()
+            ref = run(tskfuzzy_ref, name, overrides, args.rows, args.seed)
+            t2 = time.perf_counter()
+            differ = [k for k in ref if not np.array_equal(new[k], ref[k])]
+            failures += bool(differ)
+            verdict = "identical" if not differ else "DIFFERS in " + ", ".join(differ)
+            print(
+                f"Mm={mm} {name:<20} {verdict}  "
+                f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
+                flush=True,
+            )
+    print("all identical" if not failures else f"{failures} algorithm runs differ")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

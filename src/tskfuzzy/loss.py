@@ -91,25 +91,24 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
         grad_b[:, 1:] += lam * model.consequents[:, 1:]
 
     # MF parameters: err * (rule_out - pred) * normalized firing, routed
-    # through each active antecedent slot and accumulated into the shared MF.
-    # norm_firing is identically zero on dead rows, so they contribute nothing.
+    # through each active antecedent slot and accumulated into the shared MF,
+    # one input at a time. norm_firing is identically zero on dead rows, so
+    # they contribute nothing.
     W = err[:, None] * (fw.rule_out - fw.pred[:, None]) * fw.norm_firing
-    rows = np.broadcast_to(np.arange(M), (R, M))
-    cen = model.centers[rows, A]
-    sig = model.sigmas[rows, A]
-    dx = X[:, None, :] - cen
-    per_slot_c = W[:, :, None] * dx / sig**2
-    per_slot_s = W[:, :, None] * dx**2 / sig**3
-    if fw.slot_active is not None:
-        per_slot_c = np.where(fw.slot_active, per_slot_c, 0.0)
-        per_slot_s = np.where(fw.slot_active, per_slot_s, 0.0)
-    rule_c = per_slot_c.sum(axis=0)
-    rule_s = per_slot_s.sum(axis=0)
     grad_c = np.empty((M, Mm))
     grad_s = np.empty((M, Mm))
     for m in range(M):
-        grad_c[m] = np.bincount(A[:, m], weights=rule_c[:, m], minlength=Mm)
-        grad_s[m] = np.bincount(A[:, m], weights=rule_s[:, m], minlength=Mm)
+        a = A[:, m]
+        sig = model.sigmas[m, a]
+        dx = X[:, m, None] - model.centers[m, a]
+        slot_c = W * dx / sig**2
+        slot_s = W * dx**2 / sig**3
+        if variant in ("mf", "membership"):
+            active = keep[:, m, a] if variant == "mf" else keep[:, :, m]
+            slot_c = np.where(active, slot_c, 0.0)
+            slot_s = np.where(active, slot_s, 0.0)
+        grad_c[m] = np.bincount(a, weights=slot_c.sum(axis=0), minlength=Mm)
+        grad_s[m] = np.bincount(a, weights=slot_s.sum(axis=0), minlength=Mm)
 
     return np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
 

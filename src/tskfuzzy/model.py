@@ -8,7 +8,6 @@ weighted average of the rule consequents.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -52,10 +51,8 @@ class RuleGrid:
             raise ValueError("num_inputs and mfs_per_input must both be >= 1")
         self.num_inputs = int(num_inputs)
         self.mfs_per_input = int(mfs_per_input)
-        self.antecedents = np.array(
-            list(itertools.product(range(self.mfs_per_input), repeat=self.num_inputs)),
-            dtype=np.intp,
-        )
+        shape = (self.mfs_per_input,) * self.num_inputs
+        self.antecedents = np.indices(shape, dtype=np.intp).reshape(self.num_inputs, -1).T
 
     @property
     def num_rules(self) -> int:
@@ -207,8 +204,6 @@ def load_model(path) -> TskModel:
 class Forward(NamedTuple):
     """Intermediate quantities of one (possibly masked) batched forward pass."""
 
-    slot_grades: np.ndarray  # [N, R, M] membership grades after drop substitutions
-    slot_active: np.ndarray | None  # [N, R, M] bool, None when nothing is substituted
     firing: np.ndarray  # [N, R]
     norm_firing: np.ndarray  # [N, R] firing / firing_sum; all-zero on dead rows
     rule_out: np.ndarray  # [N, R]
@@ -220,27 +215,30 @@ class Forward(NamedTuple):
 def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> Forward:
     """Batched forward pass. keep is the stacked per-example keep array.
 
+    Firing levels are the tensor product of the per-input grades, taken
+    one input at a time from input 0 with the last input varying fastest,
+    so each rule multiplies its M grades in input order, exactly as a
+    product over its antecedent slots would. Only DropMembership, whose
+    substitutions are per rule, gathers the [N, R, M] slot grades.
+
     The output is computed from normalized firing levels (each in [0, 1])
     so a denormal firing sum cannot overflow anything. Rows whose firing
     sum underflows to exactly zero fall back to the unweighted mean of the
     rule outputs (the limit of equal weights).
     """
-    A = model.grid.antecedents
-    R, M = A.shape
+    N, M = X.shape[0], model.num_inputs
     mu = np.exp(-((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2))
-    rows = np.broadcast_to(np.arange(M), (R, M))
-    # the gather returns a non-C layout; normalize it so reduction order
-    # (and hence bit-level results) never depends on the masking path
-    slot = np.ascontiguousarray(mu[:, rows, A])
-    if variant == "mf":
-        slot_active = np.ascontiguousarray(keep[:, rows, A])
-    elif variant == "membership":
-        slot_active = keep
+    if variant == "membership":
+        # the gather returns a non-C layout; normalize it so the firing
+        # levels come out in C order and are summed as on the other paths
+        slot = np.ascontiguousarray(mu[:, np.arange(M), model.grid.antecedents])
+        firing = np.where(keep, slot, 1.0).prod(axis=2)
     else:
-        slot_active = None
-    if slot_active is not None:
-        slot = np.where(slot_active, slot, 1.0)
-    firing = slot.prod(axis=2)
+        if variant == "mf":
+            mu = np.where(keep, mu, 1.0)
+        firing = np.ones((N, 1))
+        for m in range(M):
+            firing = (firing[:, :, None] * mu[:, m, None, :]).reshape(N, -1)
     if variant == "rule":
         firing = np.where(keep, firing, 0.0)
     rule_out = model.consequents[:, 0] + X @ model.consequents[:, 1:].T
@@ -248,7 +246,7 @@ def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -
     dead = firing_sum == 0.0
     norm_firing = firing / np.where(dead, 1.0, firing_sum)[:, None]
     pred = np.where(dead, rule_out.mean(axis=1), (norm_firing * rule_out).sum(axis=1))
-    return Forward(slot, slot_active, firing, norm_firing, rule_out, firing_sum, pred, dead)
+    return Forward(firing, norm_firing, rule_out, firing_sum, pred, dead)
 
 
 def _mask_shape(model: TskModel, variant: str) -> tuple:

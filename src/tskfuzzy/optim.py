@@ -133,5 +133,4 @@ def adabound_step(
     m_hat = m / (1.0 - hyper.beta1**k)
     v_hat = v / (1.0 - hyper.beta2**k)
     rates = np.clip(hyper.alpha / (np.sqrt(v_hat) + hyper.epsilon), l, u)
-    assert np.all(rates >= l) and np.all(rates <= u)
     return theta - rates * m_hat, MomentState(m, v, k, rates)

@@ -1,10 +1,13 @@
 """Model-level behavior: Gaussian grades, grid structure, inference,
 initialization, parameter layout, and checkpoint round trips."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tskfuzzy import (
     SIGMA_MIN,
@@ -23,6 +26,7 @@ from tskfuzzy import (
     unflatten,
 )
 from tskfuzzy.errors import ConstantFeature, LengthMismatch
+from tskfuzzy.model import _forward
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -66,6 +70,13 @@ class TestRuleGrid:
         assert grid.num_rules == 8
         combos = {tuple(row) for row in grid.antecedents}
         assert len(combos) == 8  # every combination exactly once
+
+    @pytest.mark.parametrize("m, mm", [(1, 1), (1, 3), (3, 3), (5, 2), (5, 4), (6, 1)])
+    def test_order_matches_itertools_product(self, m, mm):
+        grid = RuleGrid(m, mm)
+        want = np.array(list(itertools.product(range(mm), repeat=m)), dtype=np.intp)
+        assert grid.antecedents.dtype == np.intp
+        np.testing.assert_array_equal(grid.antecedents, want)
 
     def test_rules_using_partitions_rules(self):
         grid = RuleGrid(3, 2)
@@ -135,6 +146,57 @@ class TestFiringLevels:
         keep[2] = False  # empty product for rule 2
         f = firing_levels(model, rng.standard_normal(2), DropMask("membership", keep))
         assert f[2] == 1.0
+
+
+def slot_forward(model, X, variant, keep):
+    """Per-slot reference: gather every rule's M grades, then multiply them."""
+    A = model.grid.antecedents
+    rows = np.arange(model.num_inputs)
+    mu = np.exp(-((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2))
+    # C order, so the later sum over rules runs in the order _forward's does
+    slot = np.ascontiguousarray(mu[:, rows, A])
+    if variant == "mf":
+        slot = np.where(keep[:, rows, A], slot, 1.0)
+    elif variant == "membership":
+        slot = np.where(keep, slot, 1.0)
+    firing = slot.prod(axis=2)
+    if variant == "rule":
+        firing = np.where(keep, firing, 0.0)
+    rule_out = model.consequents[:, 0] + X @ model.consequents[:, 1:].T
+    total = firing.sum(axis=1)
+    dead = total == 0.0
+    norm = firing / np.where(dead, 1.0, total)[:, None]
+    pred = np.where(dead, rule_out.mean(axis=1), (norm * rule_out).sum(axis=1))
+    return firing, norm, pred
+
+
+class TestTensorProductForward:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        mm=st.integers(1, 4),
+        n=st.integers(1, 6),
+        variant=st.sampled_from(["none", "rule", "mf", "membership"]),
+        far=st.floats(0.0, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_slot_product(self, m, mm, n, variant, far, seed):
+        """Firing levels, normalized firing and predictions equal the
+        per-slot product bit for bit, also on rows pushed `far` widths out,
+        where grades go denormal or underflow and rows can die."""
+        rng = np.random.default_rng(seed)
+        model = random_model(m, mm, rng)
+        X = rng.standard_normal((n, m))
+        X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
+        shape = {"rule": (model.num_rules,), "mf": (m, mm), "membership": (model.num_rules, m)}
+        keep = None
+        if variant != "none":
+            keep = rng.random((n, *shape[variant])) <= 0.5
+        fw = _forward(model, X, variant, keep)
+        firing, norm, pred = slot_forward(model, X, variant, keep)
+        np.testing.assert_array_equal(fw.firing, firing)
+        np.testing.assert_array_equal(fw.norm_firing, norm)
+        np.testing.assert_array_equal(fw.pred, pred)
 
 
 class TestPredict:
