@@ -7,6 +7,7 @@ import pytest
 from tskfuzzy import (
     DropMask,
     RuleGrid,
+    TrainConfig,
     TskModel,
     finite_diff_grad,
     firing_levels,
@@ -15,11 +16,9 @@ from tskfuzzy import (
     loss,
     predict,
     rule_outputs,
-    sample_membership_mask,
-    sample_mf_mask,
-    sample_rule_mask,
 )
 from tskfuzzy.errors import EmptyBatch, MaskShapeMismatch
+from tskfuzzy.trainer import _sample_masks
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -117,14 +116,6 @@ class TestGradientsAgainstOracle:
         assert np.max(np.abs(fd)) <= 1e-9
 
 
-def sample_masks(variant, model, n, rng):
-    if variant == "rule":
-        return [sample_rule_mask(model.num_rules, 0.5, rng) for _ in range(n)]
-    if variant == "mf":
-        return [sample_mf_mask(model.num_inputs, model.mfs_per_input, 0.5, rng) for _ in range(n)]
-    return [sample_membership_mask(model.num_rules, model.num_inputs, 0.5, rng) for _ in range(n)]
-
-
 class TestMaskedGradientsAgainstOracle:
     @pytest.mark.parametrize("variant", ["rule", "mf", "membership"])
     def test_matches_finite_differences(self, variant):
@@ -145,7 +136,7 @@ class TestMaskedGradientsAgainstOracle:
             model = random_model(m, 2, rng)
             X = rng.standard_normal((4, m))
             y = rng.standard_normal(4)
-            masks = sample_masks(variant, model, 4, rng)
+            masks = _sample_masks(TrainConfig(drop_variant=variant), model, 4, rng)
             g = gradients(model, X, y, lam, masks)
             fd = (
                 4.0 * finite_diff_grad(model, X, y, lam, h, masks)
