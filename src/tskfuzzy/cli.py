@@ -179,14 +179,8 @@ def emit_gradient_check_report(
 
 def _parse_set(pairs: list[str]) -> dict:
     """Parse repeated key=value overrides with TrainConfig field types."""
-    casts = {
-        "mfs_per_input": int, "iterations": int, "batch_size": int, "seed": int,
-        "keep_prob": float, "alpha": float, "lam": float, "beta1": float,
-        "beta2": float, "epsilon": float, "alpha_final": float,
-        "drop_variant": str, "lr_scheme": str,
-        # grad-check knobs
-        "M": int, "Mm": int, "trials": int,
-    }
+    casts = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    casts.update(M=int, Mm=int, trials=int)  # grad-check knobs
     out = {}
     for pair in pairs:
         if "=" not in pair:

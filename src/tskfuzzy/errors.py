@@ -25,6 +25,10 @@ class NonFiniteGradient(TskFuzzyError):
     """A gradient handed to an optimizer step contains NaN or Inf."""
 
 
+class Diverged(TskFuzzyError):
+    """Training produced a non-finite batch loss, gradient or parameter."""
+
+
 class EmptyTrainingSet(TskFuzzyError):
     """Training requested on a dataset with no examples."""
 

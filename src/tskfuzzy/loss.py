@@ -21,7 +21,7 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     """Half squared error over the batch plus the l2 consequent penalty.
 
     Rule biases (consequent column 0) are never penalized. masks is an
-    optional sequence with one DropMask per example, applied as in
+    optional batch mask or sequence of per-example masks, applied as in
     gradients(); without it this is the test-time loss.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -30,44 +30,55 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
         raise EmptyBatch("loss needs at least one example")
     variant, keep = _stack_masks(model, masks, X.shape[0])
     pred = predict(model, X) if variant == "none" else _forward(model, X, variant, keep).pred
-    resid = y - pred
+    return _objective(model, y - pred, lam)
+
+
+def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
+    """The loss value from the batch residuals y - pred."""
     penalty = 0.5 * lam * float(np.sum(model.consequents[:, 1:] ** 2))
     return 0.5 * float(resid @ resid) + penalty
 
 
 def _stack_masks(model: TskModel, masks, n: int):
-    """Validate one mask per example and stack them along a batch axis."""
+    """Validate a batch's masks and return (variant, keep), keep stacked
+    along a leading batch axis.
+
+    masks is either one DropMask whose keep already has the batch axis, as
+    the trainer samples them, or a sequence with one DropMask per example.
+    """
     if masks is None:
         return "none", None
-    if isinstance(masks, DropMask):
-        raise MaskShapeMismatch("pass one mask per example (a sequence), not a single mask")
-    if len(masks) != n:
-        raise MaskShapeMismatch(f"got {len(masks)} masks for a batch of {n}")
-    variants = {m.variant for m in masks}
-    if len(variants) != 1:
-        raise MaskShapeMismatch(f"mixed mask variants in one batch: {sorted(variants)}")
-    variant = variants.pop()
-    if variant == "none":
+    if not isinstance(masks, DropMask):
+        if len(masks) != n:
+            raise MaskShapeMismatch(f"got {len(masks)} masks for a batch of {n}")
+        variants = {m.variant for m in masks}
+        if len(variants) != 1:
+            raise MaskShapeMismatch(f"mixed mask variants in one batch: {sorted(variants)}")
+        variant = variants.pop()
+        keep = None if variant == "none" else np.stack([np.asarray(m.keep) for m in masks])
+        masks = DropMask(variant, keep)
+    if masks.variant == "none":
         return "none", None
-    expected = _mask_shape(model, variant)
-    keep = np.stack([np.asarray(m.keep, dtype=bool) for m in masks])
-    if keep.shape != (n, *expected):
+    keep = np.asarray(masks.keep, dtype=bool)
+    expected = (n, *_mask_shape(model, masks.variant))
+    if keep.shape != expected:
         raise MaskShapeMismatch(
-            f"stacked {variant} masks have shape {keep.shape}, expected {(n, *expected)}"
+            f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
         )
-    return variant, keep
+    return masks.variant, keep
 
 
 def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray:
     """Analytic gradient of the batch loss, flat and aligned with flatten(model).
 
-    masks is an optional sequence with one DropMask per example. Firing
-    levels inside the chain rule are the masked ones, so a parameter that
-    played no part in an example's output gets no contribution from it:
-    dropped rules contribute to nothing, and an MF whose grade was replaced
-    by 1 in some slot receives no gradient through that slot. The l2 term
-    lam * b is added once per batch to every non-bias consequent
-    coefficient, independent of the masks.
+    masks is an optional batch mask (keep with a leading batch axis) or a
+    sequence with one DropMask per example. Firing levels inside the chain
+    rule are the masked ones, so a parameter that played no part in an
+    example's output gets no contribution from it: dropped rules contribute
+    to nothing, and an MF whose grade was replaced by 1 in some slot
+    receives no gradient through that slot. The l2 term lam * b is added
+    once per batch to every non-bias consequent coefficient, independent of
+    the masks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))

@@ -17,9 +17,11 @@ VARIANTS = ("none", "rule", "mf", "membership")
 
 @dataclass(frozen=True)
 class DropMask:
-    """Keep/drop decisions for one training example's forward pass.
+    """Keep/drop decisions for one training example's forward pass, or for
+    a whole batch.
 
-    keep shapes by variant: rule [R], mf [M, Mm], membership [R, M].
+    keep shapes by variant: rule [R], mf [M, Mm], membership [R, M]; a
+    batch mask carries a leading batch axis, e.g. rule [N, R].
     A dropped rule fires at 0; a dropped MF or membership slot contributes
     grade 1 instead of its Gaussian value. Variant "none" keeps everything
     and carries no array.

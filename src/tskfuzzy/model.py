@@ -176,11 +176,29 @@ def unflatten(values, num_inputs: int, mfs_per_input: int) -> TskModel:
     if values.size != expected:
         raise LengthMismatch(f"expected {expected} values, got {values.size}")
     grid = RuleGrid(num_inputs, mfs_per_input)
-    n_mf = num_inputs * mfs_per_input
-    centers = values[:n_mf].reshape(num_inputs, mfs_per_input).copy()
-    sigmas = values[n_mf : 2 * n_mf].reshape(num_inputs, mfs_per_input).copy()
-    consequents = values[2 * n_mf :].reshape(grid.num_rules, num_inputs + 1).copy()
-    return TskModel(grid, centers, sigmas, consequents)
+    return TskModel(grid, *(a.copy() for a in _param_views(values, grid)))
+
+
+def _param_views(values: np.ndarray, grid: RuleGrid) -> tuple:
+    """centers, sigmas and consequents as views into a flat vector in the
+    flatten() layout, which must have the grid's parameter count."""
+    M, Mm = grid.num_inputs, grid.mfs_per_input
+    n_mf = M * Mm
+    return (
+        values[:n_mf].reshape(M, Mm),
+        values[n_mf : 2 * n_mf].reshape(M, Mm),
+        values[2 * n_mf :].reshape(grid.num_rules, M + 1),
+    )
+
+
+def _param_name(i: int, grid: RuleGrid) -> str:
+    """Readable name of coordinate i of the flatten() layout."""
+    M, Mm = grid.num_inputs, grid.mfs_per_input
+    n_mf = M * Mm
+    if i < 2 * n_mf:
+        return f"{'center' if i < n_mf else 'sigma'}[{(i % n_mf) // Mm}, {i % Mm}]"
+    r, c = divmod(i - 2 * n_mf, M + 1)
+    return f"consequent[{r}, {c}]"
 
 
 def save_model(model: TskModel, path) -> None:

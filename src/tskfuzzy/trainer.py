@@ -4,7 +4,8 @@ One training run: initialize the model from training-set statistics, then
 for each iteration sample a mini-batch, sample one drop mask per example,
 take the configured optimizer step on the summed masked gradient, floor
 the sigmas, and record train/test RMSE plus the batch loss and the mean
-effective learning rate.
+effective learning rate. A non-finite loss, gradient or parameter stops
+the run with Diverged.
 """
 
 from __future__ import annotations
@@ -16,10 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, apply_preprocessor, fit_preprocessor, sample_batch, split
-from .errors import EmptyDataset, EmptyTrainingSet, LengthMismatch, ZeroBaseline
-from .loss import gradients, loss
-from .masks import sample_membership_mask, sample_mf_mask, sample_rule_mask
-from .model import SIGMA_MIN, TskModel, flatten, init_model_from_data, predict, unflatten
+from .errors import Diverged, EmptyDataset, EmptyTrainingSet, LengthMismatch, ZeroBaseline
+from .loss import _objective, gradients
+from .masks import DropMask, sample_rule_mask
+from .model import (
+    SIGMA_MIN,
+    RuleGrid,
+    TskModel,
+    _mask_shape,
+    _param_name,
+    _param_views,
+    flatten,
+    init_model_from_data,
+    predict,
+)
 from .optim import (
     AdaBoundHyper,
     JangLrState,
@@ -94,7 +105,11 @@ def rmse(model: TskModel, dataset: Dataset) -> float:
     """Root mean squared prediction error over a dataset."""
     if dataset.n == 0:
         raise EmptyDataset("RMSE of an empty dataset is undefined")
-    resid = dataset.y - predict(model, dataset.X)
+    return _rmse(dataset.y, predict(model, dataset.X))
+
+
+def _rmse(y: np.ndarray, pred: np.ndarray) -> float:
+    resid = y - pred
     return float(np.sqrt(np.mean(resid**2)))
 
 
@@ -110,21 +125,34 @@ def percent_improvement(baseline, other) -> np.ndarray:
 
 
 def _sample_masks(config: TrainConfig, model: TskModel, n: int, rng):
-    if config.drop_variant == "none":
+    """One DropMask for a batch of n examples, keep stacked along axis 0.
+
+    Draws the whole batch with one rng call, which consumes the stream
+    exactly as n sequential per-example sample_*_mask calls would. The
+    exception is an all-dropped rule row, which sample_rule_mask redraws
+    before the next example draws; then the batch is drawn again one
+    example at a time from the saved stream state, so masks and stream
+    stay the same as with the per-example samplers.
+    """
+    variant = config.drop_variant
+    if variant == "none":
         return None
-    if config.drop_variant == "rule":
-        return [sample_rule_mask(model.num_rules, config.keep_prob, rng) for _ in range(n)]
-    if config.drop_variant == "mf":
-        return [
-            sample_mf_mask(model.num_inputs, model.mfs_per_input, config.keep_prob, rng)
-            for _ in range(n)
-        ]
-    if config.drop_variant == "membership":
-        return [
-            sample_membership_mask(model.num_rules, model.num_inputs, config.keep_prob, rng)
-            for _ in range(n)
-        ]
-    raise ValueError(f"unknown drop_variant {config.drop_variant!r}")
+    state = rng.bit_generator.state if variant == "rule" else None
+    keep = rng.random((n, *_mask_shape(model, variant))) <= config.keep_prob
+    if variant == "rule" and not keep.any(axis=1).all():
+        rng.bit_generator.state = state
+        keep = np.stack(
+            [sample_rule_mask(model.num_rules, config.keep_prob, rng).keep for _ in range(n)]
+        )
+    return DropMask(variant, keep)
+
+
+def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid) -> None:
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise Diverged(
+            f"diverged at iteration {k + 1}: {what} {_param_name(i, grid)} is {values[i]}"
+        )
 
 
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
@@ -133,7 +161,10 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     Batch selection and mask sampling draw from two independent streams
     spawned from config.seed, so a run whose masks keep everything is
     bit-identical to the same run without masking. The returned model is
-    the final iterate, not the best one seen.
+    the final iterate, not the best one seen. The logged batch loss is the
+    unmasked loss at the pre-step parameters. Raises Diverged, naming the
+    iteration (counted from 1, as in the history CSV) and the first bad
+    coordinate, at the first non-finite batch loss, gradient or parameter.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -143,6 +174,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
 
     model = init_model_from_data(train_set.X, config.mfs_per_input)
+    grid = model.grid
     theta = flatten(model)
     n_mf = model.num_inputs * model.mfs_per_input
 
@@ -164,13 +196,18 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     hist_lr_min = np.empty(K)
     hist_lr_max = np.empty(K)
 
+    train_pred = None  # predictions of the current model on every training row
     t0 = time.perf_counter()
     for k in range(K):
         idx = sample_batch(train_set, config.batch_size, batch_rng)
         Xb, yb = train_set.X[idx], train_set.y[idx]
         masks = _sample_masks(config, model, len(idx), mask_rng)
         g = gradients(model, Xb, yb, config.lam, masks)
-        batch_loss = loss(model, Xb, yb, config.lam)
+        pred_b = predict(model, Xb) if train_pred is None else train_pred[idx]
+        batch_loss = _objective(model, yb - pred_b, config.lam)
+        if not np.isfinite(batch_loss):
+            raise Diverged(f"diverged at iteration {k + 1}: batch loss is {batch_loss}")
+        _check_finite(g, "gradient of", k, grid)
 
         if config.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
@@ -189,9 +226,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             lr_max = float(rates.max())
 
         theta[n_mf : 2 * n_mf] = np.maximum(theta[n_mf : 2 * n_mf], SIGMA_MIN)
-        model = unflatten(theta, model.num_inputs, model.mfs_per_input)
+        _check_finite(theta, "parameter", k, grid)
+        model = TskModel(grid, *_param_views(theta, grid))  # views, no copies
 
-        hist_train[k] = rmse(model, train_set)
+        train_pred = predict(model, train_set.X)
+        hist_train[k] = _rmse(train_set.y, train_pred)
         hist_test[k] = rmse(model, test_set)
         hist_loss[k] = batch_loss
         hist_lr[k] = lr_mean

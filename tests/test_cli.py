@@ -1,6 +1,9 @@
 """Experiment runner: stock configurations, output files, flag parsing,
 and the gradient-check report."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from tskfuzzy import RidgeConfig, TrainConfig, make_synthetic
 from tskfuzzy.cli import (
     ALGORITHMS,
     ExperimentSpec,
+    _parse_set,
     algorithm_config,
     emit_gradient_check_report,
     main,
@@ -178,6 +182,25 @@ class TestMain:
     def test_bad_set_pair(self, capsys):
         assert main(["--data", "synthetic", "--set", "bogus=1"]) != 0
         assert "load" in capsys.readouterr().err
+
+    def test_divergence_reported_as_train_error(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main([
+                "--data", "synthetic", "--algos", "MBGD", "--repeats", "1",
+                "--set", "alpha=0.5", "--out", str(tmp_path / "out"),
+            ])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert re.match(r"error in train: diverged at iteration \d+: ", err), err
+
+    def test_set_casts_every_config_field_to_its_default_type(self):
+        fields = dataclasses.fields(TrainConfig)
+        pairs = [f"{f.name}={f.default}" for f in fields] + ["M=3", "Mm=4", "trials=5"]
+        parsed = _parse_set(pairs)
+        for f in fields:
+            assert type(parsed[f.name]) is type(f.default), f.name
+            assert parsed[f.name] == f.default, f.name
+        assert (parsed["M"], parsed["Mm"], parsed["trials"]) == (3, 4, 5)
 
 
 class TestGradCheckReport:

@@ -1,16 +1,20 @@
 """Drop-mask sampling: keep semantics, structural effects, and statistics."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tskfuzzy import (
     DropMask,
     RuleGrid,
+    TrainConfig,
     TskModel,
     firing_levels,
     sample_membership_mask,
     sample_mf_mask,
     sample_rule_mask,
 )
+from tskfuzzy.trainer import _sample_masks
 
 
 def _model(rng, num_inputs=2, mfs_per_input=2):
@@ -114,3 +118,41 @@ def test_mf_and_membership_keep_rates():
     kept = sum(sample_membership_mask(4, 2, 0.7, rng).keep.sum() for _ in range(1250))
     n = 1250 * 8
     assert abs(kept / n - 0.7) < 3 * np.sqrt(0.7 * 0.3 / n)
+
+
+PER_EXAMPLE = {
+    "rule": lambda model, p, rng: sample_rule_mask(model.num_rules, p, rng),
+    "mf": lambda model, p, rng: sample_mf_mask(model.num_inputs, model.mfs_per_input, p, rng),
+    "membership": lambda model, p, rng: sample_membership_mask(
+        model.num_rules, model.num_inputs, p, rng
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(PER_EXAMPLE)),
+    grid=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (5, 2)]),
+    n=st.integers(1, 40),
+    keep_prob=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 1, 2 and 4 rules at low keep probabilities: all-dropped rule rows are
+# redrawn, and at keep probability 0 they fall back to all-keep
+@example(variant="rule", grid=(1, 1), n=30, keep_prob=0.3, seed=0)
+@example(variant="rule", grid=(1, 2), n=30, keep_prob=0.1, seed=1)
+@example(variant="rule", grid=(2, 2), n=30, keep_prob=0.3, seed=2)
+@example(variant="rule", grid=(2, 2), n=5, keep_prob=0.0, seed=3)
+def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
+    """The trainer's one-call batch draw gives the masks of n sequential
+    per-example draws bit for bit and leaves the stream in the same state."""
+    model = _model(np.random.default_rng(0), *grid)
+    batch_rng = np.random.default_rng(seed)
+    seq_rng = np.random.default_rng(seed)
+    cfg = TrainConfig(drop_variant=variant, keep_prob=keep_prob)
+    mask = _sample_masks(cfg, model, n, batch_rng)
+    expected = np.stack([PER_EXAMPLE[variant](model, keep_prob, seq_rng).keep for _ in range(n)])
+    assert mask.variant == variant
+    assert mask.keep.dtype == bool
+    np.testing.assert_array_equal(mask.keep, expected)
+    assert batch_rng.bit_generator.state == seq_rng.bit_generator.state

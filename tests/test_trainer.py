@@ -1,5 +1,5 @@
 """Training-loop behavior: metrics, bit-exact reductions between
-configurations, determinism, and the repeated-experiment suite."""
+configurations, determinism, divergence, and the repeated-experiment suite."""
 
 import dataclasses
 
@@ -13,15 +13,18 @@ from tskfuzzy import (
     apply_preprocessor,
     fit_preprocessor,
     init_model,
+    loss,
     make_synthetic,
     percent_improvement,
     predict,
     rmse,
     run_suite,
+    sample_batch,
     split,
     train,
+    trainer,
 )
-from tskfuzzy.errors import EmptyDataset, EmptyTrainingSet, ZeroBaseline
+from tskfuzzy.errors import Diverged, EmptyDataset, EmptyTrainingSet, ZeroBaseline
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,56 @@ class TestTrain:
         trp, tep = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
         _, hist = train(TrainConfig(seed=2), trp, tep)
         assert hist.train_rmse[-1] < hist.train_rmse[0]
+
+
+    @pytest.mark.parametrize("scheme", ["jang", "adabound"])
+    def test_batch_loss_is_unmasked_loss_before_the_step(self, small_splits, scheme):
+        """loss[k] is loss() of the model after k iterations on batch k,
+        though the trainer takes it from its last train-set evaluation."""
+        tr, te = small_splits
+        cfg = quick(lr_scheme=scheme)
+        _, hist = train(cfg, tr, te)
+        batch_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        for k in range(5):
+            idx = sample_batch(tr, cfg.batch_size, batch_rng)
+            model_k, _ = train(dataclasses.replace(cfg, iterations=k), tr, te)
+            assert hist.loss[k] == loss(model_k, tr.X[idx], tr.y[idx], cfg.lam)
+
+
+class TestDivergence:
+    def test_large_jang_rate_raises_diverged(self):
+        data = make_synthetic(1500, seed=7)
+        tr, te = split(data, 0.7, np.random.default_rng(7))
+        pre = fit_preprocessor(tr)
+        cfg = TrainConfig(lr_scheme="jang", drop_variant="none", lam=0, alpha=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(Diverged, match=r"^diverged at iteration \d+: "):
+                train(cfg, apply_preprocessor(pre, tr), apply_preprocessor(pre, te))
+
+    @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
+    def test_non_finite_gradient_raises_before_the_step(self, small_splits, monkeypatch, scheme):
+        tr, te = small_splits
+        real = trainer.gradients
+        calls = []
+
+        def poisoned(*args):
+            g = real(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                g[12] = np.nan  # M=5, Mm=2: the third sigma
+            return g
+
+        monkeypatch.setattr(trainer, "gradients", poisoned)
+        message = r"^diverged at iteration 3: gradient of sigma\[1, 0\] is nan$"
+        with pytest.raises(Diverged, match=message):
+            train(quick(lr_scheme=scheme), tr, te)
+
+    def test_non_finite_parameter_raises(self, small_splits):
+        tr, te = small_splits
+        with np.errstate(all="ignore"):
+            message = r"^diverged at iteration 1: parameter \w+\[\d+, \d+\] is -?inf$"
+            with pytest.raises(Diverged, match=message):
+                train(quick(lr_scheme="jang", alpha=1e308, drop_variant="none"), tr, te)
 
 
 class TestRunSuite:
