@@ -171,7 +171,6 @@ class TestTrain:
         _, hist = train(TrainConfig(seed=2), trp, tep)
         assert hist.train_rmse[-1] < hist.train_rmse[0]
 
-
     @pytest.mark.parametrize("scheme", ["jang", "adabound"])
     def test_batch_loss_is_unmasked_loss_before_the_step(self, small_splits, scheme):
         """loss[k] is loss() of the model after k iterations on batch k,
