@@ -3,7 +3,9 @@
 Trains every stock algorithm of the command line with the package in
 src/ and with perfbench/reference/tskfuzzy_ref on the same data, split
 and seed, and compares every per-iteration history curve and the final
-parameters bit for bit (ridge: the fitted weights and bias).
+parameters bit for bit (ridge: the fitted weights and bias). For each
+array that differs it prints the largest relative difference and, for a
+history curve, the first iteration whose relative difference exceeds 1e-12.
 
     python3 scripts/compare_reference.py --mfs 2 3 4 --iterations 100
 
@@ -50,6 +52,17 @@ def run(pkg, name: str, overrides: dict, rows: int, seed: int) -> dict:
     return out
 
 
+def describe(key: str, new: np.ndarray, ref: np.ndarray) -> str:
+    """key with its largest relative difference and, for a history curve,
+    the first iteration (from 1) whose relative difference exceeds 1e-12."""
+    rel = np.abs(new - ref) / np.maximum(np.abs(ref), np.finfo(float).tiny)
+    text = f"{key} (max rel {rel.max():.1e}"
+    if key in CURVES:
+        above = np.flatnonzero(rel > 1e-12)
+        text += f", > 1e-12 from iteration {above[0] + 1}" if above.size else ", all <= 1e-12"
+    return text + ")"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mfs", type=int, nargs="+", default=[2, 3, 4])
@@ -69,7 +82,9 @@ def main(argv=None) -> int:
             t2 = time.perf_counter()
             differ = [k for k in ref if not np.array_equal(new[k], ref[k])]
             failures += bool(differ)
-            verdict = "identical" if not differ else "DIFFERS in " + ", ".join(differ)
+            verdict = "identical" if not differ else "DIFFERS in " + ", ".join(
+                describe(k, new[k], ref[k]) for k in differ
+            )
             print(
                 f"Mm={mm} {name:<20} {verdict}  "
                 f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",

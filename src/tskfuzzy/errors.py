@@ -18,7 +18,9 @@ class EmptyBatch(TskFuzzyError):
 
 
 class MaskShapeMismatch(TskFuzzyError):
-    """Drop masks do not line up with the batch or the model's grid."""
+    """Drop masks do not line up with the batch or the model's grid, or a
+    DropRule mask drops every rule of an example, which leaves its
+    normalized firing levels undefined."""
 
 
 class NonFiniteGradient(TskFuzzyError):

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyBatch, MaskShapeMismatch
-from .masks import DropMask
-from .model import TskModel, _forward, _mask_shape, flatten, predict, unflatten
+from .errors import EmptyBatch
+from .model import TskModel, _forward, _stack_masks, flatten, rule_outputs, unflatten
 
 
 def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
@@ -29,43 +28,13 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     if X.shape[0] == 0:
         raise EmptyBatch("loss needs at least one example")
     variant, keep = _stack_masks(model, masks, X.shape[0])
-    pred = predict(model, X) if variant == "none" else _forward(model, X, variant, keep).pred
-    return _objective(model, y - pred, lam)
+    return _objective(model, y - _forward(model, X, variant, keep).pred, lam)
 
 
 def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
     """The loss value from the batch residuals y - pred."""
     penalty = 0.5 * lam * float(np.sum(model.consequents[:, 1:] ** 2))
     return 0.5 * float(resid @ resid) + penalty
-
-
-def _stack_masks(model: TskModel, masks, n: int):
-    """Validate a batch's masks and return (variant, keep), keep stacked
-    along a leading batch axis.
-
-    masks is either one DropMask whose keep already has the batch axis, as
-    the trainer samples them, or a sequence with one DropMask per example.
-    """
-    if masks is None:
-        return "none", None
-    if not isinstance(masks, DropMask):
-        if len(masks) != n:
-            raise MaskShapeMismatch(f"got {len(masks)} masks for a batch of {n}")
-        variants = {m.variant for m in masks}
-        if len(variants) != 1:
-            raise MaskShapeMismatch(f"mixed mask variants in one batch: {sorted(variants)}")
-        variant = variants.pop()
-        keep = None if variant == "none" else np.stack([np.asarray(m.keep) for m in masks])
-        masks = DropMask(variant, keep)
-    if masks.variant == "none":
-        return "none", None
-    keep = np.asarray(masks.keep, dtype=bool)
-    expected = (n, *_mask_shape(model, masks.variant))
-    if keep.shape != expected:
-        raise MaskShapeMismatch(
-            f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
-        )
-    return masks.variant, keep
 
 
 def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray:
@@ -88,38 +57,27 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     variant, keep = _stack_masks(model, masks, n)
     fw = _forward(model, X, variant, keep)
 
-    A = model.grid.antecedents
-    R, M = A.shape
-    Mm = model.mfs_per_input
-
     err = fw.pred - y
-    # Consequents: err * normalized firing, times (1, x). Dead rows fall back
-    # to the mean of rule outputs, whose consequent gradient is uniform 1/R.
-    norm_b = np.where(fw.dead[:, None], 1.0 / R, fw.norm_firing)
+    # Consequents: err * normalized firing, times (1, x).
     design = np.column_stack([np.ones(n), X])
-    grad_b = (err[:, None] * norm_b).T @ design
+    grad_b = (err[:, None] * fw.norm_firing).T @ design
     if lam != 0.0:
         grad_b[:, 1:] += lam * model.consequents[:, 1:]
 
-    # MF parameters: err * (rule_out - pred) * normalized firing, routed
-    # through each active antecedent slot and accumulated into the shared MF,
-    # one input at a time. norm_firing is identically zero on dead rows, so
-    # they contribute nothing.
-    W = err[:, None] * (fw.rule_out - fw.pred[:, None]) * fw.norm_firing
-    grad_c = np.empty((M, Mm))
-    grad_s = np.empty((M, Mm))
-    for m in range(M):
-        a = A[:, m]
-        sig = model.sigmas[m, a]
-        dx = X[:, m, None] - model.centers[m, a]
-        slot_c = W * dx / sig**2
-        slot_s = W * dx**2 / sig**3
-        if variant in ("mf", "membership"):
-            active = keep[:, m, a] if variant == "mf" else keep[:, :, m]
-            slot_c = np.where(active, slot_c, 0.0)
-            slot_s = np.where(active, slot_s, 0.0)
-        grad_c[m] = np.bincount(a, weights=slot_c.sum(axis=0), minlength=Mm)
-        grad_s[m] = np.bincount(a, weights=slot_s.sum(axis=0), minlength=Mm)
+    # MF parameters: V[n, m, i] sums W = err * (rule_out - pred) * normalized
+    # firing over the rules whose input-m antecedent is MF i, where kept.
+    W = err[:, None] * (rule_outputs(model, X) - fw.pred[:, None]) * fw.norm_firing
+    M, Mm = model.num_inputs, model.mfs_per_input
+    incidence = model.grid.incidence
+    if variant == "membership":
+        V = np.einsum("nrm,rmi->nmi", W[:, :, None] * keep, incidence.reshape(-1, M, Mm))
+    else:
+        V = (W @ incidence).reshape(n, M, Mm)
+        if variant == "mf":
+            V = np.where(keep, V, 0.0)
+    dx = X[:, :, None] - model.centers
+    grad_c = (V * dx).sum(axis=0) / model.sigmas**2
+    grad_s = (V * dx**2).sum(axis=0) / model.sigmas**3
 
     return np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
 

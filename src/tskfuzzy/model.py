@@ -44,6 +44,8 @@ class RuleGrid:
     Rule r uses MF ``antecedents[r, m]`` for input m; the last input's index
     varies fastest in the enumeration. MFs are shared across rules, so input
     m carries ``mfs_per_input`` Gaussians no matter how many rules use them.
+    ``incidence[r, m * mfs_per_input + i]`` is 1.0 when rule r uses MF i of
+    input m and 0.0 otherwise.
     """
 
     def __init__(self, num_inputs: int, mfs_per_input: int):
@@ -53,6 +55,7 @@ class RuleGrid:
         self.mfs_per_input = int(mfs_per_input)
         shape = (self.mfs_per_input,) * self.num_inputs
         self.antecedents = np.indices(shape, dtype=np.intp).reshape(self.num_inputs, -1).T
+        self.incidence = np.eye(self.mfs_per_input)[self.antecedents].reshape(self.num_rules, -1)
 
     @property
     def num_rules(self) -> int:
@@ -220,51 +223,56 @@ def load_model(path) -> TskModel:
 
 
 class Forward(NamedTuple):
-    """Intermediate quantities of one (possibly masked) batched forward pass."""
+    """Outputs of one (possibly masked) batched forward pass."""
 
-    firing: np.ndarray  # [N, R]
-    norm_firing: np.ndarray  # [N, R] firing / firing_sum; all-zero on dead rows
-    rule_out: np.ndarray  # [N, R]
-    firing_sum: np.ndarray  # [N]
+    norm_firing: np.ndarray  # [N, R], every row sums to 1
     pred: np.ndarray  # [N]
-    dead: np.ndarray  # [N] bool: firing sum underflowed to exactly zero
+
+
+def _log_firing(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> np.ndarray:
+    """[N, R] log firing levels. keep is the stacked per-example keep array.
+
+    The [N, M, Mm] log-grades are broadcast-added one input at a time, the
+    last input varying fastest, so each rule adds its M log-grades in input
+    order; DropMembership, whose substitutions are per rule, gathers the
+    [N, R, M] slots and adds them in the same order. A dropped MF or slot
+    has log-grade 0 and a dropped rule -inf.
+    """
+    N, M = X.shape[0], model.num_inputs
+    log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
+    if variant == "membership":
+        slots = np.where(keep, log_mu[:, np.arange(M), model.grid.antecedents], 0.0)
+        log_f = sum(slots[:, :, m] for m in range(M))
+    else:
+        if variant == "mf":
+            log_mu = np.where(keep, log_mu, 0.0)
+        log_f = np.zeros((N, 1))
+        for m in range(M):
+            log_f = (log_f[:, :, None] + log_mu[:, m, None, :]).reshape(N, -1)
+    if variant == "rule":
+        log_f = np.where(keep, log_f, -np.inf)
+    return log_f
 
 
 def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> Forward:
     """Batched forward pass. keep is the stacked per-example keep array.
 
-    Firing levels are the tensor product of the per-input grades, taken
-    one input at a time from input 0 with the last input varying fastest,
-    so each rule multiplies its M grades in input order, exactly as a
-    product over its antecedent slots would. Only DropMembership, whose
-    substitutions are per rule, gathers the [N, R, M] slot grades.
-
-    The output is computed from normalized firing levels (each in [0, 1])
-    so a denormal firing sum cannot overflow anything. Rows whose firing
-    sum underflows to exactly zero fall back to the unweighted mean of the
-    rule outputs (the limit of equal weights).
+    Normalized firing levels are the softmax of the log firing levels,
+    shifted by each row's maximum, so a row far from every MF weights its
+    dominant rule(s). The output is the row dot of norm_firing @ consequents
+    with (1, x). Raises MaskShapeMismatch for a DropRule row that drops
+    every rule, whose normalized firing is undefined.
     """
-    N, M = X.shape[0], model.num_inputs
-    mu = np.exp(-((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2))
-    if variant == "membership":
-        # the gather returns a non-C layout; normalize it so the firing
-        # levels come out in C order and are summed as on the other paths
-        slot = np.ascontiguousarray(mu[:, np.arange(M), model.grid.antecedents])
-        firing = np.where(keep, slot, 1.0).prod(axis=2)
-    else:
-        if variant == "mf":
-            mu = np.where(keep, mu, 1.0)
-        firing = np.ones((N, 1))
-        for m in range(M):
-            firing = (firing[:, :, None] * mu[:, m, None, :]).reshape(N, -1)
     if variant == "rule":
-        firing = np.where(keep, firing, 0.0)
-    rule_out = model.consequents[:, 0] + X @ model.consequents[:, 1:].T
-    firing_sum = firing.sum(axis=1)
-    dead = firing_sum == 0.0
-    norm_firing = firing / np.where(dead, 1.0, firing_sum)[:, None]
-    pred = np.where(dead, rule_out.mean(axis=1), (norm_firing * rule_out).sum(axis=1))
-    return Forward(firing, norm_firing, rule_out, firing_sum, pred, dead)
+        empty = np.flatnonzero(~keep.any(axis=1))
+        if empty.size:
+            raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
+    log_f = _log_firing(model, X, variant, keep)
+    norm_firing = np.exp(log_f - log_f.max(axis=1, keepdims=True))
+    norm_firing /= norm_firing.sum(axis=1, keepdims=True)
+    out = norm_firing @ model.consequents
+    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
+    return Forward(norm_firing, pred)
 
 
 def _mask_shape(model: TskModel, variant: str) -> tuple:
@@ -277,28 +285,44 @@ def _mask_shape(model: TskModel, variant: str) -> tuple:
     raise MaskShapeMismatch(f"unknown mask variant {variant!r}")
 
 
-def _single_mask(model: TskModel, mask: DropMask | None):
-    """Validate one example's mask and lift it to a batch of one."""
-    if mask is None or mask.variant == "none":
+def _stack_masks(model: TskModel, masks, n: int):
+    """Validate a batch's masks and return (variant, keep), keep stacked
+    along a leading batch axis.
+
+    masks is either one DropMask whose keep already has the batch axis, as
+    the trainer samples them, or a sequence with one DropMask per example.
+    """
+    if masks is None:
         return "none", None
-    keep = np.asarray(mask.keep, dtype=bool)
-    expected = _mask_shape(model, mask.variant)
+    if not isinstance(masks, DropMask):
+        if len(masks) != n:
+            raise MaskShapeMismatch(f"got {len(masks)} masks for a batch of {n}")
+        variants = {m.variant for m in masks}
+        if len(variants) != 1:
+            raise MaskShapeMismatch(f"mixed mask variants in one batch: {sorted(variants)}")
+        variant = variants.pop()
+        keep = None if variant == "none" else np.stack([np.asarray(m.keep) for m in masks])
+        masks = DropMask(variant, keep)
+    if masks.variant == "none":
+        return "none", None
+    keep = np.asarray(masks.keep, dtype=bool)
+    expected = (n, *_mask_shape(model, masks.variant))
     if keep.shape != expected:
         raise MaskShapeMismatch(
-            f"{mask.variant} mask has shape {keep.shape}, expected {expected}"
+            f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
         )
-    return mask.variant, keep[None]
+    return masks.variant, keep
 
 
 def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarray:
-    """Firing level of every rule for one input vector.
+    """Firing level of every rule for one input vector, not normalized.
 
     With a mask, dropped rules fire at 0 while dropped MFs or membership
     slots contribute grade 1 in place of their Gaussian value.
     """
     x = np.asarray(x, dtype=float)
-    variant, keep = _single_mask(model, mask)
-    return _forward(model, x[None], variant, keep).firing[0]
+    variant, keep = _stack_masks(model, None if mask is None else [mask], 1)
+    return np.exp(_log_firing(model, x[None], variant, keep))[0]
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:
@@ -312,9 +336,9 @@ def rule_outputs(model: TskModel, x) -> np.ndarray:
 def predict(model: TskModel, x):
     """System output for one input vector or a batch of rows.
 
-    Test-time inference never applies drop masks. If every firing level
-    underflows to exactly zero, the output is the unweighted mean of the
-    rule outputs.
+    Test-time inference never applies drop masks. The firing levels are
+    normalized in the log domain, so far from every MF the output tends to
+    the output of the dominant rule(s), not to a 0/0.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

@@ -4,8 +4,8 @@ One training run: initialize the model from training-set statistics, then
 for each iteration sample a mini-batch, sample one drop mask per example,
 take the configured optimizer step on the summed masked gradient, floor
 the sigmas, and record train/test RMSE plus the batch loss and the mean
-effective learning rate. A non-finite loss, gradient or parameter stops
-the run with Diverged.
+effective learning rate. A non-finite loss, gradient, parameter or RMSE
+stops the run with Diverged.
 """
 
 from __future__ import annotations
@@ -155,6 +155,14 @@ def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid) -> None
         )
 
 
+def _finite_rmse(value: float, which: str, k: int) -> float:
+    if not np.isfinite(value):
+        raise Diverged(f"diverged at iteration {k + 1}: {which} RMSE is {value}")
+    return value
+
+
+# Diverged reports the first non-finite value; overflow warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """Run the configured optimizer for config.iterations; returns (model, history).
 
@@ -164,7 +172,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     the final iterate, not the best one seen. The logged batch loss is the
     unmasked loss at the pre-step parameters. Raises Diverged, naming the
     iteration (counted from 1, as in the history CSV) and the first bad
-    coordinate, at the first non-finite batch loss, gradient or parameter.
+    coordinate, at the first non-finite batch loss, gradient or parameter,
+    and at the first non-finite train or test RMSE, so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -230,8 +239,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         model = TskModel(grid, *_param_views(theta, grid))  # views, no copies
 
         train_pred = predict(model, train_set.X)
-        hist_train[k] = _rmse(train_set.y, train_pred)
-        hist_test[k] = rmse(model, test_set)
+        hist_train[k] = _finite_rmse(_rmse(train_set.y, train_pred), "train", k)
+        hist_test[k] = _finite_rmse(rmse(model, test_set), "test", k)
         hist_loss[k] = batch_loss
         hist_lr[k] = lr_mean
         hist_lr_min[k] = lr_min

@@ -3,6 +3,7 @@ and the gradient-check report."""
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ class TestMain:
             ])
         assert code != 0
         err = capsys.readouterr().err
+        assert re.match(r"error in train: diverged at iteration \d+: ", err), err
+
+    def test_divergence_prints_one_line(self, tmp_path, capsys):
+        """No numpy overflow warning comes before the error line."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "--data", "synthetic", "--algos", "MBGD", "--repeats", "1",
+                "--set", "alpha=0.5", "--out", str(tmp_path / "out"),
+            ])
+        assert code != 0
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert re.match(r"error in train: diverged at iteration \d+: ", err), err
 
     def test_set_casts_every_config_field_to_its_default_type(self):

@@ -246,6 +246,21 @@ class TestGradientStructure:
         with pytest.raises(MaskShapeMismatch):
             gradients(model, X, y, 0.0, mixed)
 
+    def test_rule_mask_dropping_every_rule_rejected(self):
+        rng = np.random.default_rng(16)
+        model = random_model(2, 2, rng)
+        X = rng.standard_normal((3, 2))
+        y = rng.standard_normal(3)
+        keep = np.ones((3, 4), dtype=bool)
+        keep[1] = False
+        masks = DropMask("rule", keep)
+        with pytest.raises(MaskShapeMismatch, match="example 1 drops every rule"):
+            gradients(model, X, y, 0.0, masks)
+        with pytest.raises(MaskShapeMismatch, match="example 1 drops every rule"):
+            loss(model, X, y, 0.0, masks)
+        # firing levels are not normalized, so they stay defined
+        assert np.all(firing_levels(model, X[1], DropMask("rule", keep[1])) == 0.0)
+
 
 def test_flatten_alignment():
     # the gradient vector lines up with the flattened parameter order

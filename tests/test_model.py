@@ -3,6 +3,8 @@ initialization, parameter layout, and checkpoint round trips."""
 
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from tskfuzzy import (
     unflatten,
 )
 from tskfuzzy.errors import ConstantFeature, LengthMismatch
-from tskfuzzy.model import _forward
+from tskfuzzy.model import _forward, _log_firing
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -149,54 +151,89 @@ class TestFiringLevels:
 
 
 def slot_forward(model, X, variant, keep):
-    """Per-slot reference: gather every rule's M grades, then multiply them."""
+    """Per-slot log-domain reference: gather every rule's M log-grades, add
+    them in input order, then take the softmax shifted by the row maximum."""
     A = model.grid.antecedents
     rows = np.arange(model.num_inputs)
-    mu = np.exp(-((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2))
-    # C order, so the later sum over rules runs in the order _forward's does
-    slot = np.ascontiguousarray(mu[:, rows, A])
+    log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
+    slot = log_mu[:, rows, A]
     if variant == "mf":
-        slot = np.where(keep[:, rows, A], slot, 1.0)
+        slot = np.where(keep[:, rows, A], slot, 0.0)
     elif variant == "membership":
-        slot = np.where(keep, slot, 1.0)
-    firing = slot.prod(axis=2)
+        slot = np.where(keep, slot, 0.0)
+    log_f = np.zeros(slot.shape[:2])
+    for m in rows:
+        log_f = log_f + slot[:, :, m]
     if variant == "rule":
-        firing = np.where(keep, firing, 0.0)
-    rule_out = model.consequents[:, 0] + X @ model.consequents[:, 1:].T
-    total = firing.sum(axis=1)
-    dead = total == 0.0
-    norm = firing / np.where(dead, 1.0, total)[:, None]
-    pred = np.where(dead, rule_out.mean(axis=1), (norm * rule_out).sum(axis=1))
-    return firing, norm, pred
+        log_f = np.where(keep, log_f, -np.inf)
+    norm = np.exp(log_f - log_f.max(axis=1, keepdims=True))
+    norm = norm / norm.sum(axis=1, keepdims=True)
+    out = norm @ model.consequents
+    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
+    return log_f, norm, pred
+
+
+FORWARD_CASES = dict(
+    m=st.integers(1, 6),
+    mm=st.integers(1, 4),
+    n=st.integers(1, 6),
+    variant=st.sampled_from(["none", "rule", "mf", "membership"]),
+    far=st.floats(0.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def forward_case(m, mm, n, variant, far, seed, sigma=None):
+    """A random model (every sigma set to `sigma` if given), n rows with row
+    0 pushed `far` widths out, and stacked masks of the variant; rule masks
+    keep at least one rule per row, as the softmax of an all-dropped row is
+    undefined."""
+    rng = np.random.default_rng(seed)
+    model = random_model(m, mm, rng)
+    if sigma is not None:
+        model.sigmas[:] = sigma
+    X = rng.standard_normal((n, m))
+    X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
+    shape = {"rule": (model.num_rules,), "mf": (m, mm), "membership": (model.num_rules, m)}
+    keep = None
+    if variant != "none":
+        keep = rng.random((n, *shape[variant])) <= 0.5
+    if variant == "rule":
+        keep[np.arange(n), rng.integers(0, model.num_rules, n)] = True
+    return model, X, keep
 
 
 class TestTensorProductForward:
     @settings(max_examples=150, deadline=None)
-    @given(
-        m=st.integers(1, 6),
-        mm=st.integers(1, 4),
-        n=st.integers(1, 6),
-        variant=st.sampled_from(["none", "rule", "mf", "membership"]),
-        far=st.floats(0.0, 60.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**FORWARD_CASES)
     def test_bit_identical_to_slot_product(self, m, mm, n, variant, far, seed):
-        """Firing levels, normalized firing and predictions equal the
-        per-slot product bit for bit, also on rows pushed `far` widths out,
-        where grades go denormal or underflow and rows can die."""
-        rng = np.random.default_rng(seed)
-        model = random_model(m, mm, rng)
-        X = rng.standard_normal((n, m))
-        X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
-        shape = {"rule": (model.num_rules,), "mf": (m, mm), "membership": (model.num_rules, m)}
-        keep = None
-        if variant != "none":
-            keep = rng.random((n, *shape[variant])) <= 0.5
+        """Log firing levels, normalized firing and predictions equal the
+        per-slot sum bit for bit, also on rows pushed `far` widths out,
+        where every grade underflows."""
+        model, X, keep = forward_case(m, mm, n, variant, far, seed)
         fw = _forward(model, X, variant, keep)
-        firing, norm, pred = slot_forward(model, X, variant, keep)
-        np.testing.assert_array_equal(fw.firing, firing)
+        log_f, norm, pred = slot_forward(model, X, variant, keep)
+        np.testing.assert_array_equal(_log_firing(model, X, variant, keep), log_f)
         np.testing.assert_array_equal(fw.norm_firing, norm)
         np.testing.assert_array_equal(fw.pred, pred)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**FORWARD_CASES, at_floor=st.booleans())
+    def test_rows_sum_to_one_and_pred_within_kept_outputs(
+        self, m, mm, n, variant, far, seed, at_floor
+    ):
+        """Also on rows `far` widths out and with every sigma at the floor,
+        where every grade underflows."""
+        model, X, keep = forward_case(m, mm, n, variant, far, seed, SIGMA_MIN if at_floor else None)
+        kept = keep if variant == "rule" else np.ones((n, model.num_rules), dtype=bool)
+        fw = _forward(model, X, variant, keep)
+        np.testing.assert_allclose(fw.norm_firing.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(fw.norm_firing[~kept] == 0.0)
+        out = rule_outputs(model, X)
+        design = np.column_stack([np.ones(n), X])
+        tol = 1e-12 * (np.abs(design) @ np.abs(model.consequents).T).max(axis=1)
+        assert np.all(fw.pred >= np.where(kept, out, np.inf).min(axis=1) - tol)
+        assert np.all(fw.pred <= np.where(kept, out, -np.inf).max(axis=1) + tol)
 
 
 class TestPredict:
@@ -223,14 +260,14 @@ class TestPredict:
         assert abs(f[0] - math.exp(-0.5)) < 1e-15 and f[0] == f[1]
         assert abs(predict(model, [0.0]) - 0.5) < 1e-15
 
-    def test_underflow_falls_back_to_mean(self):
+    def test_underflow_weights_dominant_rule(self):
         grid = RuleGrid(1, 2)
         model = TskModel(
             grid, [[0.0, 1.0]], [[SIGMA_MIN, SIGMA_MIN]], [[4.0, 0.0], [8.0, 0.0]]
         )
         x = np.array([1e3])  # every grade underflows to exactly zero
         assert np.all(firing_levels(model, x) == 0.0)
-        assert predict(model, x) == 6.0
+        assert predict(model, x) == 8.0  # the rule of the nearer MF takes all weight
 
     def test_scale_invariant_weighting(self):
         rng = np.random.default_rng(5)
@@ -309,6 +346,20 @@ class TestFlatten:
         with pytest.raises(LengthMismatch):
             unflatten(np.zeros(11), 2, 2)
 
+    @given(
+        m=st.integers(1, 4),
+        mm=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-300, 1e300),
+    )
+    def test_round_trip_any_grid(self, m, mm, seed, scale):
+        values = scale * np.random.default_rng(seed).standard_normal(param_count(m, mm))
+        n_mf = m * mm
+        values[n_mf : 2 * n_mf] = np.abs(values[n_mf : 2 * n_mf]) + SIGMA_MIN
+        back = unflatten(values, m, mm)
+        assert back.num_inputs == m and back.mfs_per_input == mm
+        np.testing.assert_array_equal(flatten(back), values)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -318,6 +369,24 @@ class TestCheckpoint:
         save_model(model, path)
         back = load_model(path)
         assert back.num_inputs == 3 and back.mfs_per_input == 2
+        np.testing.assert_array_equal(flatten(back), flatten(model))
+
+    @settings(deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        mm=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-300, 1e300),
+    )
+    def test_round_trip_any_grid(self, m, mm, seed, scale):
+        rng = np.random.default_rng(seed)
+        model = random_model(m, mm, rng)
+        model.consequents *= scale
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            save_model(model, path)
+            back = load_model(path)
+        assert back.num_inputs == m and back.mfs_per_input == mm
         np.testing.assert_array_equal(flatten(back), flatten(model))
 
     def test_header_format(self, tmp_path):

@@ -3,6 +3,8 @@ rate bounds, and the bounded adaptive step (including its Adam reduction)."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tskfuzzy import (
     AdaBoundHyper,
@@ -91,6 +93,16 @@ class TestBounds:
         assert np.all(np.diff(lo) >= 0)
         assert np.all(np.diff(up) <= 0)
         assert np.all(lo < 0.01) and np.all(up > 0.01)
+
+    @given(
+        k=st.integers(0, 10**12),
+        step=st.integers(1, 10**6),
+        beta2=st.floats(0.0, 1.0, exclude_max=True),
+        alpha_final=st.floats(1e-8, 10.0),
+    )
+    def test_monotone_for_any_schedule(self, k, step, beta2, alpha_final):
+        assert bound_l(k, beta2, alpha_final) <= bound_l(k + step, beta2, alpha_final)
+        assert bound_u(k, beta2, alpha_final) >= bound_u(k + step, beta2, alpha_final)
 
     def test_custom_final_rate(self):
         assert abs(bound_l(10, 0.9, 1.0) - 0.5) < 1e-12

@@ -213,6 +213,24 @@ class TestDivergence:
         with pytest.raises(Diverged, match=message):
             train(quick(lr_scheme=scheme), tr, te)
 
+    # rmse() calls _rmse() too, so the train RMSE of iteration 2 is its third call
+    @pytest.mark.parametrize("name, call, which", [("_rmse", 3, "train"), ("rmse", 2, "test")])
+    def test_non_finite_rmse_raises_before_it_is_recorded(
+        self, small_splits, monkeypatch, name, call, which
+    ):
+        tr, te = small_splits
+        real = getattr(trainer, name)
+        calls = []
+
+        def overflowing(*args):
+            calls.append(None)
+            return np.inf if len(calls) == call else real(*args)
+
+        monkeypatch.setattr(trainer, name, overflowing)
+        message = rf"^diverged at iteration 2: {which} RMSE is inf$"
+        with pytest.raises(Diverged, match=message):
+            train(quick(), tr, te)
+
     def test_non_finite_parameter_raises(self, small_splits):
         tr, te = small_splits
         with np.errstate(all="ignore"):
