@@ -20,8 +20,8 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     """Half squared error over the batch plus the l2 consequent penalty.
 
     Rule biases (consequent column 0) are never penalized. masks is an
-    optional batch mask or sequence of per-example masks, applied as in
-    gradients(); without it this is the test-time loss.
+    optional batch DropMask, applied as in gradients(); without it this is
+    the test-time loss.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -40,14 +40,14 @@ def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
 def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray:
     """Analytic gradient of the batch loss, flat and aligned with flatten(model).
 
-    masks is an optional batch mask (keep with a leading batch axis) or a
-    sequence with one DropMask per example. Firing levels inside the chain
-    rule are the masked ones, so a parameter that played no part in an
-    example's output gets no contribution from it: dropped rules contribute
-    to nothing, and an MF whose grade was replaced by 1 in some slot
-    receives no gradient through that slot. The l2 term lam * b is added
-    once per batch to every non-bias consequent coefficient, independent of
-    the masks.
+    masks is an optional DropMask for the whole batch, its keep array with
+    a leading batch axis as the trainer samples it. Firing levels inside
+    the chain rule are the masked ones, so a parameter that played no part
+    in an example's output gets no contribution from it: dropped rules
+    contribute to nothing, and an MF whose grade was replaced by 1 in some
+    slot receives no gradient through that slot. The l2 term lam * b is
+    added once per batch to every non-bias consequent coefficient,
+    independent of the masks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -87,8 +87,9 @@ def finite_diff_grad(
 ) -> np.ndarray:
     """Central-difference gradient of the loss, one coordinate at a time.
 
-    masks, if given, is held fixed while the parameters move, so this
-    differentiates the same masked loss that gradients() differentiates.
+    masks, an optional batch DropMask as in gradients(), is held fixed
+    while the parameters move, so this differentiates the same masked loss
+    that gradients() differentiates.
     Independent of the analytic path; kept simple on purpose so it can act
     as an oracle. O(h^2) truncation error per coordinate.
     """

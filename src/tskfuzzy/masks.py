@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIANTS = ("none", "rule", "mf", "membership")
-
 
 @dataclass(frozen=True)
 class DropMask:

@@ -232,23 +232,26 @@ class Forward(NamedTuple):
 def _log_firing(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> np.ndarray:
     """[N, R] log firing levels. keep is the stacked per-example keep array.
 
-    The [N, M, Mm] log-grades are broadcast-added one input at a time, the
-    last input varying fastest, so each rule adds its M log-grades in input
-    order; DropMembership, whose substitutions are per rule, gathers the
-    [N, R, M] slots and adds them in the same order. A dropped MF or slot
-    has log-grade 0 and a dropped rule -inf.
+    Each rule's log firing level is the sum of the log-grades of the M MFs
+    it uses, so the [N, M * Mm] log-grades map to log firing levels through
+    the transpose of RuleGrid.incidence, the matrix gradients() routes back
+    through. A dropped MF has log-grade 0 and a dropped rule -inf;
+    DropMembership, whose substitutions are per rule, gathers the [N, R, M]
+    slots and adds them in input order. Log-grades are floored at
+    finfo.min / (M + 1), so a row whose squared distances overflow stays
+    finite (0 * -inf would be NaN in the product) and a sum of M of them
+    cannot overflow.
     """
     N, M = X.shape[0], model.num_inputs
-    log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
+    with np.errstate(over="ignore"):
+        log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
+    log_mu = np.maximum(log_mu, np.finfo(float).min / (M + 1))
     if variant == "membership":
         slots = np.where(keep, log_mu[:, np.arange(M), model.grid.antecedents], 0.0)
-        log_f = sum(slots[:, :, m] for m in range(M))
-    else:
-        if variant == "mf":
-            log_mu = np.where(keep, log_mu, 0.0)
-        log_f = np.zeros((N, 1))
-        for m in range(M):
-            log_f = (log_f[:, :, None] + log_mu[:, m, None, :]).reshape(N, -1)
+        return sum(slots[:, :, m] for m in range(M))
+    if variant == "mf":
+        log_mu = np.where(keep, log_mu, 0.0)
+    log_f = log_mu.reshape(N, -1) @ model.grid.incidence.T
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
     return log_f
@@ -285,25 +288,15 @@ def _mask_shape(model: TskModel, variant: str) -> tuple:
     raise MaskShapeMismatch(f"unknown mask variant {variant!r}")
 
 
-def _stack_masks(model: TskModel, masks, n: int):
-    """Validate a batch's masks and return (variant, keep), keep stacked
-    along a leading batch axis.
+def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
+    """Validate a batch mask and return (variant, keep).
 
-    masks is either one DropMask whose keep already has the batch axis, as
-    the trainer samples them, or a sequence with one DropMask per example.
+    masks is None or one DropMask whose keep has a leading batch axis of n,
+    as the trainer samples them.
     """
-    if masks is None:
-        return "none", None
-    if not isinstance(masks, DropMask):
-        if len(masks) != n:
-            raise MaskShapeMismatch(f"got {len(masks)} masks for a batch of {n}")
-        variants = {m.variant for m in masks}
-        if len(variants) != 1:
-            raise MaskShapeMismatch(f"mixed mask variants in one batch: {sorted(variants)}")
-        variant = variants.pop()
-        keep = None if variant == "none" else np.stack([np.asarray(m.keep) for m in masks])
-        masks = DropMask(variant, keep)
-    if masks.variant == "none":
+    if masks is not None and not isinstance(masks, DropMask):
+        raise MaskShapeMismatch(f"masks must be one batch DropMask, got {type(masks).__name__}")
+    if masks is None or masks.variant == "none":
         return "none", None
     keep = np.asarray(masks.keep, dtype=bool)
     expected = (n, *_mask_shape(model, masks.variant))
@@ -321,7 +314,9 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
     slots contribute grade 1 in place of their Gaussian value.
     """
     x = np.asarray(x, dtype=float)
-    variant, keep = _stack_masks(model, None if mask is None else [mask], 1)
+    if mask is not None and mask.variant != "none":
+        mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
+    variant, keep = _stack_masks(model, mask, 1)
     return np.exp(_log_firing(model, x[None], variant, keep))[0]
 
 

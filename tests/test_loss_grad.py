@@ -150,13 +150,13 @@ class TestMaskedGradientsAgainstOracle:
         X = rng.standard_normal((3, 2))
         y = rng.standard_normal(3)
         keep = np.array([True, False, False, True])
-        masks = [DropMask("rule", keep)] * 3
+        masks = DropMask("rule", np.tile(keep, (3, 1)))
         pred = []
         for x in X:
-            f = firing_levels(model, x, masks[0])
+            f = firing_levels(model, x, DropMask("rule", keep))
             pred.append(f @ rule_outputs(model, x) / f.sum())
         assert abs(loss(model, X, y, 0.0, masks) - 0.5 * np.sum((y - np.array(pred)) ** 2)) < 1e-12
-        assert loss(model, X, y, 0.0, [DropMask.none()] * 3) == loss(model, X, y, 0.0)
+        assert loss(model, X, y, 0.0, DropMask.none()) == loss(model, X, y, 0.0)
 
 
 class TestGradientStructure:
@@ -179,7 +179,7 @@ class TestGradientStructure:
         y = rng.standard_normal(4)
         keep = np.ones(4, dtype=bool)
         keep[2] = False
-        masks = [DropMask("rule", keep)] * 4
+        masks = DropMask("rule", np.tile(keep, (4, 1)))
         g = gradients(model, X, y, 0.0, masks).reshape(-1)
         n_mf = 2 * 2 * 2
         grad_b = g[n_mf:].reshape(4, 3)
@@ -195,7 +195,7 @@ class TestGradientStructure:
         m_drop, i_drop = 1, 0
         keep = np.ones((4, 2), dtype=bool)
         keep[model.grid.rules_using(m_drop, i_drop), m_drop] = False
-        g = gradients(model, X, y, 0.0, [DropMask("membership", keep)] * 3)
+        g = gradients(model, X, y, 0.0, DropMask("membership", np.tile(keep, (3, 1, 1))))
         grad_c = g[: 2 * 2].reshape(2, 2)
         grad_s = g[2 * 2 : 2 * 2 * 2].reshape(2, 2)
         assert grad_c[m_drop, i_drop] == 0.0
@@ -207,7 +207,7 @@ class TestGradientStructure:
         model = random_model(3, 2, rng)
         X = rng.standard_normal((6, 3))
         y = rng.standard_normal(6)
-        masks = [DropMask("rule", np.ones(8, dtype=bool))] * 6
+        masks = DropMask("rule", np.ones((6, 8), dtype=bool))
         np.testing.assert_array_equal(
             gradients(model, X, y, 0.05, masks), gradients(model, X, y, 0.05)
         )
@@ -235,16 +235,18 @@ class TestGradientStructure:
         X = rng.standard_normal((3, 2))
         y = rng.standard_normal(3)
         with pytest.raises(MaskShapeMismatch):
-            gradients(model, X, y, 0.0, [DropMask("rule", np.ones(4, bool))] * 2)
+            gradients(model, X, y, 0.0, DropMask("rule", np.ones((2, 4), bool)))
         with pytest.raises(MaskShapeMismatch):
-            gradients(model, X, y, 0.0, [DropMask("rule", np.ones(5, bool))] * 3)
-        mixed = [
-            DropMask("rule", np.ones(4, bool)),
-            DropMask("mf", np.ones((2, 2), bool)),
-            DropMask("rule", np.ones(4, bool)),
-        ]
-        with pytest.raises(MaskShapeMismatch):
-            gradients(model, X, y, 0.0, mixed)
+            gradients(model, X, y, 0.0, DropMask("rule", np.ones((3, 5), bool)))
+
+    def test_per_example_mask_list_rejected(self):
+        rng = np.random.default_rng(17)
+        model = random_model(2, 2, rng)
+        X = rng.standard_normal((3, 2))
+        y = rng.standard_normal(3)
+        masks = [DropMask("rule", np.ones(4, bool))] * 3
+        with pytest.raises(MaskShapeMismatch, match="one batch DropMask, got list"):
+            gradients(model, X, y, 0.0, masks)
 
     def test_rule_mask_dropping_every_rule_rejected(self):
         rng = np.random.default_rng(16)

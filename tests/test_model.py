@@ -150,9 +150,10 @@ class TestFiringLevels:
         assert f[2] == 1.0
 
 
-def slot_forward(model, X, variant, keep):
-    """Per-slot log-domain reference: gather every rule's M log-grades, add
-    them in input order, then take the softmax shifted by the row maximum."""
+def slot_log_firing(model, X, variant, keep):
+    """Per-slot log-domain reference: every rule's M log-grades gathered as
+    [N, R, M] slots (0 where dropped), and their sums in input order (-inf
+    for a dropped rule)."""
     A = model.grid.antecedents
     rows = np.arange(model.num_inputs)
     log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
@@ -166,11 +167,19 @@ def slot_forward(model, X, variant, keep):
         log_f = log_f + slot[:, :, m]
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
+    return slot, log_f
+
+
+def slot_forward(model, X, variant, keep, log_f=None):
+    """Reference softmax, shifted by the row maximum, and row dot with
+    (1, x), of the per-slot log firing levels or of log_f when given."""
+    if log_f is None:
+        log_f = slot_log_firing(model, X, variant, keep)[1]
     norm = np.exp(log_f - log_f.max(axis=1, keepdims=True))
     norm = norm / norm.sum(axis=1, keepdims=True)
     out = norm @ model.consequents
     pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
-    return log_f, norm, pred
+    return norm, pred
 
 
 FORWARD_CASES = dict(
@@ -206,24 +215,36 @@ def forward_case(m, mm, n, variant, far, seed, sigma=None):
 class TestTensorProductForward:
     @settings(max_examples=150, deadline=None)
     @given(**FORWARD_CASES)
-    def test_bit_identical_to_slot_product(self, m, mm, n, variant, far, seed):
-        """Log firing levels, normalized firing and predictions equal the
-        per-slot sum bit for bit, also on rows pushed `far` widths out,
-        where every grade underflows."""
+    def test_matches_slot_sum_and_its_softmax(self, m, mm, n, variant, far, seed):
+        """Log firing levels equal the per-slot sums in input order up to
+        the order of the M additions: within 2 (M - 1) eps sum_m |slot| per
+        entry, with the same -inf entries, and exactly at M = 1. Normalized
+        firing and predictions equal the reference softmax and row dot of
+        _log_firing's own output bit for bit, also on rows pushed `far`
+        widths out, where every grade underflows."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
+        slot, want = slot_log_firing(model, X, variant, keep)
+        log_f = _log_firing(model, X, variant, keep)
+        dropped = np.isneginf(want)
+        np.testing.assert_array_equal(np.isneginf(log_f), dropped)
+        tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
+        assert np.all(np.abs(log_f[~dropped] - want[~dropped]) <= tol[~dropped])
         fw = _forward(model, X, variant, keep)
-        log_f, norm, pred = slot_forward(model, X, variant, keep)
-        np.testing.assert_array_equal(_log_firing(model, X, variant, keep), log_f)
+        norm, pred = slot_forward(model, X, variant, keep, log_f)
         np.testing.assert_array_equal(fw.norm_firing, norm)
         np.testing.assert_array_equal(fw.pred, pred)
 
     @settings(max_examples=150, deadline=None)
-    @given(**FORWARD_CASES, at_floor=st.booleans())
+    @given(
+        **dict(FORWARD_CASES, far=FORWARD_CASES["far"] | st.sampled_from([1e150, 1e160, 1e300])),
+        at_floor=st.booleans(),
+    )
     def test_rows_sum_to_one_and_pred_within_kept_outputs(
         self, m, mm, n, variant, far, seed, at_floor
     ):
         """Also on rows `far` widths out and with every sigma at the floor,
-        where every grade underflows."""
+        where every grade underflows, and on rows so far out that squared
+        distances overflow."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed, SIGMA_MIN if at_floor else None)
         kept = keep if variant == "rule" else np.ones((n, model.num_rules), dtype=bool)
         fw = _forward(model, X, variant, keep)
@@ -268,6 +289,16 @@ class TestPredict:
         x = np.array([1e3])  # every grade underflows to exactly zero
         assert np.all(firing_levels(model, x) == 0.0)
         assert predict(model, x) == 8.0  # the rule of the nearer MF takes all weight
+
+    def test_overflowing_distance_stays_finite(self):
+        grid = RuleGrid(1, 2)
+        model = TskModel(grid, [[0.0, 1.0]], [[1.0, 1.0]], [[4.0, 0.0], [8.0, 0.0]])
+        assert predict(model, [1e160]) == 6.0  # both squared distances overflow: a tie
+        grid = RuleGrid(2, 2)
+        consequents = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
+        model = TskModel(grid, [[0.0, 1.0], [0.0, 1.0]], [[1e-4, 1.0], [1.0, 1.0]], consequents)
+        # only input 0's narrow MF overflows; rules 2 and 3 tie at about -2e304
+        assert predict(model, [2e152, 0.0]) == 3.5
 
     def test_scale_invariant_weighting(self):
         rng = np.random.default_rng(5)
