@@ -88,6 +88,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     try:
         dataset = _load_stage(spec)
         configs = {name: algorithm_config(name, spec.overrides) for name in spec.algos}
+        if any(isinstance(c, TrainConfig) and c.iterations < 1 for c in configs.values()):
+            raise ValueError("iterations must be >= 1: the summary needs a best iteration")
     except Exception as exc:
         print(f"error in load: {exc}", file=sys.stderr)
         return 1
@@ -145,6 +147,9 @@ def emit_gradient_check_report(
         raise GridTooLarge(
             f"grid of {mfs_per_input}**{num_inputs} rules exceeds the 1024-rule check limit"
         )
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    grid = RuleGrid(num_inputs, mfs_per_input)
     path = Path(path)
     if trials == 0:
         path.write_text("", encoding="utf-8")
@@ -152,7 +157,6 @@ def emit_gradient_check_report(
     rng = np.random.default_rng(seed)
     errors = []
     for t in range(trials):
-        grid = RuleGrid(num_inputs, mfs_per_input)
         model = TskModel(
             grid,
             rng.standard_normal((num_inputs, mfs_per_input)),
@@ -178,8 +182,9 @@ def emit_gradient_check_report(
 
 
 def _parse_set(pairs: list[str]) -> dict:
-    """Parse repeated key=value overrides with TrainConfig field types."""
-    casts = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    """Parse repeated key=value overrides with TrainConfig field types. seed
+    is not one: run_suite derives every run's seed from --seed."""
+    casts = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
     casts.update(M=int, Mm=int, trials=int)  # grad-check knobs
     out = {}
     for pair in pairs:
@@ -188,7 +193,7 @@ def _parse_set(pairs: list[str]) -> dict:
         key, value = pair.split("=", 1)
         key = key.strip()
         if key not in casts:
-            raise ValueError(f"unknown --set key {key!r} (known: {sorted(casts)})")
+            raise ValueError(f"unknown --set key {key!r} (known: {sorted(casts)}; seed is --seed)")
         out[key] = casts[key](value)
     return out
 
@@ -230,9 +235,11 @@ def main(argv=None) -> int:
         if value is not None:
             settings[key] = value
     try:
-        overrides = dict(settings["set"])
-        overrides.update(_parse_set(args.set))
-    except ValueError as exc:
+        if not isinstance(settings["set"], dict):
+            raise ValueError(f'config "set" must map keys to values, got {settings["set"]!r}')
+        overrides = _parse_set([f"{k}={v}" for k, v in settings["set"].items()] + args.set)
+        repeats, seed = int(settings["repeats"]), int(settings["seed"])
+    except (TypeError, ValueError) as exc:
         print(f"error in load: {exc}", file=sys.stderr)
         return 1
 
@@ -242,9 +249,9 @@ def main(argv=None) -> int:
         try:
             report = emit_gradient_check_report(
                 overrides.get("M", 2), overrides.get("Mm", 2),
-                overrides.get("trials", 100), settings["seed"], out / "grad_check.txt",
+                overrides.get("trials", 100), seed, out / "grad_check.txt",
             )
-        except GridTooLarge as exc:
+        except ValueError as exc:
             print(f"error in train: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {report}")
@@ -263,8 +270,7 @@ def main(argv=None) -> int:
         data=settings["data"],
         target=target,
         algos=algos or list(DEFAULT_ALGOS),
-        repeats=int(settings["repeats"]),
-        seed=int(settings["seed"]),
+        repeats=repeats, seed=seed,
         out_dir=settings["out"],
         overrides={k: v for k, v in overrides.items() if k not in ("M", "Mm", "trials")},
     )

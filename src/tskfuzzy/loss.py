@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyBatch
-from .model import TskModel, _forward, _stack_masks, flatten, rule_outputs, unflatten
+from .model import TskModel, _forward, _log_floor, _stack_masks, flatten, rule_outputs, unflatten
 
 
 def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
@@ -75,9 +75,15 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
         V = (W @ incidence).reshape(n, M, Mm)
         if variant == "mf":
             V = np.where(keep, V, 0.0)
-    dx = X[:, :, None] - model.centers
+    # A log-grade held at its floor is constant and passes back 0; zeroing
+    # its distances also keeps an overflowed dx**2 out of the sums.
+    with np.errstate(over="ignore"):
+        dx = X[:, :, None] - model.centers
+        dx2 = dx**2
+        floored = dx2 / (2.0 * model.sigmas**2) >= -_log_floor(M)
+    dx[floored] = dx2[floored] = 0.0
     grad_c = (V * dx).sum(axis=0) / model.sigmas**2
-    grad_s = (V * dx**2).sum(axis=0) / model.sigmas**3
+    grad_s = (V * dx2).sum(axis=0) / model.sigmas**3
 
     return np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
 

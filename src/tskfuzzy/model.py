@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstantFeature, LengthMismatch, MaskShapeMismatch
-from .masks import DropMask
+from .masks import DropMask, keep_shape
 
 SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
 
@@ -109,15 +109,6 @@ class TskModel:
     @property
     def num_rules(self) -> int:
         return self.grid.num_rules
-
-    def mf(self, m: int, i: int) -> GaussianMF:
-        """The i-th shared MF of input m."""
-        return GaussianMF(float(self.centers[m, i]), float(self.sigmas[m, i]))
-
-    def copy(self) -> "TskModel":
-        return TskModel(
-            self.grid, self.centers.copy(), self.sigmas.copy(), self.consequents.copy()
-        )
 
 
 def param_count(num_inputs: int, mfs_per_input: int) -> int:
@@ -229,7 +220,14 @@ class Forward(NamedTuple):
     pred: np.ndarray  # [N]
 
 
-def _log_firing(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> np.ndarray:
+def _log_floor(num_inputs: int) -> float:
+    """Floor of every log-grade: a sum of M of them cannot overflow."""
+    return np.finfo(float).min / (num_inputs + 1)
+
+
+def _log_firing(
+    model: TskModel, X: np.ndarray, variant: str | None = None, keep=None
+) -> np.ndarray:
     """[N, R] log firing levels. keep is the stacked per-example keep array.
 
     Each rule's log firing level is the sum of the log-grades of the M MFs
@@ -245,7 +243,7 @@ def _log_firing(model: TskModel, X: np.ndarray, variant: str = "none", keep=None
     N, M = X.shape[0], model.num_inputs
     with np.errstate(over="ignore"):
         log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
-    log_mu = np.maximum(log_mu, np.finfo(float).min / (M + 1))
+    log_mu = np.maximum(log_mu, _log_floor(M))
     if variant == "membership":
         slots = np.where(keep, log_mu[:, np.arange(M), model.grid.antecedents], 0.0)
         return sum(slots[:, :, m] for m in range(M))
@@ -257,7 +255,7 @@ def _log_firing(model: TskModel, X: np.ndarray, variant: str = "none", keep=None
     return log_f
 
 
-def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -> Forward:
+def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=None) -> Forward:
     """Batched forward pass. keep is the stacked per-example keep array.
 
     Normalized firing levels are the softmax of the log firing levels,
@@ -278,28 +276,18 @@ def _forward(model: TskModel, X: np.ndarray, variant: str = "none", keep=None) -
     return Forward(norm_firing, pred)
 
 
-def _mask_shape(model: TskModel, variant: str) -> tuple:
-    if variant == "rule":
-        return (model.num_rules,)
-    if variant == "mf":
-        return (model.num_inputs, model.mfs_per_input)
-    if variant == "membership":
-        return (model.num_rules, model.num_inputs)
-    raise MaskShapeMismatch(f"unknown mask variant {variant!r}")
-
-
 def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
-    """Validate a batch mask and return (variant, keep).
+    """Validate a batch mask and return (variant, keep), (None, None) for no mask.
 
     masks is None or one DropMask whose keep has a leading batch axis of n,
     as the trainer samples them.
     """
-    if masks is not None and not isinstance(masks, DropMask):
+    if masks is None:
+        return None, None
+    if not isinstance(masks, DropMask):
         raise MaskShapeMismatch(f"masks must be one batch DropMask, got {type(masks).__name__}")
-    if masks is None or masks.variant == "none":
-        return "none", None
     keep = np.asarray(masks.keep, dtype=bool)
-    expected = (n, *_mask_shape(model, masks.variant))
+    expected = (n, *keep_shape(masks.variant, model.grid))
     if keep.shape != expected:
         raise MaskShapeMismatch(
             f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
@@ -314,7 +302,7 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
     slots contribute grade 1 in place of their Gaussian value.
     """
     x = np.asarray(x, dtype=float)
-    if mask is not None and mask.variant != "none":
+    if mask is not None:
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
     variant, keep = _stack_masks(model, mask, 1)
     return np.exp(_log_firing(model, x[None], variant, keep))[0]

@@ -19,12 +19,11 @@ import numpy as np
 from .data import Dataset, apply_preprocessor, fit_preprocessor, sample_batch, split
 from .errors import Diverged, EmptyDataset, EmptyTrainingSet, LengthMismatch, ZeroBaseline
 from .loss import _objective, gradients
-from .masks import DropMask, sample_rule_mask
+from .masks import KEEP_AXES, sample_masks
 from .model import (
     SIGMA_MIN,
     RuleGrid,
     TskModel,
-    _mask_shape,
     _param_name,
     _param_views,
     flatten,
@@ -43,7 +42,6 @@ from .optim import (
 )
 from .ridge import ridge_fit, ridge_predict
 
-DROP_VARIANTS = ("none", "rule", "mf", "membership")
 LR_SCHEMES = ("jang", "adam", "adabound")
 
 
@@ -124,29 +122,6 @@ def percent_improvement(baseline, other) -> np.ndarray:
     return 100.0 * (baseline - other) / baseline
 
 
-def _sample_masks(config: TrainConfig, model: TskModel, n: int, rng):
-    """One DropMask for a batch of n examples, keep stacked along axis 0.
-
-    Draws the whole batch with one rng call, which consumes the stream
-    exactly as n sequential per-example sample_*_mask calls would. The
-    exception is an all-dropped rule row, which sample_rule_mask redraws
-    before the next example draws; then the batch is drawn again one
-    example at a time from the saved stream state, so masks and stream
-    stay the same as with the per-example samplers.
-    """
-    variant = config.drop_variant
-    if variant == "none":
-        return None
-    state = rng.bit_generator.state if variant == "rule" else None
-    keep = rng.random((n, *_mask_shape(model, variant))) <= config.keep_prob
-    if variant == "rule" and not keep.any(axis=1).all():
-        rng.bit_generator.state = state
-        keep = np.stack(
-            [sample_rule_mask(model.num_rules, config.keep_prob, rng).keep for _ in range(n)]
-        )
-    return DropMask(variant, keep)
-
-
 def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid) -> None:
     if not np.isfinite(values).all():
         i = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -177,7 +152,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
-    if config.drop_variant not in DROP_VARIANTS:
+    if config.drop_variant not in ("none", *KEEP_AXES):
         raise ValueError(f"unknown drop_variant {config.drop_variant!r}")
     if config.lr_scheme not in LR_SCHEMES:
         raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
@@ -186,6 +161,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     grid = model.grid
     theta = flatten(model)
     n_mf = model.num_inputs * model.mfs_per_input
+    variant = None if config.drop_variant == "none" else config.drop_variant
 
     batch_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(2)
     batch_rng = np.random.default_rng(batch_seq)
@@ -210,7 +186,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     for k in range(K):
         idx = sample_batch(train_set, config.batch_size, batch_rng)
         Xb, yb = train_set.X[idx], train_set.y[idx]
-        masks = _sample_masks(config, model, len(idx), mask_rng)
+        masks = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng) if variant else None
         g = gradients(model, Xb, yb, config.lam, masks)
         pred_b = predict(model, Xb) if train_pred is None else train_pred[idx]
         batch_loss = _objective(model, yb - pred_b, config.lam)

@@ -2,6 +2,7 @@
 and the gradient-check report."""
 
 import dataclasses
+import json
 import re
 import warnings
 
@@ -209,13 +210,50 @@ class TestMain:
         assert re.match(r"error in train: diverged at iteration \d+: ", err), err
 
     def test_set_casts_every_config_field_to_its_default_type(self):
-        fields = dataclasses.fields(TrainConfig)
+        # seed is refused: test_set_seed_is_refused
+        fields = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
         pairs = [f"{f.name}={f.default}" for f in fields] + ["M=3", "Mm=4", "trials=5"]
         parsed = _parse_set(pairs)
         for f in fields:
             assert type(parsed[f.name]) is type(f.default), f.name
             assert parsed[f.name] == f.default, f.name
         assert (parsed["M"], parsed["Mm"], parsed["trials"]) == (3, 4, 5)
+
+
+    def test_set_seed_is_refused(self, tmp_path, capsys):
+        """run_suite derives every run's seed from --seed, so a seed set per
+        run would be ignored."""
+        with pytest.raises(ValueError, match="--seed"):
+            _parse_set(["seed=3"])
+        out = tmp_path / "out"
+        assert main(["--data", "synthetic", "--set", "seed=3", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "load", "--seed")
+        assert not out.exists()
+
+
+BAD_INPUTS = {  # config file keys, flags, stage, text of the message
+    "config repeats not an integer": ({"repeats": "x"}, [], "load", "'x'"),
+    "config set not a mapping": ({"set": 5}, [], "load", '"set"'),
+    "grad-check with no MFs": ({}, ["--grad-check", "--set", "M=0"], "train", ">= 1"),
+    "grad-check with negative trials": (
+        {}, ["--grad-check", "--set", "trials=-1"], "train", "trials"
+    ),
+    "zero iterations": ({}, ["--set", "iterations=0"], "load", "iterations"),
+}
+
+
+def assert_one_error_line(capsys, stage, text=""):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error in {stage}: "), err
+    assert text in err
+
+
+@pytest.mark.parametrize("config, flags, stage, text", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_prints_one_error_line(tmp_path, capsys, config, flags, stage, text):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"data": "synthetic", "algos": ["MBGD"], "repeats": 1, **config}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 1
+    assert_one_error_line(capsys, stage, text)
 
 
 class TestGradCheckReport:

@@ -18,7 +18,7 @@ from tskfuzzy import (
     rule_outputs,
 )
 from tskfuzzy.errors import EmptyBatch, MaskShapeMismatch
-from tskfuzzy.trainer import _sample_masks
+from tskfuzzy.masks import sample_masks
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -136,7 +136,7 @@ class TestMaskedGradientsAgainstOracle:
             model = random_model(m, 2, rng)
             X = rng.standard_normal((4, m))
             y = rng.standard_normal(4)
-            masks = _sample_masks(TrainConfig(drop_variant=variant), model, 4, rng)
+            masks = sample_masks(variant, model.grid, 4, TrainConfig.keep_prob, rng)
             g = gradients(model, X, y, lam, masks)
             fd = (
                 4.0 * finite_diff_grad(model, X, y, lam, h, masks)
@@ -156,7 +156,8 @@ class TestMaskedGradientsAgainstOracle:
             f = firing_levels(model, x, DropMask("rule", keep))
             pred.append(f @ rule_outputs(model, x) / f.sum())
         assert abs(loss(model, X, y, 0.0, masks) - 0.5 * np.sum((y - np.array(pred)) ** 2)) < 1e-12
-        assert loss(model, X, y, 0.0, DropMask.none()) == loss(model, X, y, 0.0)
+        keep_all = sample_masks("rule", model.grid, 3, 1.0, rng)
+        assert loss(model, X, y, 0.0, keep_all) == loss(model, X, y, 0.0, None)
 
 
 class TestGradientStructure:

@@ -1,20 +1,20 @@
 """Drop-mask sampling: keep semantics, structural effects, and statistics."""
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tskfuzzy import (
     DropMask,
     RuleGrid,
-    TrainConfig,
     TskModel,
     firing_levels,
     sample_membership_mask,
     sample_mf_mask,
     sample_rule_mask,
 )
-from tskfuzzy.trainer import _sample_masks
+from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
 
 
 def _model(rng, num_inputs=2, mfs_per_input=2):
@@ -129,30 +129,88 @@ PER_EXAMPLE = {
 }
 
 
+def reference_rule_mask(num_rules, keep_prob, rng):
+    """The per-example DropRule draw written out: draw, and redraw an
+    all-dropped mask up to 16 times before keeping every rule."""
+    for _ in range(17):
+        keep = rng.random(num_rules) <= keep_prob
+        if keep.any():
+            return keep
+    return np.ones(num_rules, dtype=bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_rules=st.sampled_from([1, 2, 4, 8, 32]),
+    shape=st.sampled_from([(1, 1), (2, 3), (5, 2)]),
+    keep_prob=st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob, seed):
+    """Every per-example sampler draws what its definition says, from the
+    same stream positions: rule masks with their redraws and all-keep
+    fallback, MF and membership masks as one draw each."""
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    for _ in range(5):
+        np.testing.assert_array_equal(
+            sample_rule_mask(num_rules, keep_prob, rng).keep,
+            reference_rule_mask(num_rules, keep_prob, ref),
+        )
+        np.testing.assert_array_equal(
+            sample_mf_mask(*shape, keep_prob, rng).keep, ref.random(shape) <= keep_prob
+        )
+        np.testing.assert_array_equal(
+            sample_membership_mask(num_rules, shape[0], keep_prob, rng).keep,
+            ref.random((num_rules, shape[0])) <= keep_prob,
+        )
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    variant=st.sampled_from(sorted(PER_EXAMPLE)),
+    variant=st.sampled_from(list(KEEP_AXES)),
     grid=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (5, 2)]),
     n=st.integers(1, 40),
     keep_prob=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-# 1, 2 and 4 rules at low keep probabilities: all-dropped rule rows are
-# redrawn, and at keep probability 0 they fall back to all-keep
-@example(variant="rule", grid=(1, 1), n=30, keep_prob=0.3, seed=0)
-@example(variant="rule", grid=(1, 2), n=30, keep_prob=0.1, seed=1)
-@example(variant="rule", grid=(2, 2), n=30, keep_prob=0.3, seed=2)
-@example(variant="rule", grid=(2, 2), n=5, keep_prob=0.0, seed=3)
 def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
-    """The trainer's one-call batch draw gives the masks of n sequential
-    per-example draws bit for bit and leaves the stream in the same state."""
+    """Unless a DropRule row is redrawn, the one-call batch draw gives the
+    masks of n sequential per-example draws bit for bit and leaves the
+    stream in the same state."""
     model = _model(np.random.default_rng(0), *grid)
+    first = np.random.default_rng(seed).random((n, *keep_shape(variant, model.grid)))
+    if variant == "rule" and not (first <= keep_prob).any(axis=1).all():
+        return  # a redrawn row: test_all_dropped_rule_rows_are_redrawn_in_place
     batch_rng = np.random.default_rng(seed)
     seq_rng = np.random.default_rng(seed)
-    cfg = TrainConfig(drop_variant=variant, keep_prob=keep_prob)
-    mask = _sample_masks(cfg, model, n, batch_rng)
+    mask = sample_masks(variant, model.grid, n, keep_prob, batch_rng)
     expected = np.stack([PER_EXAMPLE[variant](model, keep_prob, seq_rng).keep for _ in range(n)])
     assert mask.variant == variant
     assert mask.keep.dtype == bool
     np.testing.assert_array_equal(mask.keep, expected)
     assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "grid, keep_prob, seed",
+    [((1, 1), 0.3, 0), ((1, 2), 0.1, 1), ((2, 2), 0.3, 2), ((2, 2), 0.0, 3)],
+)
+def test_all_dropped_rule_rows_are_redrawn_in_place(grid, keep_prob, seed):
+    """On 1, 2 and 4 rules at low keep probabilities many rows come out
+    all-dropped. Each is redrawn in place, so no row drops every rule,
+    keep probability 0 keeps every rule, the rows that were not redrawn
+    are those of the first draw, and the masks depend only on the seed."""
+    grid = RuleGrid(*grid)
+    n = 30
+    first = np.random.default_rng(seed).random((n, grid.num_rules)) <= keep_prob
+    redrawn = ~first.any(axis=1)
+    assert redrawn.any()
+    keep = sample_masks("rule", grid, n, keep_prob, np.random.default_rng(seed)).keep
+    assert keep.any(axis=1).all()
+    if keep_prob == 0.0:
+        assert keep.all()
+    np.testing.assert_array_equal(keep[~redrawn], first[~redrawn])
+    again = sample_masks("rule", grid, n, keep_prob, np.random.default_rng(seed)).keep
+    np.testing.assert_array_equal(keep, again)

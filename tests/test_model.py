@@ -17,8 +17,10 @@ from tskfuzzy import (
     GaussianMF,
     RuleGrid,
     TskModel,
+    finite_diff_grad,
     firing_levels,
     flatten,
+    gradients,
     init_model,
     load_model,
     param_count,
@@ -28,6 +30,7 @@ from tskfuzzy import (
     unflatten,
 )
 from tskfuzzy.errors import ConstantFeature, LengthMismatch
+from tskfuzzy.masks import KEEP_AXES, keep_shape
 from tskfuzzy.model import _forward, _log_firing
 
 
@@ -186,7 +189,7 @@ FORWARD_CASES = dict(
     m=st.integers(1, 6),
     mm=st.integers(1, 4),
     n=st.integers(1, 6),
-    variant=st.sampled_from(["none", "rule", "mf", "membership"]),
+    variant=st.sampled_from([None, *KEEP_AXES]),
     far=st.floats(0.0, 60.0),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -203,10 +206,9 @@ def forward_case(m, mm, n, variant, far, seed, sigma=None):
         model.sigmas[:] = sigma
     X = rng.standard_normal((n, m))
     X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
-    shape = {"rule": (model.num_rules,), "mf": (m, mm), "membership": (model.num_rules, m)}
     keep = None
-    if variant != "none":
-        keep = rng.random((n, *shape[variant])) <= 0.5
+    if variant is not None:
+        keep = rng.random((n, *keep_shape(variant, model.grid))) <= 0.5
     if variant == "rule":
         keep[np.arange(n), rng.integers(0, model.num_rules, n)] = True
     return model, X, keep
@@ -299,6 +301,18 @@ class TestPredict:
         model = TskModel(grid, [[0.0, 1.0], [0.0, 1.0]], [[1e-4, 1.0], [1.0, 1.0]], consequents)
         # only input 0's narrow MF overflows; rules 2 and 3 tie at about -2e304
         assert predict(model, [2e152, 0.0]) == 3.5
+
+    def test_overflowing_distance_has_finite_gradient(self):
+        """The gradient of what the forward computes: a log-grade held at its
+        floor is constant, so its MF gets 0, and no RuntimeWarning is raised
+        (pytest turns one into an error)."""
+        model = TskModel(RuleGrid(1, 2), [[0.0, 1.0]], [[1.0, 1.0]], [[4.0, 0.0], [8.0, 0.0]])
+        X = [[1e160]]
+        np.testing.assert_array_equal(gradients(model, X, [6.0], 0.0), 0.0)
+        g = gradients(model, X, [0.0], 0.0)  # residual 6 on each rule's half
+        np.testing.assert_array_equal(g[:4], finite_diff_grad(model, X, [0.0])[:4])
+        np.testing.assert_array_equal(g[:4], 0.0)
+        np.testing.assert_allclose(g[4:], [3.0, 3e160, 3.0, 3e160], rtol=1e-15)
 
     def test_scale_invariant_weighting(self):
         rng = np.random.default_rng(5)
