@@ -237,6 +237,8 @@ def main(argv=None) -> int:
     try:
         if not isinstance(settings["set"], dict):
             raise ValueError(f'config "set" must map keys to values, got {settings["set"]!r}')
+        if not isinstance(settings["out"], str):
+            raise ValueError(f'config "out" must be a path string, got {settings["out"]!r}')
         overrides = _parse_set([f"{k}={v}" for k, v in settings["set"].items()] + args.set)
         repeats, seed = int(settings["repeats"]), int(settings["seed"])
     except (TypeError, ValueError) as exc:

@@ -18,6 +18,9 @@ from .errors import ConstantFeature, LengthMismatch, MaskShapeMismatch
 from .masks import DropMask, keep_shape
 
 SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
+# Smallest sigma a model accepts: the forward divides by 2 sigma^2 and the
+# gradient by sigma^3, and neither underflows to 0 from here up.
+SIGMA_TINY = np.finfo(float).tiny ** (1 / 3)
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,13 @@ class TskModel:
             raise ValueError(
                 f"consequents must have shape {(grid.num_rules, grid.num_inputs + 1)}"
             )
-        if not np.all(sigmas > 0):
+        smallest = sigmas.min()
+        if not smallest > 0:
             raise ValueError("all sigmas must be positive")
+        if smallest < SIGMA_TINY:
+            raise ValueError(
+                f"smallest sigma {smallest} is below {SIGMA_TINY:.3g}: its cube underflows"
+            )
         self.grid = grid
         self.centers = centers
         self.sigmas = sigmas
@@ -319,11 +327,30 @@ def rule_outputs(model: TskModel, x) -> np.ndarray:
 def predict(model: TskModel, x):
     """System output for one input vector or a batch of rows.
 
-    Test-time inference never applies drop masks. The firing levels are
-    normalized in the log domain, so far from every MF the output tends to
-    the output of the dominant rule(s), not to a 0/0.
+    Test-time inference never applies drop masks. Every rule of the full
+    grid is one combination of per-input MFs, so the firing levels sum to
+    the product over inputs of each input's summed grades, and a rule's
+    normalized firing level is the product of one softmax per input over
+    its Mm log-grades: N * M * Mm normalization work in place of N * R.
+    Each input's softmax is shifted by its largest log-grade, so every row
+    keeps a dominant rule at >= Mm^-M, and far from every MF the output
+    tends to the output of the dominant rule(s), not to a 0/0.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pred = _forward(model, np.atleast_2d(x)).pred
+    X = np.atleast_2d(x)
+    M, Mm = model.num_inputs, model.mfs_per_input
+    # [Mm, N, M] log-grades from C-ordered [Mm, M] copies, so that the
+    # per-input reductions run over the outermost axis
+    centers = model.centers.T.copy()[:, None]
+    sigmas = model.sigmas.T.copy()[:, None]
+    with np.errstate(over="ignore"):
+        log_mu = -((X - centers) ** 2) / (2.0 * sigmas**2)
+    log_mu = np.maximum(log_mu, _log_floor(M))
+    log_mu -= log_mu.max(axis=0)
+    log_mu -= np.log(np.exp(log_mu).sum(axis=0))
+    norm_firing = log_mu.transpose(1, 2, 0).reshape(X.shape[0], M * Mm) @ model.grid.incidence.T
+    np.exp(norm_firing, out=norm_firing)
+    out = norm_firing @ model.consequents
+    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
     return float(pred[0]) if single else pred

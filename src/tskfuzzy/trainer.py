@@ -156,6 +156,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         raise ValueError(f"unknown drop_variant {config.drop_variant!r}")
     if config.lr_scheme not in LR_SCHEMES:
         raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
+    if not 0.0 < config.keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in (0, 1], got {config.keep_prob}")
 
     model = init_model_from_data(train_set.X, config.mfs_per_input)
     grid = model.grid

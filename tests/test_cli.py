@@ -239,6 +239,8 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
         {}, ["--grad-check", "--set", "trials=-1"], "train", "trials"
     ),
     "zero iterations": ({}, ["--set", "iterations=0"], "load", "iterations"),
+    "config out not a string": ({"out": 5}, [], "load", '"out"'),
+    "keep_prob out of range": ({}, ["--set", "keep_prob=-1"], "train", "keep_prob"),
 }
 
 
@@ -251,8 +253,11 @@ def assert_one_error_line(capsys, stage, text=""):
 @pytest.mark.parametrize("config, flags, stage, text", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
 def test_bad_input_prints_one_error_line(tmp_path, capsys, config, flags, stage, text):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"data": "synthetic", "algos": ["MBGD"], "repeats": 1, **config}))
-    assert main(["--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 1
+    out = str(tmp_path / "out")
+    path.write_text(
+        json.dumps({"data": "synthetic", "algos": ["MBGD"], "repeats": 1, "out": out, **config})
+    )
+    assert main(["--config", str(path), *flags]) == 1
     assert_one_error_line(capsys, stage, text)
 
 

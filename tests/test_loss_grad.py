@@ -19,6 +19,7 @@ from tskfuzzy import (
 )
 from tskfuzzy.errors import EmptyBatch, MaskShapeMismatch
 from tskfuzzy.masks import sample_masks
+from tskfuzzy.model import _forward
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -165,7 +166,8 @@ class TestGradientStructure:
         rng = np.random.default_rng(7)
         model = random_model(2, 2, rng)
         X = rng.standard_normal((4, 2))
-        y = predict(model, X)  # zero residuals: only the penalty remains
+        # zero residuals under the forward gradients() itself takes: only the penalty remains
+        y = _forward(model, X).pred
         g = gradients(model, X, y, lam=0.05)
         n_mf = 2 * 2 * 2
         np.testing.assert_array_equal(g[:n_mf], 0.0)

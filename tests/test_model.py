@@ -31,7 +31,7 @@ from tskfuzzy import (
 )
 from tskfuzzy.errors import ConstantFeature, LengthMismatch
 from tskfuzzy.masks import KEEP_AXES, keep_shape
-from tskfuzzy.model import _forward, _log_firing
+from tskfuzzy.model import SIGMA_TINY, _forward, _log_firing
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -260,6 +260,30 @@ class TestTensorProductForward:
 
 
 class TestPredict:
+    @settings(max_examples=150, deadline=None)
+    @given(**{k: v for k, v in FORWARD_CASES.items() if k != "variant"}, at_floor=st.booleans())
+    def test_per_input_softmax_matches_slot_softmax(self, m, mm, n, far, seed, at_floor):
+        """predict() normalizes each input's log-grades and exponentiates
+        their incidence sums; the reference sums each rule's M slots and
+        normalizes the [N, R] row. Both start from the same log-grades, so
+        they differ by rounding alone. For a rule of normalized firing p,
+        the reference's slot sum is off by up to (M - 1) eps/2 times
+        sum_m |slot| = L + |log p|, L being that sum for the row's dominant
+        rule; the per-input path is off by about M eps/2 (|log p| + Mm + 2).
+        So each weight moves by at most a relative 2 eps (M (L + |log p| +
+        Mm) + log2 R) through the shift, the sums and the divide, and as
+        sum_r p |log p| <= log R the predictions agree within 2 eps
+        (M (L + Mm + log R) + log2 R + M + 2) times the row's largest
+        |(1, x)| @ |b_r|. L is up to 1e9 with every sigma at the floor."""
+        model, X, _ = forward_case(m, mm, n, None, far, seed, SIGMA_MIN if at_floor else None)
+        slot, log_f = slot_log_firing(model, X, None, None)
+        want = slot_forward(model, X, None, None, log_f)[1]
+        L = np.abs(slot).sum(axis=2).min(axis=1)
+        R = model.num_rules
+        scale = (np.abs(np.column_stack([np.ones(n), X])) @ np.abs(model.consequents).T).max(axis=1)
+        tol = 2 * np.finfo(float).eps * (m * (L + mm + np.log(R)) + np.log2(R) + m + 2) * scale
+        assert np.all(np.abs(predict(model, X) - want) <= tol)
+
     def test_single_rule_returns_its_output(self):
         grid = RuleGrid(1, 1)
         model = TskModel(grid, [[0.2]], [[1.3]], [[0.3, 1.7]])
@@ -299,8 +323,9 @@ class TestPredict:
         grid = RuleGrid(2, 2)
         consequents = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
         model = TskModel(grid, [[0.0, 1.0], [0.0, 1.0]], [[1e-4, 1.0], [1.0, 1.0]], consequents)
-        # only input 0's narrow MF overflows; rules 2 and 3 tie at about -2e304
-        assert predict(model, [2e152, 0.0]) == 3.5
+        # only input 0's narrow MF overflows, so its wide MF takes all of input
+        # 0's weight; input 1 keeps its own softmax over log-grades 0 and -0.5
+        assert predict(model, [2e152, 0.0]) == 3 + 1 / (1 + math.exp(0.5))
 
     def test_overflowing_distance_has_finite_gradient(self):
         """The gradient of what the forward computes: a log-grade held at its
@@ -313,6 +338,21 @@ class TestPredict:
         np.testing.assert_array_equal(g[:4], finite_diff_grad(model, X, [0.0])[:4])
         np.testing.assert_array_equal(g[:4], 0.0)
         np.testing.assert_allclose(g[4:], [3.0, 3e160, 3.0, 3e160], rtol=1e-15)
+
+    def test_sigma_whose_cube_underflows_is_rejected(self):
+        """The forward divides by 2 sigma^2 and the gradient by sigma^3. From
+        SIGMA_TINY up neither is 0, so both forwards and the gradient are
+        defined (pytest turns a RuntimeWarning into an error); below it the
+        model does not construct."""
+        grid = RuleGrid(1, 2)
+        consequents = [[4.0, 0.0], [8.0, 0.0]]
+        with pytest.raises(ValueError, match="smallest sigma 1e-200"):
+            TskModel(grid, [[0.0, 1.0]], [[1e-200, 1.0]], consequents)
+        model = TskModel(grid, [[0.0, 1.0]], [[SIGMA_TINY, 1.0]], consequents)
+        X = np.array([[0.0], [SIGMA_TINY], [0.5], [1e160]])
+        assert np.all(np.isfinite(predict(model, X)))
+        assert np.all(np.isfinite(_forward(model, X).pred))
+        assert np.all(np.isfinite(gradients(model, X, np.zeros(4), 0.05)))
 
     def test_scale_invariant_weighting(self):
         rng = np.random.default_rng(5)

@@ -17,6 +17,8 @@ from tskfuzzy import (
     make_synthetic,
     percent_improvement,
     predict,
+    ridge_fit,
+    ridge_predict,
     rmse,
     run_suite,
     sample_batch,
@@ -183,6 +185,28 @@ class TestTrain:
             idx = sample_batch(tr, cfg.batch_size, batch_rng)
             model_k, _ = train(dataclasses.replace(cfg, iterations=k), tr, te)
             assert hist.loss[k] == loss(model_k, tr.X[idx], tr.y[idx], cfg.lam)
+
+    @pytest.mark.parametrize("keep_prob", [-1.0, 0.0, 1.5, float("nan")])
+    def test_keep_prob_outside_unit_interval_rejected(self, small_splits, keep_prob):
+        tr, te = small_splits
+        with pytest.raises(ValueError, match="keep_prob"):
+            train(quick(keep_prob=keep_prob), tr, te)
+
+    def test_ten_inputs_beat_ridge(self):
+        """Ten inputs at two MFs each make a grid of 1024 rules; with
+        max_dims=10 the preprocessor keeps every input."""
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-2.0, 2.0, (1000, 10))
+        y = np.sin(X[:, 0]) * X[:, 1] + 0.1 * rng.standard_normal(1000)
+        tr, te = split(Dataset(X, y), 0.7, np.random.default_rng(0))
+        pre = fit_preprocessor(tr, max_dims=10)
+        trp, tep = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+        model, hist = train(TrainConfig(iterations=100, seed=1), trp, tep)
+        assert model.num_rules == 1024
+        for curve in (hist.train_rmse, hist.test_rmse, hist.loss, hist.mean_lr):
+            assert np.all(np.isfinite(curve))
+        lin = ridge_fit(trp.X, trp.y, RidgeConfig().lam)
+        assert hist.test_rmse[-1] < np.sqrt(np.mean((tep.y - ridge_predict(lin, tep.X)) ** 2))
 
 
 class TestDivergence:
