@@ -247,14 +247,17 @@ def main(argv=None) -> int:
 
     if args.grad_check:
         out = Path(settings["out"])
-        out.mkdir(parents=True, exist_ok=True)
         try:
+            out.mkdir(parents=True, exist_ok=True)
             report = emit_gradient_check_report(
                 overrides.get("M", 2), overrides.get("Mm", 2),
                 overrides.get("trials", 100), seed, out / "grad_check.txt",
             )
         except ValueError as exc:
             print(f"error in train: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error in write: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {report}")
         return 0

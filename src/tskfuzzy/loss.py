@@ -4,8 +4,7 @@ central-difference gradient oracle.
 The loss is 0.5 * sum of squared residuals over the batch plus
 (lambda / 2) * sum of squared non-bias consequent coefficients. Summing
 (rather than averaging) over the batch means the raw gradient magnitude
-scales with the batch size; adaptive per-coordinate learning rates absorb
-most of that scale.
+scales with the batch size.
 """
 
 from __future__ import annotations

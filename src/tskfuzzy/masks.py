@@ -4,8 +4,9 @@ This module is the one place that knows the drop variants: their names,
 the keep shape of one example under each, and how to draw them. The masks
 of a batch are one rng.random((n, *shape)) <= keep_prob draw, so
 keep_prob = 1 keeps everything while consuming the same random numbers;
-the per-example samplers are its one-example case. Masks are drawn once
-per training example and never applied at test time.
+the per-example samplers are its one-example case. A batch mask that keeps
+everything is treated as no mask, so it changes nothing by construction.
+Masks are drawn once per training example and never applied at test time.
 """
 
 from __future__ import annotations

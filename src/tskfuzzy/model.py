@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstantFeature, LengthMismatch, MaskShapeMismatch
+from .errors import ConstantFeature, DimensionMismatch, LengthMismatch, MaskShapeMismatch
 from .masks import DropMask, keep_shape
 
 SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
@@ -233,6 +233,31 @@ def _log_floor(num_inputs: int) -> float:
     return np.finfo(float).min / (num_inputs + 1)
 
 
+def _log_grades(model: TskModel, X: np.ndarray, mf_keep=None) -> np.ndarray:
+    """[Mm, N, M] log-grades of every MF at every row, floored at
+    _log_floor(M), from C-ordered [Mm, M] copies of the parameters so that
+    per-input reductions run over the outermost axis. A DropMF keep array
+    ([N, M, Mm]) sets a dropped MF's log-grade to 0. Raises
+    DimensionMismatch for rows whose width is not M."""
+    M = model.num_inputs
+    if X.ndim != 2 or X.shape[1] != M:
+        raise DimensionMismatch(f"expected rows of width {M}, got array of shape {X.shape}")
+    centers = model.centers.T.copy()[:, None]
+    sigmas = model.sigmas.T.copy()[:, None]
+    with np.errstate(over="ignore"):
+        log_mu = -((X - centers) ** 2) / (2.0 * sigmas**2)
+    log_mu = np.maximum(log_mu, _log_floor(M))
+    if mf_keep is not None:
+        log_mu = np.where(mf_keep.transpose(2, 0, 1), log_mu, 0.0)
+    return log_mu
+
+
+def _rule_sums(model: TskModel, log_mu: np.ndarray) -> np.ndarray:
+    """[N, R] sums of [Mm, N, M] per-MF logs over the M MFs of each rule."""
+    incidence = model.grid.incidence
+    return log_mu.transpose(1, 2, 0).reshape(-1, incidence.shape[1]) @ incidence.T
+
+
 def _log_firing(
     model: TskModel, X: np.ndarray, variant: str | None = None, keep=None
 ) -> np.ndarray:
@@ -248,16 +273,13 @@ def _log_firing(
     finite (0 * -inf would be NaN in the product) and a sum of M of them
     cannot overflow.
     """
-    N, M = X.shape[0], model.num_inputs
-    with np.errstate(over="ignore"):
-        log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
-    log_mu = np.maximum(log_mu, _log_floor(M))
+    M = model.num_inputs
+    log_mu = _log_grades(model, X, keep if variant == "mf" else None)
     if variant == "membership":
-        slots = np.where(keep, log_mu[:, np.arange(M), model.grid.antecedents], 0.0)
+        slots = log_mu.transpose(1, 2, 0)[:, np.arange(M), model.grid.antecedents]
+        slots = np.where(keep, slots, 0.0)
         return sum(slots[:, :, m] for m in range(M))
-    if variant == "mf":
-        log_mu = np.where(keep, log_mu, 0.0)
-    log_f = log_mu.reshape(N, -1) @ model.grid.incidence.T
+    log_f = _rule_sums(model, log_mu)
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
     return log_f
@@ -266,29 +288,43 @@ def _log_firing(
 def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=None) -> Forward:
     """Batched forward pass. keep is the stacked per-example keep array.
 
-    Normalized firing levels are the softmax of the log firing levels,
-    shifted by each row's maximum, so a row far from every MF weights its
-    dominant rule(s). The output is the row dot of norm_firing @ consequents
-    with (1, x). Raises MaskShapeMismatch for a DropRule row that drops
-    every rule, whose normalized firing is undefined.
+    Normalized firing levels are the softmax of the log firing levels.
+    Unmasked or under DropMF, the firing levels of a row sum to the product
+    over inputs of each input's summed grades, so the softmax is the product
+    of one softmax per input over its Mm log-grades, each shifted by its
+    largest: N * M * Mm work in place of N * R, and every row keeps a
+    dominant rule at >= Mm^-M. DropRule and DropMembership change single
+    rules, so their softmax is over each [N, R] row, shifted by its maximum.
+    Either way a row far from every MF weights its dominant rule(s). The
+    output is the row dot of norm_firing @ consequents with (1, x). Raises
+    MaskShapeMismatch for a DropRule row that drops every rule, whose
+    normalized firing is undefined.
     """
     if variant == "rule":
         empty = np.flatnonzero(~keep.any(axis=1))
         if empty.size:
             raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
-    log_f = _log_firing(model, X, variant, keep)
-    norm_firing = np.exp(log_f - log_f.max(axis=1, keepdims=True))
-    norm_firing /= norm_firing.sum(axis=1, keepdims=True)
+    if variant in (None, "mf"):
+        log_mu = _log_grades(model, X, keep)
+        log_mu -= log_mu.max(axis=0)
+        log_mu -= np.log(np.exp(log_mu).sum(axis=0))
+        norm_firing = _rule_sums(model, log_mu)
+        np.exp(norm_firing, out=norm_firing)
+    else:
+        log_f = _log_firing(model, X, variant, keep)
+        norm_firing = np.exp(log_f - log_f.max(axis=1, keepdims=True))
+        norm_firing /= norm_firing.sum(axis=1, keepdims=True)
     out = norm_firing @ model.consequents
     pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
     return Forward(norm_firing, pred)
 
 
 def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
-    """Validate a batch mask and return (variant, keep), (None, None) for no mask.
+    """Validate a batch mask and return (variant, keep).
 
     masks is None or one DropMask whose keep has a leading batch axis of n,
-    as the trainer samples them.
+    as the trainer samples them. No mask, and a mask that keeps everything,
+    give (None, None), so a no-op mask takes the unmasked path.
     """
     if masks is None:
         return None, None
@@ -300,7 +336,7 @@ def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
         raise MaskShapeMismatch(
             f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
         )
-    return masks.variant, keep
+    return (None, None) if keep.all() else (masks.variant, keep)
 
 
 def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarray:
@@ -325,32 +361,8 @@ def rule_outputs(model: TskModel, x) -> np.ndarray:
 
 
 def predict(model: TskModel, x):
-    """System output for one input vector or a batch of rows.
-
-    Test-time inference never applies drop masks. Every rule of the full
-    grid is one combination of per-input MFs, so the firing levels sum to
-    the product over inputs of each input's summed grades, and a rule's
-    normalized firing level is the product of one softmax per input over
-    its Mm log-grades: N * M * Mm normalization work in place of N * R.
-    Each input's softmax is shifted by its largest log-grade, so every row
-    keeps a dominant rule at >= Mm^-M, and far from every MF the output
-    tends to the output of the dominant rule(s), not to a 0/0.
-    """
+    """System output for one input vector or a batch of rows: the unmasked
+    forward. Test-time inference never applies drop masks."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    M, Mm = model.num_inputs, model.mfs_per_input
-    # [Mm, N, M] log-grades from C-ordered [Mm, M] copies, so that the
-    # per-input reductions run over the outermost axis
-    centers = model.centers.T.copy()[:, None]
-    sigmas = model.sigmas.T.copy()[:, None]
-    with np.errstate(over="ignore"):
-        log_mu = -((X - centers) ** 2) / (2.0 * sigmas**2)
-    log_mu = np.maximum(log_mu, _log_floor(M))
-    log_mu -= log_mu.max(axis=0)
-    log_mu -= np.log(np.exp(log_mu).sum(axis=0))
-    norm_firing = log_mu.transpose(1, 2, 0).reshape(X.shape[0], M * Mm) @ model.grid.incidence.T
-    np.exp(norm_firing, out=norm_firing)
-    out = norm_firing @ model.consequents
-    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
-    return float(pred[0]) if single else pred
+    pred = _forward(model, np.atleast_2d(x)).pred
+    return float(pred[0]) if x.ndim == 1 else pred

@@ -142,13 +142,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """Run the configured optimizer for config.iterations; returns (model, history).
 
     Batch selection and mask sampling draw from two independent streams
-    spawned from config.seed, so a run whose masks keep everything is
-    bit-identical to the same run without masking. The returned model is
-    the final iterate, not the best one seen. The logged batch loss is the
-    unmasked loss at the pre-step parameters. Raises Diverged, naming the
-    iteration (counted from 1, as in the history CSV) and the first bad
-    coordinate, at the first non-finite batch loss, gradient or parameter,
-    and at the first non-finite train or test RMSE, so no history holds one.
+    spawned from config.seed, and a batch mask that keeps everything takes
+    the unmasked path, so a run whose masks keep everything is
+    bit-identical to the same run without masking by construction. The
+    returned model is the final iterate, not the best one seen. The logged
+    batch loss is the unmasked loss at the pre-step parameters. Raises
+    Diverged, naming the iteration (counted from 1, as in the history CSV)
+    and the first bad coordinate, at the first non-finite batch loss,
+    gradient or parameter, and at the first non-finite train or test RMSE,
+    so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")

@@ -23,13 +23,14 @@ from tskfuzzy import (
     gradients,
     init_model,
     load_model,
+    loss,
     param_count,
     predict,
     rule_outputs,
     save_model,
     unflatten,
 )
-from tskfuzzy.errors import ConstantFeature, LengthMismatch
+from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch
 from tskfuzzy.masks import KEEP_AXES, keep_shape
 from tskfuzzy.model import SIGMA_TINY, _forward, _log_firing
 
@@ -220,10 +221,12 @@ class TestTensorProductForward:
     def test_matches_slot_sum_and_its_softmax(self, m, mm, n, variant, far, seed):
         """Log firing levels equal the per-slot sums in input order up to
         the order of the M additions: within 2 (M - 1) eps sum_m |slot| per
-        entry, with the same -inf entries, and exactly at M = 1. Normalized
-        firing and predictions equal the reference softmax and row dot of
-        _log_firing's own output bit for bit, also on rows pushed `far`
-        widths out, where every grade underflows."""
+        entry, with the same -inf entries, and exactly at M = 1. Under
+        DropRule and DropMembership, normalized firing and predictions equal
+        the reference softmax and row dot of _log_firing's own output bit
+        for bit, also on rows pushed `far` widths out, where every grade
+        underflows; the per-input softmax of the other two is
+        test_per_input_softmax_matches_slot_softmax."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         slot, want = slot_log_firing(model, X, variant, keep)
         log_f = _log_firing(model, X, variant, keep)
@@ -231,10 +234,11 @@ class TestTensorProductForward:
         np.testing.assert_array_equal(np.isneginf(log_f), dropped)
         tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
         assert np.all(np.abs(log_f[~dropped] - want[~dropped]) <= tol[~dropped])
-        fw = _forward(model, X, variant, keep)
-        norm, pred = slot_forward(model, X, variant, keep, log_f)
-        np.testing.assert_array_equal(fw.norm_firing, norm)
-        np.testing.assert_array_equal(fw.pred, pred)
+        if variant in ("rule", "membership"):
+            fw = _forward(model, X, variant, keep)
+            norm, pred = slot_forward(model, X, variant, keep, log_f)
+            np.testing.assert_array_equal(fw.norm_firing, norm)
+            np.testing.assert_array_equal(fw.pred, pred)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -261,9 +265,12 @@ class TestTensorProductForward:
 
 class TestPredict:
     @settings(max_examples=150, deadline=None)
-    @given(**{k: v for k, v in FORWARD_CASES.items() if k != "variant"}, at_floor=st.booleans())
-    def test_per_input_softmax_matches_slot_softmax(self, m, mm, n, far, seed, at_floor):
-        """predict() normalizes each input's log-grades and exponentiates
+    @given(
+        **dict(FORWARD_CASES, variant=st.sampled_from([None, "mf"])), at_floor=st.booleans()
+    )
+    def test_per_input_softmax_matches_slot_softmax(self, m, mm, n, variant, far, seed, at_floor):
+        """predict(), and the forward under DropMF, whose dropped MFs have
+        log-grade 0, normalize each input's log-grades and exponentiate
         their incidence sums; the reference sums each rule's M slots and
         normalizes the [N, R] row. Both start from the same log-grades, so
         they differ by rounding alone. For a rule of normalized firing p,
@@ -275,14 +282,16 @@ class TestPredict:
         sum_r p |log p| <= log R the predictions agree within 2 eps
         (M (L + Mm + log R) + log2 R + M + 2) times the row's largest
         |(1, x)| @ |b_r|. L is up to 1e9 with every sigma at the floor."""
-        model, X, _ = forward_case(m, mm, n, None, far, seed, SIGMA_MIN if at_floor else None)
-        slot, log_f = slot_log_firing(model, X, None, None)
-        want = slot_forward(model, X, None, None, log_f)[1]
+        sigma = SIGMA_MIN if at_floor else None
+        model, X, keep = forward_case(m, mm, n, variant, far, seed, sigma)
+        slot, log_f = slot_log_firing(model, X, variant, keep)
+        want = slot_forward(model, X, variant, keep, log_f)[1]
+        got = predict(model, X) if variant is None else _forward(model, X, variant, keep).pred
         L = np.abs(slot).sum(axis=2).min(axis=1)
         R = model.num_rules
         scale = (np.abs(np.column_stack([np.ones(n), X])) @ np.abs(model.consequents).T).max(axis=1)
         tol = 2 * np.finfo(float).eps * (m * (L + mm + np.log(R)) + np.log2(R) + m + 2) * scale
-        assert np.all(np.abs(predict(model, X) - want) <= tol)
+        assert np.all(np.abs(got - want) <= tol)
 
     def test_single_rule_returns_its_output(self):
         grid = RuleGrid(1, 1)
@@ -326,6 +335,8 @@ class TestPredict:
         # only input 0's narrow MF overflows, so its wide MF takes all of input
         # 0's weight; input 1 keeps its own softmax over log-grades 0 and -0.5
         assert predict(model, [2e152, 0.0]) == 3 + 1 / (1 + math.exp(0.5))
+        # loss() runs the same forward, so it sees that prediction exactly
+        assert loss(model, [[2e152, 0.0]], [3 + 1 / (1 + math.exp(0.5))]) == 0.0
 
     def test_overflowing_distance_has_finite_gradient(self):
         """The gradient of what the forward computes: a log-grade held at its
@@ -353,6 +364,29 @@ class TestPredict:
         assert np.all(np.isfinite(predict(model, X)))
         assert np.all(np.isfinite(_forward(model, X).pred))
         assert np.all(np.isfinite(gradients(model, X, np.zeros(4), 0.05)))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rows_of_the_wrong_width_are_rejected(self, width):
+        """A row of width M - 1 or M + 1 would broadcast against the [Mm, M]
+        parameters or fail deep inside numpy; every entry point that takes
+        rows raises DimensionMismatch instead. Zero rows of width M are an
+        empty batch."""
+        grid = RuleGrid(2, 2)
+        model = TskModel(grid, [[0, 1], [0, 1]], [[1, 1], [1, 1]], np.arange(12.0).reshape(4, 3))
+        X, y = np.full((3, width), 0.5), np.zeros(3)
+        rule_masks = DropMask("rule", np.tile(np.arange(4) > 0, (3, 1)))
+        calls = [
+            lambda: predict(model, X),
+            lambda: predict(model, X[0]),
+            lambda: loss(model, X, y),
+            lambda: gradients(model, X, y),
+            lambda: gradients(model, X, y, masks=rule_masks),
+            lambda: firing_levels(model, X[0]),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="width 2"):
+                call()
+        assert predict(model, np.empty((0, 2))).shape == (0,)
 
     def test_scale_invariant_weighting(self):
         rng = np.random.default_rng(5)

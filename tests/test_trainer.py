@@ -12,6 +12,7 @@ from tskfuzzy import (
     TrainConfig,
     apply_preprocessor,
     fit_preprocessor,
+    flatten,
     init_model,
     loss,
     make_synthetic,
@@ -123,6 +124,25 @@ class TestTrain:
         _, h_none = train(quick(drop_variant="none", lam=0.0), tr, te)
         assert_histories_identical(h_rule, h_none)
 
+    @pytest.mark.parametrize("variant", ["rule", "mf", "membership"])
+    def test_all_keep_mask_equals_no_drop(self, variant):
+        """A batch mask that keeps everything takes the unmasked path, so
+        every history curve and the final model are bit-identical to the
+        maskless run, whatever the variant and grid."""
+        data = make_synthetic(400, seed=3)
+        tr, te = split(data, 0.7, np.random.default_rng(0))
+        pre = fit_preprocessor(tr)
+        tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+        for mm in (2, 3):
+            cfg = TrainConfig(mfs_per_input=mm, iterations=80, batch_size=32, seed=99, lam=0.0)
+            keep_all = dataclasses.replace(cfg, drop_variant=variant, keep_prob=1.0)
+            m_drop, h_drop = train(keep_all, tr, te)
+            m_none, h_none = train(dataclasses.replace(cfg, drop_variant="none"), tr, te)
+            assert_histories_identical(h_drop, h_none)
+            np.testing.assert_array_equal(h_drop.min_lr, h_none.min_lr)
+            np.testing.assert_array_equal(h_drop.max_lr, h_none.max_lr)
+            np.testing.assert_array_equal(flatten(m_drop), flatten(m_none))
+
     def test_all_keep_reduction_with_jang(self, small_splits):
         tr, te = small_splits
         _, h_rd = train(quick(drop_variant="rule", keep_prob=1.0, lr_scheme="jang"), tr, te)
@@ -176,15 +196,17 @@ class TestTrain:
     @pytest.mark.parametrize("scheme", ["jang", "adabound"])
     def test_batch_loss_is_unmasked_loss_before_the_step(self, small_splits, scheme):
         """loss[k] is loss() of the model after k iterations on batch k,
-        though the trainer takes it from its last train-set evaluation."""
+        though the trainer takes it from its last train-set evaluation, on
+        every batch of 20 training seeds."""
         tr, te = small_splits
-        cfg = quick(lr_scheme=scheme)
-        _, hist = train(cfg, tr, te)
-        batch_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
-        for k in range(5):
-            idx = sample_batch(tr, cfg.batch_size, batch_rng)
-            model_k, _ = train(dataclasses.replace(cfg, iterations=k), tr, te)
-            assert hist.loss[k] == loss(model_k, tr.X[idx], tr.y[idx], cfg.lam)
+        for seed in range(20):
+            cfg = quick(lr_scheme=scheme, iterations=6, seed=seed)
+            _, hist = train(cfg, tr, te)
+            batch_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            for k in range(cfg.iterations):
+                idx = sample_batch(tr, cfg.batch_size, batch_rng)
+                model_k, _ = train(dataclasses.replace(cfg, iterations=k), tr, te)
+                assert hist.loss[k] == loss(model_k, tr.X[idx], tr.y[idx], cfg.lam), (seed, k)
 
     @pytest.mark.parametrize("keep_prob", [-1.0, 0.0, 1.5, float("nan")])
     def test_keep_prob_outside_unit_interval_rejected(self, small_splits, keep_prob):
