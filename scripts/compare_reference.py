@@ -1,13 +1,18 @@
-"""Check that training is bit-identical to the frozen reference copy.
+"""Check that training is bit-identical to a reference copy of the package.
 
 Trains every stock algorithm of the command line with the package in
-src/ and with perfbench/reference/tskfuzzy_ref on the same data, split
-and seed, and compares every per-iteration history curve and the final
-parameters bit for bit (ridge: the fitted weights and bias). For each
-array that differs it prints the largest relative difference and, for a
-history curve, the first iteration whose relative difference exceeds 1e-12.
+src/ and with a reference on the same data, split and seed, and compares
+every per-iteration history curve and the final parameters bit for bit
+(ridge: the fitted weights and bias). The reference is the frozen copy
+perfbench/reference/tskfuzzy_ref, or with --against the package in the
+src/ of another source tree, such as a parent commit unpacked with
+`git archive`, imported under the name tskfuzzy_against. For each array
+that differs it prints the largest relative difference and, for a history
+curve, the first iteration whose relative difference exceeds 1e-12.
 
     python3 scripts/compare_reference.py --mfs 2 3 4 --iterations 100
+    mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 scripts/compare_reference.py --against /tmp/parent --mfs 2 --iterations 500
 
 Exits non-zero if any algorithm differs.
 """
@@ -15,6 +20,7 @@ Exits non-zero if any algorithm differs.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 import time
 from pathlib import Path
@@ -26,10 +32,24 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench" / "reference")]
 
 import tskfuzzy  # noqa: E402
 import tskfuzzy.cli  # noqa: E402
-import tskfuzzy_ref  # noqa: E402
-import tskfuzzy_ref.cli  # noqa: E402
 
 CURVES = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
+
+
+def load_tree(tree: Path):
+    """The package in tree/src/tskfuzzy, with its cli module, imported as
+    tskfuzzy_against so that it loads beside this tree's tskfuzzy."""
+    pkg_dir = tree / "src" / "tskfuzzy"
+    if not (pkg_dir / "__init__.py").is_file():
+        raise SystemExit(f"{tree} has no src/tskfuzzy package")
+    spec = importlib.util.spec_from_file_location(
+        "tskfuzzy_against", pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = pkg
+    spec.loader.exec_module(pkg)
+    importlib.import_module("tskfuzzy_against.cli")
+    return pkg
 
 
 def prepared(pkg, rows: int, seed: int):
@@ -69,7 +89,19 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument("--rows", type=int, default=1500)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="TREE",
+        help="root of a source tree whose src/tskfuzzy is the reference "
+        "(default: the frozen perfbench/reference copy)",
+    )
     args = parser.parse_args(argv)
+    if args.against is None:
+        reference = importlib.import_module("tskfuzzy_ref")
+        importlib.import_module("tskfuzzy_ref.cli")
+    else:
+        reference = load_tree(args.against.resolve())
 
     failures = 0
     for mm in args.mfs:
@@ -78,7 +110,7 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             new = run(tskfuzzy, name, overrides, args.rows, args.seed)
             t1 = time.perf_counter()
-            ref = run(tskfuzzy_ref, name, overrides, args.rows, args.seed)
+            ref = run(reference, name, overrides, args.rows, args.seed)
             t2 = time.perf_counter()
             differ = [k for k in ref if not np.array_equal(new[k], ref[k])]
             failures += bool(differ)

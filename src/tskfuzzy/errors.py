@@ -10,7 +10,8 @@ class ConstantFeature(TskFuzzyError):
 
 
 class LengthMismatch(TskFuzzyError):
-    """A flat vector's length does not match the expected dimension."""
+    """A vector's length does not match the expected dimension: a flat
+    parameter vector, or targets that are not one per row of a batch."""
 
 
 class EmptyBatch(TskFuzzyError):

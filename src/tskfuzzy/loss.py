@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyBatch
-from .model import TskModel, _forward, _log_floor, _stack_masks, flatten, rule_outputs, unflatten
+from .errors import EmptyBatch, LengthMismatch
+from .model import (
+    TskModel,
+    _forward,
+    _log_floor,
+    _stack_masks,
+    flatten,
+    predict,
+    rule_outputs,
+    unflatten,
+)
 
 
 def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
@@ -20,14 +29,24 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
 
     Rule biases (consequent column 0) are never penalized. masks is an
     optional batch DropMask, applied as in gradients(); without it this is
-    the test-time loss.
+    the test-time loss, from predict()'s arithmetic.
     """
+    X, y = _batch(X, y, "loss")
+    variant, keep = _stack_masks(model, masks, X.shape[0])
+    pred = predict(model, X) if variant is None else _forward(model, X, variant, keep).pred
+    return _objective(model, y - pred, lam)
+
+
+def _batch(X, y, what: str):
+    """X as [N, M] rows and y as [N] targets. Raises EmptyBatch for no rows
+    and LengthMismatch unless y has one value per row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if X.shape[0] == 0:
-        raise EmptyBatch("loss needs at least one example")
-    variant, keep = _stack_masks(model, masks, X.shape[0])
-    return _objective(model, y - _forward(model, X, variant, keep).pred, lam)
+        raise EmptyBatch(f"{what} needs at least one example")
+    if y.shape != (X.shape[0],):
+        raise LengthMismatch(f"{what} got {X.shape[0]} rows but targets of shape {y.shape}")
+    return X, y
 
 
 def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
@@ -48,11 +67,8 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     added once per batch to every non-bias consequent coefficient,
     independent of the masks.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    X, y = _batch(X, y, "gradient")
     n = X.shape[0]
-    if n == 0:
-        raise EmptyBatch("gradient needs at least one example")
     variant, keep = _stack_masks(model, masks, n)
     fw = _forward(model, X, variant, keep)
 

@@ -17,7 +17,7 @@ from tskfuzzy import (
     predict,
     rule_outputs,
 )
-from tskfuzzy.errors import EmptyBatch, MaskShapeMismatch
+from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
 from tskfuzzy.masks import sample_masks
 from tskfuzzy.model import _forward
 
@@ -69,6 +69,18 @@ class TestLoss:
             loss(model, np.empty((0, 1)), np.empty(0))
         with pytest.raises(EmptyBatch):
             gradients(model, np.empty((0, 1)), np.empty(0))
+
+    @pytest.mark.parametrize("y", [[1.0], [1.0, 2.0], np.ones((3, 1))])
+    def test_targets_not_one_per_row_rejected(self, y):
+        """A length-1 y would broadcast over the batch and score it as
+        [1, 1, 1]; a length-2 y would fail inside numpy."""
+        model = random_model(2, 2, np.random.default_rng(2))
+        X = np.zeros((3, 2))
+        mask = DropMask("rule", np.ones((3, 4), dtype=bool))
+        for call in (loss, gradients):
+            for masks in (None, mask):
+                with pytest.raises(LengthMismatch, match="3 rows"):
+                    call(model, X, y, masks=masks)
 
 
 class TestGradientsAgainstOracle:

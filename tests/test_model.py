@@ -4,6 +4,7 @@ initialization, parameter layout, and checkpoint round trips."""
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,19 +270,35 @@ class TestPredict:
         **dict(FORWARD_CASES, variant=st.sampled_from([None, "mf"])), at_floor=st.booleans()
     )
     def test_per_input_softmax_matches_slot_softmax(self, m, mm, n, variant, far, seed, at_floor):
-        """predict(), and the forward under DropMF, whose dropped MFs have
-        log-grade 0, normalize each input's log-grades and exponentiate
-        their incidence sums; the reference sums each rule's M slots and
-        normalizes the [N, R] row. Both start from the same log-grades, so
-        they differ by rounding alone. For a rule of normalized firing p,
-        the reference's slot sum is off by up to (M - 1) eps/2 times
-        sum_m |slot| = L + |log p|, L being that sum for the row's dominant
-        rule; the per-input path is off by about M eps/2 (|log p| + Mm + 2).
-        So each weight moves by at most a relative 2 eps (M (L + |log p| +
-        Mm) + log2 R) through the shift, the sums and the divide, and as
-        sum_r p |log p| <= log R the predictions agree within 2 eps
-        (M (L + Mm + log R) + log2 R + M + 2) times the row's largest
-        |(1, x)| @ |b_r|. L is up to 1e9 with every sigma at the floor."""
+        """predict() multiplies one softmax per input over its log-grades,
+        contracting Kronecker factors with the consequents; the forward under
+        DropMF, whose dropped MFs have log-grade 0, exponentiates incidence
+        sums of per-input log-softmaxes; the reference sums each rule's M
+        slots and normalizes the [N, R] row. All start from the same
+        log-grades, so they differ by rounding alone. Counted in roundings
+        u = eps/2 of S, the row's largest |(1, x)| @ |b_r|, with a sum of n
+        terms charged log2 n relative to its absolute sum, and p a rule's
+        normalized firing (sum_r p |log p| <= log R):
+        - Reference: a rule's slots sum in absolute value to at most
+          L + |log p|, L being that of the row's dominant rule (up to 1e9
+          with every sigma at the floor). The M - 1 additions, the shift and
+          the exp put its weight off by (M - 1) L + M |log p| + 1, the row
+          sum repeats that on average, and the divide, the dot over R and the
+          row dot with (1, x) follow: 2 (M - 1) L + 2M log R + 2 log2 R + M + 5.
+        - predict: an input's shifted log-grade d has |d| <= |log q| for its
+          softmax q, so the shift, the exp, the sum (at most 2 Mm: Mm - 1
+          additions and terms off by |d| e^d <= 1/e) and the divide put q off
+          by |log q| + 2 Mm + 2. The M products that form p b_r (Kronecker
+          factors, a @ C, the einsum) add M, sum_m |log q_m| = |log p|, and
+          the dots over Ra and Rb rules add log2 Ra + log2 Rb = log2 R:
+          log R + M (2 Mm + 3) + log2 R + M + 1.
+        - DropMF: each log-softmax is off by |log q| + 2 Mm + 2, the M - 1
+          incidence additions by (M - 1) |log p| and the exp by 1:
+          M log R + M (2 Mm + 2) + log2 R + M + 3.
+        Either path and the reference together stay within 2 (M - 1) L +
+        3M log R + 3 log2 R + 2M Mm + 5M + 8, which is below the limit
+        4 (M (L + Mm + log R) + log2 R + M + 2) u term by term, as
+        M <= 2M Mm."""
         sigma = SIGMA_MIN if at_floor else None
         model, X, keep = forward_case(m, mm, n, variant, far, seed, sigma)
         slot, log_f = slot_log_firing(model, X, variant, keep)
@@ -292,6 +309,22 @@ class TestPredict:
         scale = (np.abs(np.column_stack([np.ones(n), X])) @ np.abs(model.consequents).T).max(axis=1)
         tol = 2 * np.finfo(float).eps * (m * (L + mm + np.log(R)) + np.log2(R) + m + 2) * scale
         assert np.all(np.abs(got - want) <= tol)
+
+    def test_peak_memory_below_one_firing_matrix(self):
+        """predict contracts the per-input grades with the consequents, so at
+        R=1024 rules and 1050 rows it allocates less at its peak than one
+        [N, R] float64 array (8.6 MB) would take."""
+        rng = np.random.default_rng(8)
+        model = random_model(5, 4, rng)
+        X = rng.standard_normal((1050, 5))
+        predict(model, X)
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] * model.num_rules * X.itemsize
 
     def test_single_rule_returns_its_output(self):
         grid = RuleGrid(1, 1)
