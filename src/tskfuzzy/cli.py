@@ -181,11 +181,15 @@ def emit_gradient_check_report(
     return path
 
 
+GRAD_CHECK_KEYS = dict(M=int, Mm=int, trials=int)  # the --set keys of --grad-check
+
+
 def _parse_set(pairs: list[str]) -> dict:
-    """Parse repeated key=value overrides with TrainConfig field types. seed
-    is not one: run_suite derives every run's seed from --seed."""
+    """Parse repeated key=value overrides with TrainConfig field types, or
+    the GRAD_CHECK_KEYS. seed is not one: run_suite derives every run's
+    seed from --seed."""
     casts = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
-    casts.update(M=int, Mm=int, trials=int)  # grad-check knobs
+    casts.update(GRAD_CHECK_KEYS)
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -240,6 +244,10 @@ def main(argv=None) -> int:
         if not isinstance(settings["out"], str):
             raise ValueError(f'config "out" must be a path string, got {settings["out"]!r}')
         overrides = _parse_set([f"{k}={v}" for k, v in settings["set"].items()] + args.set)
+        unused = [k for k in overrides if (k in GRAD_CHECK_KEYS) != args.grad_check]
+        if unused:
+            mode = "--grad-check" if args.grad_check else "training"
+            raise ValueError(f"--set {unused[0]!r} has no effect on a {mode} run")
         repeats, seed = int(settings["repeats"]), int(settings["seed"])
     except (TypeError, ValueError) as exc:
         print(f"error in load: {exc}", file=sys.stderr)
@@ -277,7 +285,7 @@ def main(argv=None) -> int:
         algos=algos or list(DEFAULT_ALGOS),
         repeats=repeats, seed=seed,
         out_dir=settings["out"],
-        overrides={k: v for k, v in overrides.items() if k not in ("M", "Mm", "trials")},
+        overrides=overrides,
     )
     return run_experiment(spec)
 

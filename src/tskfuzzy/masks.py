@@ -1,7 +1,8 @@
 """Training-time drop masks: DropRule, DropMF and DropMembership.
 
-This module is the one place that knows the drop variants: their names,
-the keep shape of one example under each, and how to draw them. The masks
+This module defines the drop variants: their names, the keep shape of one
+example under each, and how to draw them. How each variant changes the
+forward and the gradient is in model.py and loss.py. The masks
 of a batch are one rng.random((n, *shape)) <= keep_prob draw, so
 keep_prob = 1 keeps everything while consuming the same random numbers;
 the per-example samplers are its one-example case. A batch mask that keeps

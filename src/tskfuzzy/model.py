@@ -80,7 +80,8 @@ class TskModel:
     consequents: [R, M + 1] affine rule consequents; column 0 is the bias.
 
     Instances are treated as immutable during inference, so concurrent
-    reads are safe; training code swaps parameters via flatten/unflatten.
+    reads are safe; the trainer builds a new model after every step, from
+    views into its flat parameter vector (flatten() layout).
     """
 
     def __init__(self, grid: RuleGrid, centers, sigmas, consequents):
@@ -258,10 +259,16 @@ def _log_grades(model: TskModel, X: np.ndarray, mf_keep=None) -> np.ndarray:
     return log_mu
 
 
-def _rule_sums(model: TskModel, log_mu: np.ndarray) -> np.ndarray:
-    """[N, R] sums of [Mm, N, M] per-MF logs over the M MFs of each rule."""
-    incidence = model.grid.incidence
-    return log_mu.transpose(1, 2, 0).reshape(-1, incidence.shape[1]) @ incidence.T
+def _input_softmax(model: TskModel, X: np.ndarray, mf_keep=None) -> np.ndarray:
+    """[Mm, N, M] softmax of each input's Mm log-grades (as _log_grades,
+    with a DropMF keep array) at every row, each shifted by its largest.
+    The unmasked or DropMF normalized firing level of a rule is the product
+    of the M softmaxes of the MFs it uses."""
+    grades = _log_grades(model, X, mf_keep)
+    grades -= grades.max(axis=0)
+    np.exp(grades, out=grades)
+    grades /= grades.sum(axis=0)
+    return grades
 
 
 def _log_firing(
@@ -272,7 +279,8 @@ def _log_firing(
     Each rule's log firing level is the sum of the log-grades of the M MFs
     it uses, so the [N, M * Mm] log-grades map to log firing levels through
     the transpose of RuleGrid.incidence, the matrix gradients() routes back
-    through. A dropped MF has log-grade 0 and a dropped rule -inf;
+    through. The training forward needs them only under DropRule and
+    DropMembership. A dropped MF has log-grade 0 and a dropped rule -inf;
     DropMembership, whose substitutions are per rule, gathers the [N, R, M]
     slots and adds them in input order. Log-grades are floored at
     finfo.min / (M + 1), so a row whose squared distances overflow stays
@@ -285,7 +293,8 @@ def _log_firing(
         slots = log_mu.transpose(1, 2, 0)[:, np.arange(M), model.grid.antecedents]
         slots = np.where(keep, slots, 0.0)
         return sum(slots[:, :, m] for m in range(M))
-    log_f = _rule_sums(model, log_mu)
+    incidence = model.grid.incidence
+    log_f = log_mu.transpose(1, 2, 0).reshape(-1, incidence.shape[1]) @ incidence.T
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
     return log_f
@@ -297,10 +306,11 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     Normalized firing levels are the softmax of the log firing levels.
     Unmasked or under DropMF, the firing levels of a row sum to the product
     over inputs of each input's summed grades, so the softmax is the product
-    of one softmax per input over its Mm log-grades, each shifted by its
-    largest: N * M * Mm work in place of N * R, and every row keeps a
-    dominant rule at >= Mm^-M. DropRule and DropMembership change single
-    rules, so their softmax is over each [N, R] row, shifted by its maximum.
+    of one softmax per input over its Mm log-grades (_input_softmax, as in
+    predict()): norm_firing is their row-wise Kronecker product, with no
+    log and no [N, R] exp, and every row keeps a dominant rule at >= Mm^-M.
+    DropRule and DropMembership change single rules, so their softmax is
+    over each [N, R] row of log firing levels, shifted by its maximum.
     Either way a row far from every MF weights its dominant rule(s). The
     output is the row dot of norm_firing @ consequents with (1, x). Raises
     MaskShapeMismatch for a DropRule row that drops every rule, whose
@@ -320,11 +330,7 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
         if empty.size:
             raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
     if variant in (None, "mf"):
-        log_mu = _log_grades(model, X, keep)
-        log_mu -= log_mu.max(axis=0)
-        log_mu -= np.log(np.exp(log_mu).sum(axis=0))
-        norm_firing = _rule_sums(model, log_mu)
-        np.exp(norm_firing, out=norm_firing)
+        norm_firing = _kron(_input_softmax(model, X, keep))
     else:
         if variant == "rule":
             log_f = _log_firing(model, X)
@@ -397,10 +403,7 @@ def predict(model: TskModel, x):
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    grades = _log_grades(model, X)
-    grades -= grades.max(axis=0)
-    np.exp(grades, out=grades)
-    grades /= grades.sum(axis=0)
+    grades = _input_softmax(model, X)
     k = (model.num_inputs + 1) // 2
     a, b = _kron(grades[:, :, :k]), _kron(grades[:, :, k:])
     n, cols = X.shape[0], model.num_inputs + 1

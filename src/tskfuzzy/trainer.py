@@ -146,7 +146,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     the unmasked path, so a run whose masks keep everything is
     bit-identical to the same run without masking by construction. The
     returned model is the final iterate, not the best one seen. The logged
-    batch loss is the unmasked loss at the pre-step parameters. Raises
+    batch loss is the unmasked loss at the pre-step parameters, taken from
+    the batch rows of the last train-set predict(), so it equals loss() on
+    the batch up to the roundoff of BLAS row blocking. Raises ValueError
+    for an unknown drop_variant or lr_scheme, a keep_prob outside (0, 1],
+    a batch_size below 1 or negative iterations, before any work. Raises
     Diverged, naming the iteration (counted from 1, as in the history CSV)
     and the first bad coordinate, at the first non-finite batch loss,
     gradient or parameter, and at the first non-finite train or test RMSE,
@@ -160,6 +164,10 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
     if not 0.0 < config.keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {config.keep_prob}")
+    if not config.batch_size >= 1:
+        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not config.iterations >= 0:
+        raise ValueError(f"iterations must be >= 0, got {config.iterations}")
 
     model = init_model_from_data(train_set.X, config.mfs_per_input)
     grid = model.grid

@@ -244,6 +244,27 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "grad-check out not a directory": (
         {"out": "/dev/null/x"}, ["--grad-check", "--set", "trials=1"], "write", "/dev/null/x"
     ),
+    "zero batch_size": ({}, ["--set", "batch_size=0"], "train", "batch_size"),
+    "negative batch_size": ({}, ["--set", "batch_size=-1"], "train", "batch_size"),
+    "negative iterations": ({}, ["--set", "iterations=-1"], "load", "iterations"),
+    "grad-check key when training": (
+        {}, ["--set", "Mm=4", "--set", "trials=7"], "load", "'Mm' has no effect on a training run"
+    ),
+    "training key with grad-check": (
+        {}, ["--grad-check", "--set", "mfs_per_input=3"], "load",
+        "'mfs_per_input' has no effect on a --grad-check run",
+    ),
+    "constant CSV column": ({"data": "constant.csv", "target": "y"}, [], "preprocess", "'b'"),
+    "out is a file": ({"out": "a_file"}, ["--set", "iterations=1"], "write", "a_file"),
+    "set pair without =": ({}, ["--set", "iterations"], "load", "key=value"),
+    "config file not JSON": ({}, ["--config", "not.json"], "load", "Expecting property name"),
+    "CSV without target": ({"data": "constant.csv"}, [], "load", "--target"),
+    "zero repeats": ({}, ["--repeats", "0"], "train", "repeats"),
+}
+FILES = {  # written to the working directory of every BAD_INPUTS case
+    "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),
+    "not.json": "{data: synthetic}",
+    "a_file": "",
 }
 
 
@@ -254,7 +275,12 @@ def assert_one_error_line(capsys, stage, text=""):
 
 
 @pytest.mark.parametrize("config, flags, stage, text", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
-def test_bad_input_prints_one_error_line(tmp_path, capsys, config, flags, stage, text):
+def test_bad_input_prints_one_error_line(
+    tmp_path, monkeypatch, capsys, config, flags, stage, text
+):
+    monkeypatch.chdir(tmp_path)
+    for name, content in FILES.items():
+        (tmp_path / name).write_text(content)
     path = tmp_path / "exp.json"
     out = str(tmp_path / "out")
     path.write_text(

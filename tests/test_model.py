@@ -271,14 +271,15 @@ class TestPredict:
     )
     def test_per_input_softmax_matches_slot_softmax(self, m, mm, n, variant, far, seed, at_floor):
         """predict() multiplies one softmax per input over its log-grades,
-        contracting Kronecker factors with the consequents; the forward under
-        DropMF, whose dropped MFs have log-grade 0, exponentiates incidence
-        sums of per-input log-softmaxes; the reference sums each rule's M
-        slots and normalizes the [N, R] row. All start from the same
-        log-grades, so they differ by rounding alone. Counted in roundings
-        u = eps/2 of S, the row's largest |(1, x)| @ |b_r|, with a sum of n
-        terms charged log2 n relative to its absolute sum, and p a rule's
-        normalized firing (sum_r p |log p| <= log R):
+        contracting Kronecker factors with the consequents; the training
+        forward, unmasked or under DropMF (whose dropped MFs have log-grade
+        0), takes the same softmaxes and forms their [N, R] Kronecker
+        product; the reference sums each rule's M slots and normalizes the
+        [N, R] row. All start from the same log-grades, so they differ by
+        rounding alone. Counted in roundings u = eps/2 of S, the row's
+        largest |(1, x)| @ |b_r|, with a sum of n terms charged log2 n
+        relative to its absolute sum, and p a rule's normalized firing
+        (sum_r p |log p| <= log R):
         - Reference: a rule's slots sum in absolute value to at most
           L + |log p|, L being that of the row's dominant rule (up to 1e9
           with every sigma at the floor). The M - 1 additions, the shift and
@@ -292,23 +293,26 @@ class TestPredict:
           factors, a @ C, the einsum) add M, sum_m |log q_m| = |log p|, and
           the dots over Ra and Rb rules add log2 Ra + log2 Rb = log2 R:
           log R + M (2 Mm + 3) + log2 R + M + 1.
-        - DropMF: each log-softmax is off by |log q| + 2 Mm + 2, the M - 1
-          incidence additions by (M - 1) |log p| and the exp by 1:
-          M log R + M (2 Mm + 2) + log2 R + M + 3.
+        - Forward: the same softmaxes; the M - 1 Kronecker products and
+          p_r b_r are again M products, and the dot over R rules adds
+          log2 R, so its count is predict's.
         Either path and the reference together stay within 2 (M - 1) L +
-        3M log R + 3 log2 R + 2M Mm + 5M + 8, which is below the limit
+        (2M + 1) log R + 3 log2 R + 2M Mm + 5M + 6, which is below the limit
         4 (M (L + Mm + log R) + log2 R + M + 2) u term by term, as
         M <= 2M Mm."""
         sigma = SIGMA_MIN if at_floor else None
         model, X, keep = forward_case(m, mm, n, variant, far, seed, sigma)
         slot, log_f = slot_log_firing(model, X, variant, keep)
         want = slot_forward(model, X, variant, keep, log_f)[1]
-        got = predict(model, X) if variant is None else _forward(model, X, variant, keep).pred
         L = np.abs(slot).sum(axis=2).min(axis=1)
         R = model.num_rules
         scale = (np.abs(np.column_stack([np.ones(n), X])) @ np.abs(model.consequents).T).max(axis=1)
         tol = 2 * np.finfo(float).eps * (m * (L + mm + np.log(R)) + np.log2(R) + m + 2) * scale
-        assert np.all(np.abs(got - want) <= tol)
+        got = [_forward(model, X, variant, keep).pred]
+        if variant is None:
+            got.append(predict(model, X))
+        for pred in got:
+            assert np.all(np.abs(pred - want) <= tol)
 
     def test_peak_memory_below_one_firing_matrix(self):
         """predict contracts the per-input grades with the consequents, so at

@@ -214,6 +214,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="keep_prob"):
             train(quick(keep_prob=keep_prob), tr, te)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("batch_size", -1), ("iterations", -1),
+         ("drop_variant", "dropout"), ("lr_scheme", "sgd")],
+    )
+    def test_invalid_field_rejected(self, small_splits, field, value):
+        tr, te = small_splits
+        with pytest.raises(ValueError, match=field):
+            train(quick(**{field: value}), tr, te)
+
     def test_ten_inputs_beat_ridge(self):
         """Ten inputs at two MFs each make a grid of 1024 rules; with
         max_dims=10 the preprocessor keeps every input."""
