@@ -88,8 +88,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
     try:
         dataset = _load_stage(spec)
         configs = {name: algorithm_config(name, spec.overrides) for name in spec.algos}
-        if any(isinstance(c, TrainConfig) and c.iterations < 1 for c in configs.values()):
+        iterative = [c for c in configs.values() if isinstance(c, TrainConfig)]
+        unused = [] if iterative else [k for k in spec.overrides if k != "lam"]
+        if unused:
+            raise ValueError(f"--set {unused[0]!r} has no effect on a ridge-only run")
+        if any(c.iterations < 1 for c in iterative):
             raise ValueError("iterations must be >= 1: the summary needs a best iteration")
+        if spec.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
     except Exception as exc:
         print(f"error in load: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from .model import (
     _stack_masks,
     flatten,
     predict,
-    rule_outputs,
     unflatten,
 )
 
@@ -73,15 +72,22 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     fw = _forward(model, X, variant, keep)
 
     err = fw.pred - y
-    # Consequents: err * normalized firing, times (1, x).
+    # Consequents: err * normalized firing, times (1, x). One [n, R] buffer
+    # holds that product in the memory order of norm_firing (F from _kron),
+    # then W in C order: OpenBLAS sums differently for the other order.
     design = np.column_stack([np.ones(n), X])
-    grad_b = (err[:, None] * fw.norm_firing).T @ design
+    buf = np.multiply(err[:, None], fw.norm_firing, out=np.empty_like(fw.norm_firing))
+    grad_b = buf.T @ design
     if lam != 0.0:
         grad_b[:, 1:] += lam * model.consequents[:, 1:]
 
     # MF parameters: V[n, m, i] sums W = err * (rule_out - pred) * normalized
     # firing over the rules whose input-m antecedent is MF i, where kept.
-    W = err[:, None] * (rule_outputs(model, X) - fw.pred[:, None]) * fw.norm_firing
+    W = np.matmul(X, model.consequents[:, 1:].T, out=buf.ravel("K").reshape(buf.shape))
+    W += model.consequents[:, 0].copy()  # rule_out; a contiguous bias adds faster
+    W -= fw.pred[:, None]
+    W *= err[:, None]
+    W *= fw.norm_firing
     M, Mm = model.num_inputs, model.mfs_per_input
     incidence = model.grid.incidence
     if variant == "membership":

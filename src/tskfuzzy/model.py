@@ -229,7 +229,7 @@ class Forward(NamedTuple):
     pred: np.ndarray  # [N]
 
 
-_FLOAT_MIN = np.finfo(float).min
+_FLOAT_MIN, _FLOAT_MAX = np.finfo(float).min, np.finfo(float).max
 
 
 def _log_floor(num_inputs: int) -> float:
@@ -316,14 +316,16 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     MaskShapeMismatch for a DropRule row that drops every rule, whose
     normalized firing is undefined.
 
-    DropRule shifts the unmasked log firing levels by the largest kept one
-    and multiplies by keep after the exp, so the exp never sees -inf: numpy
-    2.4's AVX-512 exp takes a slow path for a vector holding one, about 9x
-    the time over a [64, 1024] batch with half the rules dropped. Kept rules
-    get the same bits as a softmax over -inf entries, dropped ones an exact
-    +0. The shifted values are clamped at 0: a dropped rule that dominates
-    the kept ones by more than log(finfo.max) would otherwise overflow to
-    inf, and inf * 0 is NaN.
+    DropRule shifts the unmasked log firing levels by the largest kept one,
+    the row max of log_f - finfo.max * ~keep (a kept entry is unchanged and
+    at least M * _log_floor(M) > finfo.min, a dropped one ends at or below
+    finfo.min), and multiplies by keep after the exp, so the exp sees only
+    finite values: numpy 2.4's AVX-512 exp takes 9-18x the time over a
+    [64, 1024] batch whose dropped half holds -inf or -800. Kept rules get
+    the same bits as a softmax over -inf entries, dropped ones an exact +0.
+    The shifted values are clamped at 0: a dropped rule that dominates the
+    kept ones by more than log(finfo.max) would otherwise overflow to inf,
+    and inf * 0 is NaN.
     """
     if variant == "rule":
         empty = np.flatnonzero(~keep.any(axis=1))
@@ -334,7 +336,9 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     else:
         if variant == "rule":
             log_f = _log_firing(model, X)
-            log_f -= np.where(keep, log_f, -np.inf).max(axis=1, keepdims=True)
+            with np.errstate(over="ignore"):
+                masked = np.multiply(~keep, _FLOAT_MAX)
+                log_f -= np.subtract(log_f, masked, out=masked).max(axis=1, keepdims=True)
             norm_firing = np.exp(np.minimum(log_f, 0.0, out=log_f), out=log_f)
             norm_firing *= keep
         else:

@@ -168,7 +168,7 @@ class TestMain:
         cfg = tmp_path / "exp.json"
         cfg.write_text(
             '{"data": "%s", "target": "y", "algos": ["RR"], "repeats": 1,'
-            ' "seed": 1, "out": "%s", "set": {"iterations": 4}}'
+            ' "seed": 1, "out": "%s", "set": {"lam": 0.1}}'
             % (str(path).replace("\\", "/"), str(tmp_path / "a"))
         )
         assert main(["--config", str(cfg)]) == 0
@@ -259,7 +259,11 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "set pair without =": ({}, ["--set", "iterations"], "load", "key=value"),
     "config file not JSON": ({}, ["--config", "not.json"], "load", "Expecting property name"),
     "CSV without target": ({"data": "constant.csv"}, [], "load", "--target"),
-    "zero repeats": ({}, ["--repeats", "0"], "train", "repeats"),
+    "zero repeats": ({}, ["--repeats", "0"], "load", "repeats"),
+    "training key on a ridge-only run": (
+        {"algos": ["RR"]}, ["--set", "keep_prob=0.3", "--set", "iterations=3"], "load",
+        "'keep_prob' has no effect on a ridge-only run",
+    ),
 }
 FILES = {  # written to the working directory of every BAD_INPUTS case
     "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),

@@ -3,6 +3,9 @@ and drop-aware gradient masking."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_model import FORWARD_CASES, forward_case
 
 from tskfuzzy import (
     DropMask,
@@ -19,7 +22,7 @@ from tskfuzzy import (
 )
 from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
 from tskfuzzy.masks import sample_masks
-from tskfuzzy.model import _forward
+from tskfuzzy.model import _forward, _log_floor, _stack_masks
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -277,6 +280,49 @@ class TestGradientStructure:
             loss(model, X, y, 0.0, masks)
         # firing levels are not normalized, so they stay defined
         assert np.all(firing_levels(model, X[1], DropMask("rule", keep[1])) == 0.0)
+
+
+class TestGradientArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        **dict(FORWARD_CASES, n=FORWARD_CASES["n"] | st.sampled_from([16, 33, 64])),
+        lam=st.sampled_from([0.0, 0.05]),
+    )
+    def test_matches_plain_expressions_bit_for_bit(self, m, mm, n, variant, far, seed, lam):
+        """gradients() equals the backward written as plain expressions on
+        fresh arrays, applied to _forward's own output, bit for bit: the
+        consequent gradient (err * nf).T @ (1, x), W = err * (rule outputs -
+        pred) * nf, and W routed to the MFs through the incidence matrix
+        (or, under DropMembership, the kept slots). Batches of 16 rows and
+        more are included: from there OpenBLAS gives different bits for the
+        same product when an operand has the other memory order."""
+        model, X, keep = forward_case(m, mm, n, variant, far, seed)
+        y = np.random.default_rng([seed, 1]).standard_normal(n)
+        masks = None if variant is None else DropMask(variant, keep)
+        got = gradients(model, X, y, lam, masks)
+
+        variant, keep = _stack_masks(model, masks, n)
+        fw = _forward(model, X, variant, keep)
+        err = fw.pred - y
+        grad_b = (err[:, None] * fw.norm_firing).T @ np.column_stack([np.ones(n), X])
+        if lam != 0.0:
+            grad_b[:, 1:] += lam * model.consequents[:, 1:]
+        W = err[:, None] * (rule_outputs(model, X) - fw.pred[:, None]) * fw.norm_firing
+        incidence = model.grid.incidence
+        if variant == "membership":
+            V = np.einsum("nrm,rmi->nmi", W[:, :, None] * keep, incidence.reshape(-1, m, mm))
+        else:
+            V = (W @ incidence).reshape(n, m, mm)
+            if variant == "mf":
+                V = np.where(keep, V, 0.0)
+        dx = X[:, :, None] - model.centers
+        dx2 = dx**2
+        floored = dx2 / (2.0 * model.sigmas**2) >= -_log_floor(m)
+        dx[floored] = dx2[floored] = 0.0
+        grad_c = (V * dx).sum(axis=0) / model.sigmas**2
+        grad_s = (V * dx2).sum(axis=0) / model.sigmas**3
+        want = np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
+        np.testing.assert_array_equal(got, want)
 
 
 def test_flatten_alignment():

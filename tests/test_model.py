@@ -32,7 +32,7 @@ from tskfuzzy import (
     unflatten,
 )
 from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch
-from tskfuzzy.masks import KEEP_AXES, keep_shape
+from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
 from tskfuzzy.model import SIGMA_TINY, _forward, _log_firing
 
 
@@ -329,6 +329,24 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < X.shape[0] * model.num_rules * X.itemsize
+
+    def test_droprule_gradient_peak_memory(self):
+        """The training counterpart: a DropRule gradient on 64 rows at R=1024
+        and keep 0.5 holds the normalized firing and one shared scratch
+        [64, R] buffer, so its peak stays below 2.5 such float64 arrays."""
+        rng = np.random.default_rng(9)
+        model = random_model(5, 4, rng)
+        X = rng.standard_normal((64, 5))
+        y = rng.standard_normal(64)
+        masks = sample_masks("rule", model.grid, 64, 0.5, rng)
+        gradients(model, X, y, 0.05, masks)
+        tracemalloc.start()
+        try:
+            gradients(model, X, y, 0.05, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * X.shape[0] * model.num_rules * X.itemsize
 
     def test_single_rule_returns_its_output(self):
         grid = RuleGrid(1, 1)
