@@ -3,7 +3,8 @@
 Trains every stock algorithm of the command line with the package in
 src/ and with a reference on the same data, split and seed, and compares
 every per-iteration history curve and the final parameters bit for bit
-(ridge: the fitted weights and bias). The reference is the frozen copy
+(ridge: the fitted weights and bias). The data is the synthetic problem cut
+to each width M of WIDTHS, its first M columns. The reference is the frozen copy
 perfbench/reference/tskfuzzy_ref, or with --against the package in the
 src/ of another source tree, such as a parent commit unpacked with
 `git archive`, imported under the name tskfuzzy_against. For each array
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -34,6 +36,9 @@ import tskfuzzy  # noqa: E402
 import tskfuzzy.cli  # noqa: E402
 
 CURVES = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
+# Inputs M of each problem: all five synthetic columns, then the first three,
+# so that rounding which depends on M is compared at more than one width
+WIDTHS = (5, 3)
 
 
 def load_tree(tree: Path):
@@ -52,17 +57,18 @@ def load_tree(tree: Path):
     return pkg
 
 
-def prepared(pkg, rows: int, seed: int):
+def prepared(pkg, rows: int, seed: int, width: int):
     data = pkg.make_synthetic(rows, seed=seed)
+    data = pkg.Dataset(data.X[:, :width], data.y)
     tr, te = pkg.split(data, 0.7, np.random.default_rng(seed))
     pre = pkg.fit_preprocessor(tr)
     return pkg.apply_preprocessor(pre, tr), pkg.apply_preprocessor(pre, te)
 
 
-def run(pkg, name: str, overrides: dict, rows: int, seed: int) -> dict:
+def run(pkg, name: str, overrides: dict, rows: int, seed: int, width: int) -> dict:
     """Every array one algorithm produces, keyed by a readable name."""
     cfg = pkg.cli.algorithm_config(name, overrides)
-    tr, te = prepared(pkg, rows, seed)
+    tr, te = prepared(pkg, rows, seed, width)
     if isinstance(cfg, pkg.RidgeConfig):
         lin = pkg.ridge_fit(tr.X, tr.y, cfg.lam)
         return {"weights": lin.weights, "bias": np.array([lin.bias])}
@@ -104,13 +110,13 @@ def main(argv=None) -> int:
         reference = load_tree(args.against.resolve())
 
     failures = 0
-    for mm in args.mfs:
+    for width, mm in itertools.product(WIDTHS, args.mfs):
         overrides = {"mfs_per_input": mm, "iterations": args.iterations, "seed": args.seed}
         for name in tskfuzzy.cli.ALGORITHMS:
             t0 = time.perf_counter()
-            new = run(tskfuzzy, name, overrides, args.rows, args.seed)
+            new = run(tskfuzzy, name, overrides, args.rows, args.seed, width)
             t1 = time.perf_counter()
-            ref = run(reference, name, overrides, args.rows, args.seed)
+            ref = run(reference, name, overrides, args.rows, args.seed, width)
             t2 = time.perf_counter()
             differ = [k for k in ref if not np.array_equal(new[k], ref[k])]
             failures += bool(differ)
@@ -118,7 +124,7 @@ def main(argv=None) -> int:
                 describe(k, new[k], ref[k]) for k in differ
             )
             print(
-                f"Mm={mm} {name:<20} {verdict}  "
+                f"M={width} Mm={mm} {name:<20} {verdict}  "
                 f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
                 flush=True,
             )

@@ -234,12 +234,15 @@ def main(argv=None) -> int:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(loaded, dict):
+                raise ValueError(f"config must be a JSON object, got {loaded!r}")
+            unknown = sorted(set(loaded) - set(settings))
+            if unknown:
+                raise ValueError(f"unknown config keys {unknown} (known: {sorted(settings)})")
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             print(f"error in load: {exc}", file=sys.stderr)
             return 1
-        for key in settings:
-            if key in loaded:
-                settings[key] = loaded[key]
+        settings.update(loaded)
     for key in ("data", "target", "algos", "repeats", "seed", "out"):
         value = getattr(args, key)
         if value is not None:

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstantFeature, DimensionMismatch, LengthMismatch, MaskShapeMismatch
+from .data import _parse_number
+from .errors import ConstantFeature, DimensionMismatch, LengthMismatch, MaskShapeMismatch, ParseError
 from .masks import DropMask, keep_shape
 
 SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
@@ -212,14 +213,23 @@ def save_model(model: TskModel, path) -> None:
 
 
 def load_model(path) -> TskModel:
-    """Read a checkpoint written by save_model."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("M=") or not lines[1].startswith("Mm="):
-        raise ValueError("checkpoint must start with 'M=<int>' and 'Mm=<int>' lines")
-    num_inputs = int(lines[0][2:])
-    mfs_per_input = int(lines[1][3:])
-    values = np.array([float(ln) for ln in lines[2:]])
-    return unflatten(values, num_inputs, mfs_per_input)
+    """Read a checkpoint written by save_model. Raises ParseError, naming the
+    file and the 1-based line, for a header that is not `M=<int>`/`Mm=<int>`
+    or a value that is not a finite number, and LengthMismatch for a wrong
+    number of values."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(lines) < 2:
+        raise ParseError(f"{path}: checkpoint must start with 'M=<int>' and 'Mm=<int>' lines")
+    for (i, ln), key in zip(lines, ("M=", "Mm=")):
+        if not (ln.startswith(key) and ln[len(key) :].isdecimal()):
+            raise ParseError(f"{path}, line {i}: expected '{key}<int>', got {ln!r}")
+    values = [_parse_number(ln) for _, ln in lines[2:]]
+    if None in values:
+        i, ln = lines[2 + values.index(None)]
+        raise ParseError(f"{path}, line {i}: expected a finite number, got {ln!r}")
+    num_inputs, mfs_per_input = int(lines[0][1][2:]), int(lines[1][1][3:])
+    return unflatten(np.array(values), num_inputs, mfs_per_input)
 
 
 class Forward(NamedTuple):

@@ -11,7 +11,7 @@ stops the run with Diverged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +130,9 @@ def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid) -> None
         )
 
 
-def _finite_rmse(value: float, which: str, k: int) -> float:
+def _finite(value: float, what: str, k: int) -> float:
     if not np.isfinite(value):
-        raise Diverged(f"diverged at iteration {k + 1}: {which} RMSE is {value}")
+        raise Diverged(f"diverged at iteration {k + 1}: {what} is {value}")
     return value
 
 
@@ -147,14 +147,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     bit-identical to the same run without masking by construction. The
     returned model is the final iterate, not the best one seen. The logged
     batch loss is the unmasked loss at the pre-step parameters, taken from
-    the batch rows of the last train-set predict(), so it equals loss() on
-    the batch up to the roundoff of BLAS row blocking. Raises ValueError
-    for an unknown drop_variant or lr_scheme, a keep_prob outside (0, 1],
-    a batch_size below 1 or negative iterations, before any work. Raises
-    Diverged, naming the iteration (counted from 1, as in the history CSV)
-    and the first bad coordinate, at the first non-finite batch loss,
-    gradient or parameter, and at the first non-finite train or test RMSE,
-    so no history holds one.
+    the batch rows of the previous iteration's train-set predict() (all 0
+    before the first step, as the consequents start at 0), so it equals
+    loss() on the batch up to the roundoff of BLAS row blocking. Raises
+    ValueError for an unknown drop_variant or lr_scheme, a keep_prob
+    outside (0, 1], a batch_size below 1 or negative iterations, before
+    any work. Raises Diverged, naming the iteration (counted from 1, as in
+    the history CSV) and the first bad coordinate, at the first non-finite
+    batch loss, gradient or parameter, and at the first non-finite train
+    or test RMSE, so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -186,30 +187,23 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     jang = JangLrState(config.alpha)
 
     K = config.iterations
-    hist_train = np.empty(K)
-    hist_test = np.empty(K)
-    hist_loss = np.empty(K)
-    hist_lr = np.empty(K)
-    hist_lr_min = np.empty(K)
-    hist_lr_max = np.empty(K)
-
-    train_pred = None  # predictions of the current model on every training row
+    hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
+    # Predictions of the current model on every training row. init_model
+    # starts every consequent at 0, so before the first step they are all 0.
+    train_pred = np.zeros(train_set.n)
     t0 = time.perf_counter()
     for k in range(K):
         idx = sample_batch(train_set, config.batch_size, batch_rng)
         Xb, yb = train_set.X[idx], train_set.y[idx]
         masks = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng) if variant else None
         g = gradients(model, Xb, yb, config.lam, masks)
-        pred_b = predict(model, Xb) if train_pred is None else train_pred[idx]
-        batch_loss = _objective(model, yb - pred_b, config.lam)
-        if not np.isfinite(batch_loss):
-            raise Diverged(f"diverged at iteration {k + 1}: batch loss is {batch_loss}")
+        batch_loss = _finite(_objective(model, yb - train_pred[idx], config.lam), "batch loss", k)
         _check_finite(g, "gradient of", k, grid)
 
         if config.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
             theta = sgd_step(theta, g, jang.alpha)
-            lr_mean = lr_min = lr_max = jang.alpha
+            lr = (jang.alpha,) * 3  # one global rate is its own mean, min and max
         else:
             if config.lr_scheme == "adam":
                 lo, up = 0.0, np.inf
@@ -218,26 +212,22 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
             theta, moments = adabound_step(moments, theta, g, hyper, lo, up)
             rates = moments.last_rates
-            lr_mean = float(rates.mean())
-            lr_min = float(rates.min())
-            lr_max = float(rates.max())
+            lr = (rates.mean(), rates.min(), rates.max())
 
         theta[n_mf : 2 * n_mf] = np.maximum(theta[n_mf : 2 * n_mf], SIGMA_MIN)
         _check_finite(theta, "parameter", k, grid)
         model = TskModel(grid, *_param_views(theta, grid))  # views, no copies
 
         train_pred = predict(model, train_set.X)
-        hist_train[k] = _finite_rmse(_rmse(train_set.y, train_pred), "train", k)
-        hist_test[k] = _finite_rmse(rmse(model, test_set), "test", k)
-        hist_loss[k] = batch_loss
-        hist_lr[k] = lr_mean
-        hist_lr_min[k] = lr_min
-        hist_lr_max[k] = lr_max
+        hist[:, k] = (
+            _finite(_rmse(train_set.y, train_pred), "train RMSE", k),
+            _finite(rmse(model, test_set), "test RMSE", k),
+            batch_loss,
+            *lr,
+        )
     seconds = time.perf_counter() - t0
 
-    return model, TrainHistory(
-        hist_train, hist_test, hist_loss, hist_lr, seconds, hist_lr_min, hist_lr_max
-    )
+    return model, TrainHistory(*hist[:4], seconds, *hist[4:])
 
 
 @dataclass
@@ -272,15 +262,7 @@ def _mean_histories(histories: list[TrainHistory]) -> TrainHistory:
             return None
         return np.mean(stacked, axis=0)
 
-    return TrainHistory(
-        train_rmse=avg("train_rmse"),
-        test_rmse=avg("test_rmse"),
-        loss=avg("loss"),
-        mean_lr=avg("mean_lr"),
-        seconds=float(np.mean([h.seconds for h in histories])),
-        min_lr=avg("min_lr"),
-        max_lr=avg("max_lr"),
-    )
+    return TrainHistory(**{f.name: avg(f.name) for f in fields(TrainHistory)})
 
 
 def run_suite(configs, dataset: Dataset, repeats: int = 10, seed: int = 0, max_dims: int = 5):

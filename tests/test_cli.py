@@ -260,6 +260,10 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "config file not JSON": ({}, ["--config", "not.json"], "load", "Expecting property name"),
     "CSV without target": ({"data": "constant.csv"}, [], "load", "--target"),
     "zero repeats": ({}, ["--repeats", "0"], "load", "repeats"),
+    "misspelled config keys": (
+        {"repeat": 5, "outdir": "elsewhere"}, [], "load", "unknown config keys ['outdir', 'repeat']"
+    ),
+    "config not an object": ({}, ["--config", "list.json"], "load", "must be a JSON object"),
     "training key on a ridge-only run": (
         {"algos": ["RR"]}, ["--set", "keep_prob=0.3", "--set", "iterations=3"], "load",
         "'keep_prob' has no effect on a ridge-only run",
@@ -268,6 +272,7 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
 FILES = {  # written to the working directory of every BAD_INPUTS case
     "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),
     "not.json": "{data: synthetic}",
+    "list.json": '["data", "synthetic"]',
     "a_file": "",
 }
 

@@ -3,6 +3,7 @@ initialization, parameter layout, and checkpoint round trips."""
 
 import itertools
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,7 +32,7 @@ from tskfuzzy import (
     save_model,
     unflatten,
 )
-from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch
+from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch, ParseError
 from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
 from tskfuzzy.model import SIGMA_TINY, _forward, _log_firing
 
@@ -578,4 +579,20 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(LengthMismatch):
+            load_model(path)
+
+    # a 1-input, 2-MF checkpoint: M=, Mm=, 2 centers, 2 sigmas, 2 x 2 consequents
+    @pytest.mark.parametrize(
+        "line, text",
+        [(1, "M=x"), (1, "Mm=1"), (2, "Mm=2.5"), (3, "foo"), (3, "nan"), (6, "-inf"),
+         (10, "1e999")],
+    )
+    def test_bad_line_raises_parse_error_naming_it(self, tmp_path, line, text):
+        model = init_model([0.0], [1.0], [0.5], 2)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"model\.txt, line {line}: .*'{re.escape(text)}'"):
             load_model(path)

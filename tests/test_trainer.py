@@ -270,9 +270,16 @@ class TestDivergence:
             train(quick(lr_scheme=scheme), tr, te)
 
     # rmse() calls _rmse() too, so the train RMSE of iteration 2 is its third call
-    @pytest.mark.parametrize("name, call, which", [("_rmse", 3, "train"), ("rmse", 2, "test")])
+    @pytest.mark.parametrize(
+        "name, call, label",
+        [
+            pytest.param("_rmse", 3, "train RMSE", id="_rmse-3-train"),
+            pytest.param("rmse", 2, "test RMSE", id="rmse-2-test"),
+            pytest.param("_objective", 2, "batch loss", id="_objective-2-batch-loss"),
+        ],
+    )
     def test_non_finite_rmse_raises_before_it_is_recorded(
-        self, small_splits, monkeypatch, name, call, which
+        self, small_splits, monkeypatch, name, call, label
     ):
         tr, te = small_splits
         real = getattr(trainer, name)
@@ -283,7 +290,7 @@ class TestDivergence:
             return np.inf if len(calls) == call else real(*args)
 
         monkeypatch.setattr(trainer, name, overflowing)
-        message = rf"^diverged at iteration 2: {which} RMSE is inf$"
+        message = rf"^diverged at iteration 2: {label} is inf$"
         with pytest.raises(Diverged, match=message):
             train(quick(), tr, te)
 
