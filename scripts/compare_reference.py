@@ -11,19 +11,29 @@ src/ of another source tree, such as a parent commit unpacked with
 that differs it prints the largest relative difference and, for a history
 curve, the first iteration whose relative difference exceeds 1e-12.
 
+It then runs each package's command line three ways on the same inputs:
+the suite of every stock algorithm over two repeats (--iterations each) on
+a CSV of the synthetic problem widened to 8 columns so that PCA runs, a
+ridge-only run on that CSV, and a gradient check of 5 trials. It compares
+the exit status and every file written, byte for byte, except the seconds
+column of summary.csv, which is a wall-clock time.
+
     python3 scripts/compare_reference.py --mfs 2 3 4 --iterations 100
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_reference.py --against /tmp/parent --mfs 2 --iterations 500
 
-Exits non-zero if any algorithm differs.
+Exits non-zero if any algorithm or command line differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import itertools
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -89,6 +99,40 @@ def describe(key: str, new: np.ndarray, ref: np.ndarray) -> str:
     return text + ")"
 
 
+def command_lines(csv: Path, iterations: int, seed: int) -> dict:
+    """The compared command lines, by name; each gets its own --out."""
+    data = ["--data", str(csv), "--target", "y", "--repeats", "2", "--seed", str(seed)]
+    return {
+        "suite": [*data, "--algos", ",".join(tskfuzzy.cli.ALGORITHMS),
+                  "--set", f"iterations={iterations}"],
+        "RR-only": [*data, "--algos", "RR"],
+        "grad-check": ["--grad-check", "--set", "trials=5", "--seed", str(seed)],
+    }
+
+
+def write_widened_csv(path: Path, rows: int, seed: int) -> None:
+    """The synthetic problem plus three noisy copies of x1..x3, so that the
+    8 input columns go through PCA down to 5."""
+    data = tskfuzzy.make_synthetic(rows, seed=seed)
+    noise = np.random.default_rng(seed).standard_normal((rows, 3))
+    table = np.column_stack([data.X, data.X[:, :3] + 0.1 * noise, data.y])
+    header = ",".join([f"x{j + 1}" for j in range(8)] + ["y"])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def cli_output(pkg, argv: list, out: Path) -> dict:
+    """Run pkg's cli.main with --out out; returns its exit status and the
+    text of every file it wrote, summary.csv without its seconds column."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        written = {"exit status": str(pkg.cli.main([*argv, "--out", str(out)]))}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "summary.csv":
+            text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+        written[str(path.relative_to(out))] = text
+    return written
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mfs", type=int, nargs="+", default=[2, 3, 4])
@@ -128,7 +172,25 @@ def main(argv=None) -> int:
                 f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
                 flush=True,
             )
-    print("all identical" if not failures else f"{failures} algorithm runs differ")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_widened_csv(tmp / "data.csv", args.rows, args.seed)
+        for label, cmd in command_lines(tmp / "data.csv", args.iterations, args.seed).items():
+            t0 = time.perf_counter()
+            new = cli_output(tskfuzzy, cmd, tmp / "new" / label)
+            t1 = time.perf_counter()
+            ref = cli_output(reference, cmd, tmp / "ref" / label)
+            t2 = time.perf_counter()
+            differ = sorted(k for k in new.keys() | ref.keys() if new.get(k) != ref.get(k))
+            failures += bool(differ)
+            verdict = "identical" if not differ else "DIFFERS in " + ", ".join(differ)
+            print(
+                f"cli {label:<16} {len(ref) - 1} files {verdict}  "
+                f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
+                flush=True,
+            )
+    print("all identical" if not failures else f"{failures} runs differ")
     return 1 if failures else 0
 
 

@@ -9,19 +9,19 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_csv, make_synthetic
+from .data import load_csv, make_synthetic
 from .errors import ConstantFeature, GridTooLarge, MissingTarget, SchemaMismatch, TooSmall
 from .loss import finite_diff_grad, gradients
 from .model import RuleGrid, TskModel, param_count
 from .trainer import (
     RidgeConfig,
     TrainConfig,
-    fmt_decimal,
+    _write_csv,
     percent_improvement,
     run_suite,
     write_history_csv,
@@ -67,26 +67,20 @@ def algorithm_config(name: str, overrides: dict | None = None):
     overrides = overrides or {}
     if entry.get("ridge"):
         return RidgeConfig(lam=float(overrides.get("lam", 0.05)))
-    cfg = TrainConfig(**entry)
     valid = {f.name for f in dataclasses.fields(TrainConfig)}
     bad = set(overrides) - valid
     if bad:
         raise ValueError(f"unknown config fields: {sorted(bad)}")
-    return replace(cfg, **overrides)
-
-
-def _load_stage(spec: ExperimentSpec) -> Dataset:
-    if spec.data == "synthetic":
-        return make_synthetic()
-    if spec.target is None:
-        raise MissingTarget("a --target column is required for CSV datasets")
-    return load_csv(spec.data, spec.target)
+    return TrainConfig(**{**entry, **overrides})
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run the spec end to end; returns 0 on success, nonzero otherwise."""
+    stage = "load"
     try:
-        dataset = _load_stage(spec)
+        if spec.data != "synthetic" and spec.target is None:
+            raise MissingTarget("a --target column is required for CSV datasets")
+        dataset = make_synthetic() if spec.data == "synthetic" else load_csv(spec.data, spec.target)
         configs = {name: algorithm_config(name, spec.overrides) for name in spec.algos}
         iterative = [c for c in configs.values() if isinstance(c, TrainConfig)]
         unused = [] if iterative else [k for k in spec.overrides if k != "lam"]
@@ -96,21 +90,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
             raise ValueError("iterations must be >= 1: the summary needs a best iteration")
         if spec.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
-    except Exception as exc:
-        print(f"error in load: {exc}", file=sys.stderr)
-        return 1
-    try:
+        stage = "train"
         suite = run_suite(configs, dataset, repeats=spec.repeats, seed=spec.seed)
-    except (ConstantFeature, SchemaMismatch, TooSmall) as exc:
-        print(f"error in preprocess: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"error in train: {exc}", file=sys.stderr)
-        return 1
-    try:
+        stage = "write"
         _write_stage(spec, configs, suite)
-    except OSError as exc:
-        print(f"error in write: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if stage == "train" and isinstance(exc, (ConstantFeature, SchemaMismatch, TooSmall)):
+            stage = "preprocess"
+        print(f"error in {stage}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -118,30 +105,20 @@ def run_experiment(spec: ExperimentSpec) -> int:
 def _write_stage(spec: ExperimentSpec, configs: dict, suite: dict) -> None:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    iterative = [n for n in spec.algos if not isinstance(configs[n], RidgeConfig)]
-    for name in iterative:
-        write_history_csv(suite[name], out / f"history_{name}.csv")
-    if "MBGD" in spec.algos:
-        base = suite["MBGD"].test_rmse
-        for name in iterative:
-            if name == "MBGD":
-                continue
-            curve = percent_improvement(base, suite[name].test_rmse)
-            lines = ["iter,percent"]
-            lines += [f"{i + 1},{fmt_decimal(p)}" for i, p in enumerate(curve)]
-            (out / f"improvement_{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["algo,best_test_rmse,best_iter,mean_final_test_rmse,seconds"]
+    summary = []
     for name in spec.algos:
-        hist = suite[name]
-        if isinstance(configs[name], RidgeConfig):
-            best = final = float(hist.test_rmse[0])
-            best_iter = 0
-        else:
-            best_iter = int(np.argmin(hist.test_rmse)) + 1
-            best = float(hist.test_rmse[best_iter - 1])
-            final = float(hist.test_rmse[-1])
-        lines.append(f"{name},{fmt_decimal(best)},{best_iter},{fmt_decimal(final)},{hist.seconds:.3f}")
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        test = suite[name].test_rmse
+        iterative = isinstance(configs[name], TrainConfig)
+        if iterative:
+            write_history_csv(suite[name], out / f"history_{name}.csv")
+        if iterative and name != "MBGD" and "MBGD" in spec.algos:
+            curve = percent_improvement(suite["MBGD"].test_rmse, test)
+            _write_csv(out / f"improvement_{name}.csv", "iter,percent", enumerate(curve, 1))
+        # ridge's one closed-form fit comes before any iteration: its best_iter is 0
+        best = int(np.argmin(test))
+        summary.append((name, test[best], best + iterative, test[-1], f"{suite[name].seconds:.3f}"))
+    header = "algo,best_test_rmse,best_iter,mean_final_test_rmse,seconds"
+    _write_csv(out / "summary.csv", header, summary)
 
 
 def emit_gradient_check_report(
@@ -227,38 +204,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The --config keys with their defaults, and the JSON types each accepts. The
+# type must match exactly, so a bool is never an int, and a default passes as
+# itself: null where it is None.
+SETTINGS = {"data": None, "target": None, "algos": None, "repeats": 10,
+            "seed": 0, "out": "results", "set": {}}
+SETTING_TYPES = {"data": (str,), "target": (str, int), "algos": (str, list), "repeats": (int,),
+                 "seed": (int,), "out": (str,), "set": (dict,)}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    settings = {"data": None, "target": None, "algos": None, "repeats": 10,
-                "seed": 0, "out": "results", "set": {}}
-    if args.config:
-        try:
+    settings = dict(SETTINGS)
+    try:
+        if args.config:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
             if not isinstance(loaded, dict):
                 raise ValueError(f"config must be a JSON object, got {loaded!r}")
             unknown = sorted(set(loaded) - set(settings))
             if unknown:
                 raise ValueError(f"unknown config keys {unknown} (known: {sorted(settings)})")
-        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-            print(f"error in load: {exc}", file=sys.stderr)
-            return 1
-        settings.update(loaded)
-    for key in ("data", "target", "algos", "repeats", "seed", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    try:
-        if not isinstance(settings["set"], dict):
-            raise ValueError(f'config "set" must map keys to values, got {settings["set"]!r}')
-        if not isinstance(settings["out"], str):
-            raise ValueError(f'config "out" must be a path string, got {settings["out"]!r}')
+            settings.update(loaded)
+        for key in ("data", "target", "algos", "repeats", "seed", "out"):
+            if getattr(args, key) is not None:
+                settings[key] = getattr(args, key)
+        for key, value in settings.items():
+            if value is not SETTINGS[key] and type(value) not in SETTING_TYPES[key]:
+                names = " or ".join(t.__name__ for t in SETTING_TYPES[key])
+                got = f"{type(value).__name__} {value!r}"
+                raise ValueError(f'config "{key}" must be {names}, got {got}')
         overrides = _parse_set([f"{k}={v}" for k, v in settings["set"].items()] + args.set)
         unused = [k for k in overrides if (k in GRAD_CHECK_KEYS) != args.grad_check]
         if unused:
             mode = "--grad-check" if args.grad_check else "training"
             raise ValueError(f"--set {unused[0]!r} has no effect on a {mode} run")
-        repeats, seed = int(settings["repeats"]), int(settings["seed"])
-    except (TypeError, ValueError) as exc:
+        if settings["data"] is None and not args.grad_check:
+            raise ValueError("--data is required")
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error in load: {exc}", file=sys.stderr)
         return 1
 
@@ -268,20 +250,15 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             report = emit_gradient_check_report(
                 overrides.get("M", 2), overrides.get("Mm", 2),
-                overrides.get("trials", 100), seed, out / "grad_check.txt",
+                overrides.get("trials", 100), settings["seed"], out / "grad_check.txt",
             )
-        except ValueError as exc:
-            print(f"error in train: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error in write: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            stage = "write" if isinstance(exc, OSError) else "train"
+            print(f"error in {stage}: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {report}")
         return 0
 
-    if settings["data"] is None:
-        print("error in load: --data is required", file=sys.stderr)
-        return 1
     algos = settings["algos"]
     if isinstance(algos, str):
         algos = [a.strip() for a in algos.split(",") if a.strip()]
@@ -292,7 +269,7 @@ def main(argv=None) -> int:
         data=settings["data"],
         target=target,
         algos=algos or list(DEFAULT_ALGOS),
-        repeats=repeats, seed=seed,
+        repeats=settings["repeats"], seed=settings["seed"],
         out_dir=settings["out"],
         overrides=overrides,
     )

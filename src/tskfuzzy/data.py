@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,9 +66,9 @@ def load_csv(path, target) -> Dataset:
     target selects the output column by name or 0-based position.
     Columns whose first data cell is not numeric are treated as
     categorical and dropped with a warning; a non-numeric cell appearing
-    later inside a numeric column is an error.
+    later inside a numeric column is an error. A bool or int path is a TypeError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(os.fspath(path), newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")

@@ -215,20 +215,28 @@ def save_model(model: TskModel, path) -> None:
 def load_model(path) -> TskModel:
     """Read a checkpoint written by save_model. Raises ParseError, naming the
     file and the 1-based line, for a header that is not `M=<int>`/`Mm=<int>`
-    or a value that is not a finite number, and LengthMismatch for a wrong
-    number of values."""
+    with both at least 1 and a parameter count that fits in int64, for a
+    value that is not a finite number and for a sigma below SIGMA_TINY, and
+    LengthMismatch for a wrong number of values."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
         raise ParseError(f"{path}: checkpoint must start with 'M=<int>' and 'Mm=<int>' lines")
     for (i, ln), key in zip(lines, ("M=", "Mm=")):
-        if not (ln.startswith(key) and ln[len(key) :].isdecimal()):
-            raise ParseError(f"{path}, line {i}: expected '{key}<int>', got {ln!r}")
-    values = [_parse_number(ln) for _, ln in lines[2:]]
-    if None in values:
-        i, ln = lines[2 + values.index(None)]
-        raise ParseError(f"{path}, line {i}: expected a finite number, got {ln!r}")
+        if not (ln.startswith(key) and ln[len(key) :].lstrip("0").isdecimal()):  # an int >= 1
+            raise ParseError(f"{path}, line {i}: expected '{key}<int >= 1>', got {ln!r}")
     num_inputs, mfs_per_input = int(lines[0][1][2:]), int(lines[1][1][3:])
+    try:
+        param_count(num_inputs, mfs_per_input)
+    except OverflowError as exc:
+        raise ParseError(f"{path}, line {lines[0][0]}: {exc}, got {lines[0][1]!r}") from exc
+    values = [_parse_number(ln) for _, ln in lines[2:]]
+    n_mf = num_inputs * mfs_per_input
+    for k, v in enumerate(values):
+        if v is None or (n_mf <= k < 2 * n_mf and v < SIGMA_TINY):
+            i, ln = lines[2 + k]
+            wanted = "a finite number" if v is None else f"a sigma >= {SIGMA_TINY:.3g}"
+            raise ParseError(f"{path}, line {i}: expected {wanted}, got {ln!r}")
     return unflatten(np.array(values), num_inputs, mfs_per_input)
 
 

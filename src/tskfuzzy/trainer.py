@@ -10,6 +10,7 @@ stops the run with Diverged.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -88,15 +89,18 @@ def fmt_decimal(value: float) -> str:
     )
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row: floats in fmt_decimal, every
+    other cell as str() gives it."""
+    body = [",".join(fmt_decimal(c) if isinstance(c, float) else str(c) for c in row)
+            for row in rows]
+    Path(path).write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+
+
 def write_history_csv(history: TrainHistory, path) -> None:
     """iter,train_rmse,test_rmse,loss,mean_lr — one row per iteration."""
-    lines = ["iter,train_rmse,test_rmse,loss,mean_lr"]
-    for i in range(len(history.test_rmse)):
-        lines.append(
-            f"{i + 1},{fmt_decimal(history.train_rmse[i])},{fmt_decimal(history.test_rmse[i])},"
-            f"{fmt_decimal(history.loss[i])},{fmt_decimal(history.mean_lr[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    curves = (history.train_rmse, history.test_rmse, history.loss, history.mean_lr)
+    _write_csv(path, "iter,train_rmse,test_rmse,loss,mean_lr", zip(itertools.count(1), *curves))
 
 
 def rmse(model: TskModel, dataset: Dataset) -> float:
@@ -238,55 +242,45 @@ class RidgeConfig:
 
 
 def _ridge_history(cfg: RidgeConfig, train_set: Dataset, test_set: Dataset) -> TrainHistory:
+    """One closed-form fit as a one-entry history; its learning rates are 0."""
     t0 = time.perf_counter()
     lin = ridge_fit(train_set.X, train_set.y, cfg.lam)
     seconds = time.perf_counter() - t0
-    tr_resid = train_set.y - ridge_predict(lin, train_set.X)
-    te_resid = test_set.y - ridge_predict(lin, test_set.X)
-    objective = 0.5 * float(tr_resid @ tr_resid) + 0.5 * cfg.lam * float(
-        lin.weights @ lin.weights
-    )
-    return TrainHistory(
-        train_rmse=np.array([np.sqrt(np.mean(tr_resid**2))]),
-        test_rmse=np.array([np.sqrt(np.mean(te_resid**2))]),
-        loss=np.array([objective]),
-        mean_lr=np.array([0.0]),
-        seconds=seconds,
-    )
+    pred = ridge_predict(lin, train_set.X)
+    resid = train_set.y - pred
+    objective = 0.5 * float(resid @ resid) + 0.5 * cfg.lam * float(lin.weights @ lin.weights)
+    test_rmse = _rmse(test_set.y, ridge_predict(lin, test_set.X))
+    hist = np.array([[_rmse(train_set.y, pred), test_rmse, objective, 0.0, 0.0, 0.0]]).T
+    return TrainHistory(*hist[:4], seconds, *hist[4:])
 
 
 def _mean_histories(histories: list[TrainHistory]) -> TrainHistory:
-    def avg(attr):
-        stacked = [getattr(h, attr) for h in histories]
-        if any(s is None for s in stacked):
-            return None
-        return np.mean(stacked, axis=0)
-
-    return TrainHistory(**{f.name: avg(f.name) for f in fields(TrainHistory)})
+    return TrainHistory(*(np.mean([getattr(h, f.name) for h in histories], axis=0)
+                          for f in fields(TrainHistory)))
 
 
-def run_suite(configs, dataset: Dataset, repeats: int = 10, seed: int = 0, max_dims: int = 5):
+def run_suite(configs, dataset: Dataset, repeats: int = 10, seed: int = 0):
     """Run every configured algorithm over repeated fresh splits.
 
     configs maps an algorithm name to a TrainConfig or a RidgeConfig. Each
     repeat draws a fresh seeded 70/30 split, fits the preprocessor on the
     training portion only, and runs all algorithms on that identical split
     with identical training seeds (so their batch sequences are paired).
-    Histories are averaged pointwise across repeats.
+    Histories are averaged pointwise across repeats. A ridge history holds
+    one entry per curve, with learning rates of 0.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     collected = {name: [] for name in configs}
     for j in range(repeats):
         tr, te = split(dataset, 0.7, np.random.default_rng((seed, j, 0)))
-        pre = fit_preprocessor(tr, max_dims)
+        pre = fit_preprocessor(tr)
         tr_p = apply_preprocessor(pre, tr)
         te_p = apply_preprocessor(pre, te)
         for name, cfg in configs.items():
             if isinstance(cfg, RidgeConfig):
-                collected[name].append(_ridge_history(cfg, tr_p, te_p))
+                hist = _ridge_history(cfg, tr_p, te_p)
             else:
-                run_cfg = replace(cfg, seed=(seed, j, 1))
-                _, hist = train(run_cfg, tr_p, te_p)
-                collected[name].append(hist)
+                _, hist = train(replace(cfg, seed=(seed, j, 1)), tr_p, te_p)
+            collected[name].append(hist)
     return {name: _mean_histories(hists) for name, hists in collected.items()}

@@ -268,9 +268,17 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
         {"algos": ["RR"]}, ["--set", "keep_prob=0.3", "--set", "iterations=3"], "load",
         "'keep_prob' has no effect on a ridge-only run",
     ),
+    "config data not a string": ({"data": ["synthetic"]}, [], "load", '"data" must be str'),
+    "config repeats a float": ({"repeats": 2.5}, [], "load", '"repeats" must be int, got float'),
+    "config seed a bool": ({"seed": True}, [], "load", '"seed" must be int, got bool'),
+    "constant target column": (
+        {"data": "constant_y.csv", "target": "y", "algos": ["MBGD", "MBGD-RDA"]},
+        ["--set", "iterations=3"], "write", "baseline curve contains zeros",
+    ),
 }
 FILES = {  # written to the working directory of every BAD_INPUTS case
     "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),
+    "constant_y.csv": "a,b,y\n" + "".join(f"{i},{i % 3},1\n" for i in range(20)),
     "not.json": "{data: synthetic}",
     "list.json": '["data", "synthetic"]',
     "a_file": "",

@@ -1,6 +1,11 @@
 """CSV ingestion, preprocessing (z-scores, centering, PCA), splitting,
 and batch sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,6 +76,26 @@ class TestLoadCsv:
         path.write_text("a,y\n1,2\nnan,4\n")
         with pytest.raises(ParseError):
             load_csv(path, "y")
+
+    def test_bool_path_raises_type_error_and_keeps_stdout(self):
+        """open(True) would open file descriptor 1 and close it on the way
+        out, so this runs in its own interpreter."""
+        script = (
+            "import os\n"
+            "from tskfuzzy import load_csv\n"
+            "try:\n"
+            "    load_csv(True, 'y')\n"
+            "except TypeError as exc:\n"
+            "    os.fstat(1)\n"
+            "    print('TypeError:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("TypeError: ") and "bool" in done.stdout
 
 
 class TestSplit:

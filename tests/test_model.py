@@ -585,7 +585,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "line, text",
         [(1, "M=x"), (1, "Mm=1"), (2, "Mm=2.5"), (3, "foo"), (3, "nan"), (6, "-inf"),
-         (10, "1e999")],
+         (10, "1e999"), (1, "M=0"), (2, "Mm=0"), (1, "M=99"), (5, "-1.0"), (6, "1e-200")],
     )
     def test_bad_line_raises_parse_error_naming_it(self, tmp_path, line, text):
         model = init_model([0.0], [1.0], [0.5], 2)

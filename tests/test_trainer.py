@@ -332,6 +332,8 @@ class TestRunSuite:
         suite = run_suite({"rr": RidgeConfig(0.05)}, data, repeats=3, seed=5)
         assert suite["rr"].test_rmse.shape == (1,)
         assert np.isfinite(suite["rr"].test_rmse[0])
+        for curve in (suite["rr"].mean_lr, suite["rr"].min_lr, suite["rr"].max_lr):
+            np.testing.assert_array_equal(curve, [0.0])
 
     def test_mean_is_pointwise(self):
         data = make_synthetic(200, seed=8)
