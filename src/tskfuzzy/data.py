@@ -67,22 +67,47 @@ def load_csv(path, target) -> Dataset:
     Columns whose first data cell is not numeric are treated as
     categorical and dropped with a warning; a non-numeric cell appearing
     later inside a numeric column is an error. A bool or int path is a TypeError.
+
+    A file whose data rows np.loadtxt reads as finite numbers, one per
+    header column, is parsed in that one call; it accepts no cell that
+    float() refuses, and gives the same value. Any other file is read cell
+    by cell, which raises the errors above.
     """
+    with open(os.fspath(path), newline="", encoding="utf-8") as fh:
+        header = next((row for row in csv.reader(fh) if row and any(c.strip() for c in row)), [])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a file with no data rows warns
+                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except (ValueError, UserWarning):
+            values = None
+    if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
+        return _load_csv_cells(path, target)
+    header = [h.strip() for h in header]
+    t = _target_index(header, target)
+    names = [h for j, h in enumerate(header) if j != t]
+    return Dataset(np.delete(values, t, axis=1), values[:, t].copy(), names)
+
+
+def _target_index(header: list, target) -> int:
+    if isinstance(target, int):
+        if not 0 <= target < len(header):
+            raise MissingTarget(f"target index {target} out of range for {len(header)} columns")
+        return target
+    if target not in header:
+        raise MissingTarget(f"no column named {target!r} in {header}")
+    return header.index(target)
+
+
+def _load_csv_cells(path, target) -> Dataset:
+    """load_csv, one cell at a time through _parse_number."""
     with open(os.fspath(path), newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
     body = rows[1:]
-
-    if isinstance(target, int):
-        if not 0 <= target < len(header):
-            raise MissingTarget(f"target index {target} out of range for {len(header)} columns")
-        target_idx = target
-    else:
-        if target not in header:
-            raise MissingTarget(f"no column named {target!r} in {header}")
-        target_idx = header.index(target)
+    target_idx = _target_index(header, target)
 
     for i, row in enumerate(body):
         if len(row) != len(header):
@@ -98,7 +123,7 @@ def load_csv(path, target) -> Dataset:
     ]
     for j in range(len(header)):
         if j != target_idx and j not in numeric_cols:
-            warnings.warn(f"dropping non-numeric column {header[j]!r}", stacklevel=2)
+            warnings.warn(f"dropping non-numeric column {header[j]!r}", stacklevel=3)
 
     X = np.empty((len(body), len(numeric_cols)))
     y = np.empty(len(body))
@@ -140,6 +165,9 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
     When the raw width exceeds max_dims, PCA on the z-scored training
     matrix keeps the top max_dims components by eigenvalue. Eigenvector
     signs are fixed so the largest-magnitude entry of each is positive.
+    Raises ConstantFeature for a constant input column, and for training
+    targets that are all equal: centered, they are all 0, which any model
+    fits exactly.
     """
     X = train.X
     means = X.mean(axis=0)
@@ -147,6 +175,8 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
     flat = np.flatnonzero(stds <= 0)
     if flat.size:
         raise ConstantFeature(f"feature {train.feature_names[flat[0]]!r} is constant")
+    if np.ptp(train.y) == 0:
+        raise ConstantFeature("the training targets are constant")
     projection = None
     if X.shape[1] > max_dims:
         Z = (X - means) / stds

@@ -6,7 +6,8 @@ class TskFuzzyError(ValueError):
 
 
 class ConstantFeature(TskFuzzyError):
-    """A feature has zero spread, so MF initialization or z-scoring is impossible."""
+    """A feature has zero spread, so MF initialization or z-scoring is
+    impossible, or the training targets do, so there is nothing to fit."""
 
 
 class LengthMismatch(TskFuzzyError):

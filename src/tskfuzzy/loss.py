@@ -75,7 +75,8 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     # Consequents: err * normalized firing, times (1, x). One [n, R] buffer
     # holds that product in the memory order of norm_firing (F from _kron),
     # then W in C order: OpenBLAS sums differently for the other order.
-    design = np.column_stack([np.ones(n), X])
+    design = np.empty((n, X.shape[1] + 1))
+    design[:, 0], design[:, 1:] = 1.0, X
     buf = np.multiply(err[:, None], fw.norm_firing, out=np.empty_like(fw.norm_firing))
     grad_b = buf.T @ design
     if lam != 0.0:
@@ -102,7 +103,8 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
         dx = X[:, :, None] - model.centers
         dx2 = dx**2
         floored = dx2 / (2.0 * model.sigmas**2) >= -_log_floor(M)
-    dx[floored] = dx2[floored] = 0.0
+    if floored.any():
+        dx[floored] = dx2[floored] = 0.0
     grad_c = (V * dx).sum(axis=0) / model.sigmas**2
     grad_s = (V * dx2).sum(axis=0) / model.sigmas**3
 

@@ -22,6 +22,7 @@ SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
 # Smallest sigma a model accepts: the forward divides by 2 sigma^2 and the
 # gradient by sigma^3, and neither underflows to 0 from here up.
 SIGMA_TINY = np.finfo(float).tiny ** (1 / 3)
+EVAL_BLOCK = 2**20  # elements of a [rows, R] array that predict() evaluates at once
 
 
 @dataclass(frozen=True)
@@ -345,10 +346,9 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     kept ones by more than log(finfo.max) would otherwise overflow to inf,
     and inf * 0 is NaN.
     """
-    if variant == "rule":
+    if variant == "rule" and not keep.any(axis=1).all():
         empty = np.flatnonzero(~keep.any(axis=1))
-        if empty.size:
-            raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
+        raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
     if variant in (None, "mf"):
         norm_firing = _kron(_input_softmax(model, X, keep))
     else:
@@ -422,17 +422,30 @@ def predict(model: TskModel, x):
     RuleGrid, so the consequents reshape to [Ra, Rb * (M + 1)] and
     sum_r p_r b_r = sum_{i_b} b * (a @ consequents). The output is the row
     dot of that with (1, x).
+
+    Rows are evaluated in min(N, ceil(N * R / EVAL_BLOCK)) near-equal
+    blocks, so the temporaries stay bounded in N and R; N * R up to
+    EVAL_BLOCK is one block.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
+    n = X.shape[0]
+    blocks = min(n, -(-n * model.num_rules // EVAL_BLOCK))
+    if blocks > 1:
+        return np.concatenate([_predict_rows(model, b) for b in np.array_split(X, blocks)])
+    pred = _predict_rows(model, X)
+    return float(pred[0]) if x.ndim == 1 else pred
+
+
+def _predict_rows(model: TskModel, X: np.ndarray) -> np.ndarray:
+    """predict() of the [N, M] rows of X as one block."""
     grades = _input_softmax(model, X)
     k = (model.num_inputs + 1) // 2
     a, b = _kron(grades[:, :, :k]), _kron(grades[:, :, k:])
     n, cols = X.shape[0], model.num_inputs + 1
     ab = (a @ model.consequents.reshape(a.shape[1], -1)).reshape(n, b.shape[1], cols)
     out = np.einsum("nb,nbj->nj", b, ab)
-    pred = out[:, 0] + np.einsum("nm,nm->n", out[:, 1:], X)
-    return float(pred[0]) if x.ndim == 1 else pred
+    return out[:, 0] + np.einsum("nm,nm->n", out[:, 1:], X)
 
 
 def _kron(grades: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def adabound_step(
         raise LengthMismatch(
             f"theta {theta.shape}, gradient {g.shape}, state {state.m.shape} must agree"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         bad = np.flatnonzero(~np.isfinite(g))
         raise NonFiniteGradient(f"gradient has non-finite entries at indices {bad[:5]}")
     k = state.k + 1
@@ -132,5 +132,5 @@ def adabound_step(
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g
     m_hat = m / (1.0 - hyper.beta1**k)
     v_hat = v / (1.0 - hyper.beta2**k)
-    rates = np.clip(hyper.alpha / (np.sqrt(v_hat) + hyper.epsilon), l, u)
+    rates = np.minimum(np.maximum(hyper.alpha / (np.sqrt(v_hat) + hyper.epsilon), l), u)
     return theta - rates * m_hat, MomentState(m, v, k, rates)

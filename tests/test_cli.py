@@ -272,8 +272,8 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "config repeats a float": ({"repeats": 2.5}, [], "load", '"repeats" must be int, got float'),
     "config seed a bool": ({"seed": True}, [], "load", '"seed" must be int, got bool'),
     "constant target column": (
-        {"data": "constant_y.csv", "target": "y", "algos": ["MBGD", "MBGD-RDA"]},
-        ["--set", "iterations=3"], "write", "baseline curve contains zeros",
+        {"data": "constant_y.csv", "target": "y", "algos": ["RR", "MBGD-RDA"]},
+        ["--set", "iterations=3"], "preprocess", "the training targets are constant",
     ),
 }
 FILES = {  # written to the working directory of every BAD_INPUTS case

@@ -4,6 +4,7 @@ and batch sampling."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from tskfuzzy import (
     sample_batch,
     split,
 )
+from tskfuzzy import data as data_module
 from tskfuzzy.errors import (
     ConstantFeature,
     MissingTarget,
@@ -25,7 +27,22 @@ from tskfuzzy.errors import (
     ParseError,
     SchemaMismatch,
     TooSmall,
+    TskFuzzyError,
 )
+
+
+SAME_AS_CELL_BY_CELL = {  # load_csv inputs, each read as the cell-by-cell path reads it
+    "underscore": "a,y\n1_0,2\n3,4\n",
+    "quoted numbers": 'a,y\n"1.5",2\n3,"4"\n',
+    "blank and whitespace-only rows": "\na,y\n\n1,2\n   \n , \n3,4\n",
+    "categorical column": "s,a,y\nM,1,2\nF,3,4\n",
+    "nan cell": "a,y\n1,2\nnan,4\n",
+    "nan target": "a,y\n1,2\n3,nan\n",
+    "padded cells and CRLF": "a, y \r\n 1 ,2\r\n3,\t4\r\n",
+    "wrong cell count": "a,y\n1,2\n3,4,5\n",
+    "header only": "a,y\n",
+    "missing target": "a,b\n1,2\n",
+}
 
 
 class TestLoadCsv:
@@ -76,6 +93,31 @@ class TestLoadCsv:
         path.write_text("a,y\n1,2\nnan,4\n")
         with pytest.raises(ParseError):
             load_csv(path, "y")
+
+    def test_numeric_file_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,b\n1.5,2,-3e2\n4,5,6\n")
+        monkeypatch.setattr(data_module, "_load_csv_cells", None)
+        d = load_csv(path, "y")
+        np.testing.assert_array_equal(d.X, [[1.5, -300.0], [4.0, 6.0]])
+        np.testing.assert_array_equal(d.y, [2.0, 5.0])
+        assert d.feature_names == ["a", "b"] and d.X.flags.c_contiguous and d.y.flags.c_contiguous
+
+    @pytest.mark.parametrize("text", SAME_AS_CELL_BY_CELL.values(), ids=list(SAME_AS_CELL_BY_CELL))
+    def test_same_dataset_or_error_as_cell_by_cell(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        outcomes = []
+        for read in (load_csv, data_module._load_csv_cells):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    d = read(path, "y")
+                    outcome = (d.X.tobytes(), d.X.shape, d.y.tobytes(), d.feature_names)
+                except TskFuzzyError as exc:
+                    outcome = (type(exc), str(exc))
+            outcomes.append((outcome, [str(w.message) for w in caught]))
+        assert outcomes[0] == outcomes[1]
 
     def test_bool_path_raises_type_error_and_keeps_stdout(self):
         """open(True) would open file descriptor 1 and close it on the way
@@ -163,6 +205,14 @@ class TestPreprocessor:
         X[:, 0] = np.arange(10.0)
         with pytest.raises(ConstantFeature):
             fit_preprocessor(Dataset(X, np.zeros(10)))
+
+    @pytest.mark.parametrize("value", [1.0, 0.1, 0.0])
+    def test_constant_target_rejected(self, value):
+        """Centered, a constant target is all 0, which every model fits
+        exactly, so a run on it would report a perfect fit of nothing."""
+        X = np.arange(20.0).reshape(10, 2) ** [1, 2]
+        with pytest.raises(ConstantFeature, match="training targets are constant"):
+            fit_preprocessor(Dataset(X, np.full(10, value)))
 
     def test_schema_mismatch(self):
         rng = np.random.default_rng(3)

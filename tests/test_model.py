@@ -34,7 +34,8 @@ from tskfuzzy import (
 )
 from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch, ParseError
 from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
-from tskfuzzy.model import SIGMA_TINY, _forward, _log_firing
+from tskfuzzy import model as model_module
+from tskfuzzy.model import EVAL_BLOCK, SIGMA_TINY, _forward, _log_firing
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -330,6 +331,60 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < X.shape[0] * model.num_rules * X.itemsize
+
+    def test_peak_memory_is_bounded_in_rows(self):
+        """predict works through its rows in blocks of EVAL_BLOCK // R rows,
+        so four blocks' worth of rows peak no higher than about one block."""
+        rng = np.random.default_rng(10)
+        model = random_model(5, 4, rng)
+        block = EVAL_BLOCK // model.num_rules
+        X = rng.standard_normal((4 * block, 5))
+        peaks = []
+        for rows in (X[:block], X):
+            predict(model, rows)
+            tracemalloc.start()
+            try:
+                predict(model, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("m, mm, n", [(5, 4, 2500), (3, 3, 700)])
+    def test_blocks_agree_with_the_training_forward(self, monkeypatch, m, mm, n):
+        """2500 rows at R=1024 are three blocks; at R=27 a small EVAL_BLOCK
+        makes 700 rows 19 blocks of 36 or 37. The two paths round apart, so
+        the limit is relative to the largest output."""
+        rng = np.random.default_rng(11)
+        model = random_model(m, mm, rng)
+        X = rng.standard_normal((n, m))
+        if model.num_rules < 1024:
+            monkeypatch.setattr(model_module, "EVAL_BLOCK", 1000)
+        want = _forward(model, X).pred
+        np.testing.assert_allclose(predict(model, X), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_one_row_is_never_split(self, monkeypatch):
+        """With a block budget below R, every row is its own block, and a
+        single row, 1-D or not, is one block; a 1-D row gives a float."""
+        rng = np.random.default_rng(12)
+        model = random_model(3, 2, rng)
+        X = rng.standard_normal((5, 3))
+        want = _forward(model, X).pred
+        monkeypatch.setattr(model_module, "EVAL_BLOCK", 1)
+        blocks = []
+        real = model_module._predict_rows
+
+        def counting(model, rows):
+            blocks.append(rows.shape[0])
+            return real(model, rows)
+
+        monkeypatch.setattr(model_module, "_predict_rows", counting)
+        single = predict(model, X[0])
+        assert type(single) is float and blocks == [1]
+        assert predict(model, X[:1]).shape == (1,) and blocks == [1, 1]
+        np.testing.assert_allclose(predict(model, X), want, rtol=1e-12)
+        assert blocks == [1] * 7
+        assert single == pytest.approx(want[0], rel=1e-12)
 
     def test_droprule_gradient_peak_memory(self):
         """The training counterpart: a DropRule gradient on 64 rows at R=1024

@@ -27,7 +27,13 @@ from tskfuzzy import (
     train,
     trainer,
 )
-from tskfuzzy.errors import Diverged, EmptyDataset, EmptyTrainingSet, ZeroBaseline
+from tskfuzzy.errors import (
+    DimensionMismatch,
+    Diverged,
+    EmptyDataset,
+    EmptyTrainingSet,
+    ZeroBaseline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -269,12 +275,13 @@ class TestDivergence:
         with pytest.raises(Diverged, match=message):
             train(quick(lr_scheme=scheme), tr, te)
 
-    # rmse() calls _rmse() too, so the train RMSE of iteration 2 is its third call
+    # _rmse() gives the train, then the test RMSE of every iteration, so
+    # iteration 2's train RMSE is its third call and its test RMSE its fourth
     @pytest.mark.parametrize(
         "name, call, label",
         [
             pytest.param("_rmse", 3, "train RMSE", id="_rmse-3-train"),
-            pytest.param("rmse", 2, "test RMSE", id="rmse-2-test"),
+            pytest.param("_rmse", 4, "test RMSE", id="_rmse-4-test"),
             pytest.param("_objective", 2, "batch loss", id="_objective-2-batch-loss"),
         ],
     )
@@ -300,6 +307,53 @@ class TestDivergence:
             message = r"^diverged at iteration 1: parameter \w+\[\d+, \d+\] is -?inf$"
             with pytest.raises(Diverged, match=message):
                 train(quick(lr_scheme="jang", alpha=1e308, drop_variant="none"), tr, te)
+
+
+class TestOneEvaluation:
+    """train() evaluates the stacked training and test rows in one predict()
+    per iteration."""
+
+    @pytest.mark.parametrize("num_inputs", [3, 5])
+    @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
+    @pytest.mark.parametrize("variant", ["none", "rule", "mf", "membership"])
+    def test_last_rmse_is_that_of_the_returned_model(self, variant, scheme, num_inputs):
+        data = make_synthetic(300, seed=5)
+        data = Dataset(data.X[:, :num_inputs], data.y)
+        tr, te = split(data, 0.7, np.random.default_rng(0))
+        pre = fit_preprocessor(tr)
+        tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+        model, hist = train(quick(iterations=8, drop_variant=variant, lr_scheme=scheme), tr, te)
+        assert rmse(model, tr) == hist.train_rmse[-1]
+        assert rmse(model, te) == hist.test_rmse[-1]
+
+    def test_one_predict_per_iteration(self, small_splits, monkeypatch):
+        tr, te = small_splits
+        rows = []
+        real = trainer.predict
+
+        def counting(model, X):
+            rows.append(len(X))
+            return real(model, X)
+
+        monkeypatch.setattr(trainer, "predict", counting)
+        train(quick(iterations=7), tr, te)
+        assert rows == [tr.n + te.n] * 7
+
+    def test_empty_test_set_raises_before_the_first_step(self, small_splits, monkeypatch):
+        tr, te = small_splits
+        empty = Dataset(te.X[:0], te.y[:0])
+        steps = []
+        monkeypatch.setattr(trainer, "gradients", lambda *args: steps.append(None))
+        with pytest.raises(EmptyDataset, match="^RMSE of an empty dataset is undefined$"):
+            train(quick(), tr, empty)
+        assert steps == []
+        _, hist = train(quick(iterations=0), tr, empty)
+        assert hist.test_rmse.shape == (0,)
+
+    def test_test_rows_of_another_width_raise(self, small_splits):
+        tr, te = small_splits
+        with pytest.raises(DimensionMismatch, match="test rows"):
+            train(quick(), tr, Dataset(te.X[:, :3], te.y))
 
 
 class TestRunSuite:
