@@ -2,14 +2,13 @@
 A TSK fuzzy system up close
 ===========================
 
-Build a tiny two-input system by hand, look at its membership grades and
-rule firing levels, and watch the weighted-average output respond.
+Build a tiny two-input system by hand, look at its rule firing levels,
+and watch the weighted-average output respond.
 """
 
 import numpy as np
 
 from tskfuzzy import (
-    GaussianMF,
     RuleGrid,
     TskModel,
     firing_levels,
@@ -39,11 +38,8 @@ consequents = np.array([
 model = TskModel(grid, centers, sigmas, consequents)
 print("parameters:", param_count(2, 2), "=", flatten(model).size)
 
-# A single MF is just a Gaussian bump.
-mf = GaussianMF(center=-1.0, sigma=1.0)
-print("grade at its center:", mf.grade(-1.0), " one sigma away:", round(mf.grade(0.0), 4))
-
-# Firing levels multiply the grades of each rule's antecedents.
+# Each MF is a Gaussian bump; a rule's firing level multiplies the grades
+# of its antecedents.
 for x in ([-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]):
     f = firing_levels(model, x)
     print(f"x={x}: firing={np.round(f, 4)}  outputs={rule_outputs(model, x)}  "
@@ -56,6 +52,6 @@ curve = [predict(model, [v, v]) for v in xs]
 print("diagonal sweep:", np.round(curve, 3))
 
 # Checkpoints are plain text: two header lines, one parameter per line.
-save_model(model, "/tmp/tsk_demo_model.txt")
-restored = load_model("/tmp/tsk_demo_model.txt")
+save_model(model, "tsk_demo_model.txt")
+restored = load_model("tsk_demo_model.txt")
 print("checkpoint round trip exact:", np.array_equal(flatten(restored), flatten(model)))

@@ -19,15 +19,9 @@ from .data import (
     split,
 )
 from .loss import finite_diff_grad, gradients, loss
-from .masks import (
-    DropMask,
-    sample_membership_mask,
-    sample_mf_mask,
-    sample_rule_mask,
-)
+from .masks import DropMask, sample_masks
 from .model import (
     SIGMA_MIN,
-    GaussianMF,
     RuleGrid,
     TskModel,
     firing_levels,
@@ -69,7 +63,6 @@ __all__ = [
     "AdaBoundHyper",
     "Dataset",
     "DropMask",
-    "GaussianMF",
     "JangLrState",
     "LinearModel",
     "MomentState",
@@ -105,9 +98,7 @@ __all__ = [
     "rule_outputs",
     "run_suite",
     "sample_batch",
-    "sample_membership_mask",
-    "sample_mf_mask",
-    "sample_rule_mask",
+    "sample_masks",
     "save_model",
     "sgd_step",
     "split",

@@ -73,7 +73,7 @@ def load_csv(path, target) -> Dataset:
     float() refuses, and gives the same value. Any other file is read cell
     by cell, which raises the errors above.
     """
-    with open(os.fspath(path), newline="", encoding="utf-8") as fh:
+    with open(os.fspath(path), newline="", encoding="utf-8-sig") as fh:
         header = next((row for row in csv.reader(fh) if row and any(c.strip() for c in row)), [])
         try:
             with warnings.catch_warnings():
@@ -101,7 +101,7 @@ def _target_index(header: list, target) -> int:
 
 def _load_csv_cells(path, target) -> Dataset:
     """load_csv, one cell at a time through _parse_number."""
-    with open(os.fspath(path), newline="", encoding="utf-8") as fh:
+    with open(os.fspath(path), newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
@@ -172,7 +172,9 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
     X = train.X
     means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=1)
-    flat = np.flatnonzero(stds <= 0)
+    # ptp is exact for equal values, whose std can round above 0; a spread
+    # too small to survive the std's squares is refused as well
+    flat = np.flatnonzero((np.ptp(X, axis=0) == 0) | (stds <= 0))
     if flat.size:
         raise ConstantFeature(f"feature {train.feature_names[flat[0]]!r} is constant")
     if np.ptp(train.y) == 0:

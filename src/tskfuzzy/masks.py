@@ -5,15 +5,15 @@ example under each, and how to draw them. How each variant changes the
 forward and the gradient is in model.py and loss.py. The masks
 of a batch are one rng.random((n, *shape)) <= keep_prob draw, so
 keep_prob = 1 keeps everything while consuming the same random numbers;
-the per-example samplers are its one-example case. A batch mask that keeps
-everything is treated as no mask, so it changes nothing by construction.
+one example's mask is sample_masks(variant, grid, 1, keep_prob, rng).keep[0].
+A batch mask that keeps everything is treated as no mask, so it changes
+nothing by construction.
 Masks are drawn once per training example and never applied at test time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,31 +63,3 @@ def sample_masks(variant: str, grid, n: int, keep_prob: float, rng) -> DropMask:
         else:
             keep[~keep.any(axis=1)] = True
     return DropMask(variant, keep)
-
-
-def _one_example(variant: str, keep_prob: float, rng, **sizes) -> DropMask:
-    keep = sample_masks(variant, SimpleNamespace(**sizes), 1, keep_prob, rng).keep
-    return DropMask(variant, keep[0])
-
-
-def sample_rule_mask(num_rules: int, keep_prob: float, rng) -> DropMask:
-    """Keep each rule with probability keep_prob, redrawing an all-dropped mask."""
-    return _one_example("rule", keep_prob, rng, num_rules=num_rules)
-
-
-def sample_mf_mask(num_inputs: int, mfs_per_input: int, keep_prob: float, rng) -> DropMask:
-    """Keep each shared MF with probability keep_prob.
-
-    A dropped MF grades 1 in every rule that uses it, which removes one
-    antecedent factor from all of those rules at once.
-    """
-    return _one_example("mf", keep_prob, rng, num_inputs=num_inputs, mfs_per_input=mfs_per_input)
-
-
-def sample_membership_mask(num_rules: int, num_inputs: int, keep_prob: float, rng) -> DropMask:
-    """Keep each (rule, input) membership slot with probability keep_prob.
-
-    Dropping a slot grades 1 in that one rule only, so each drop perturbs
-    exactly one firing level.
-    """
-    return _one_example("membership", keep_prob, rng, num_rules=num_rules, num_inputs=num_inputs)

@@ -8,7 +8,6 @@ weighted average of the rule consequents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,24 +22,6 @@ SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
 # gradient by sigma^3, and neither underflows to 0 from here up.
 SIGMA_TINY = np.finfo(float).tiny ** (1 / 3)
 EVAL_BLOCK = 2**20  # elements of a [rows, R] array that predict() evaluates at once
-
-
-@dataclass(frozen=True)
-class GaussianMF:
-    """One Gaussian membership function with a center and a width sigma > 0."""
-
-    center: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def grade(self, x):
-        """Membership grade exp(-(x - center)^2 / (2 sigma^2)), in (0, 1]."""
-        x = np.asarray(x, dtype=float)
-        g = np.exp(-((x - self.center) ** 2) / (2.0 * self.sigma**2))
-        return float(g) if g.ndim == 0 else g
 
 
 class RuleGrid:

@@ -84,9 +84,9 @@ class TrainHistory:
     test_rmse: np.ndarray
     loss: np.ndarray
     mean_lr: np.ndarray
+    min_lr: np.ndarray
+    max_lr: np.ndarray
     seconds: float = 0.0
-    min_lr: np.ndarray | None = None
-    max_lr: np.ndarray | None = None
 
 
 def fmt_decimal(value: float) -> str:
@@ -253,7 +253,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         )
     seconds = time.perf_counter() - t0
 
-    return model, TrainHistory(*hist[:4], seconds, *hist[4:])
+    return model, TrainHistory(*hist, seconds)
 
 
 @dataclass
@@ -273,7 +273,7 @@ def _ridge_history(cfg: RidgeConfig, train_set: Dataset, test_set: Dataset) -> T
     objective = 0.5 * float(resid @ resid) + 0.5 * cfg.lam * float(lin.weights @ lin.weights)
     test_rmse = _rmse(test_set.y, ridge_predict(lin, test_set.X))
     hist = np.array([[_rmse(train_set.y, pred), test_rmse, objective, 0.0, 0.0, 0.0]]).T
-    return TrainHistory(*hist[:4], seconds, *hist[4:])
+    return TrainHistory(*hist, seconds)
 
 
 def _mean_histories(histories: list[TrainHistory]) -> TrainHistory:

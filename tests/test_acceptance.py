@@ -31,9 +31,7 @@ from tskfuzzy import (
     param_count,
     ridge_fit,
     run_suite,
-    sample_membership_mask,
-    sample_mf_mask,
-    sample_rule_mask,
+    sample_masks,
     train,
 )
 from tskfuzzy.cli import ExperimentSpec, algorithm_config, run_experiment
@@ -247,11 +245,9 @@ def test_criterion_8_drop_variant_semantics():
 
     rule_ok = True
     for _ in range(50):
-        mask = sample_rule_mask(4, 0.5, rng)
-        f = firing_levels(model, x, mask)
-        rule_ok = rule_ok and np.all(f[~mask.keep] == 0.0) and np.array_equal(
-            f[mask.keep], base[mask.keep]
-        )
+        keep = sample_masks("rule", model.grid, 1, 0.5, rng).keep[0]
+        f = firing_levels(model, x, DropMask("rule", keep))
+        rule_ok = rule_ok and np.all(f[~keep] == 0.0) and np.array_equal(f[keep], base[keep])
 
     mf_ok = True
     for m in range(2):
@@ -271,15 +267,15 @@ def test_criterion_8_drop_variant_semantics():
             f = firing_levels(model, x, DropMask("membership", keep))
             slot_ok = slot_ok and np.flatnonzero(f != base).tolist() == [r]
 
-    def keep_rate(sampler, per_mask, draws, p):
-        kept = sum(sampler().keep.sum() for _ in range(draws))
+    def keep_rate(variant, grid, per_mask, draws, p):
+        kept = sum(sample_masks(variant, grid, 1, p, rng).keep[0].sum() for _ in range(draws))
         n = draws * per_mask
         return abs(kept / n - p) < 3 * np.sqrt(p * (1 - p) / n)
 
     rate_ok = (
-        keep_rate(lambda: sample_rule_mask(32, 0.5, rng), 32, 313, 0.5)
-        and keep_rate(lambda: sample_mf_mask(2, 2, 0.5, rng), 4, 2500, 0.5)
-        and keep_rate(lambda: sample_membership_mask(4, 2, 0.5, rng), 8, 1250, 0.5)
+        keep_rate("rule", RuleGrid(5, 2), 32, 313, 0.5)
+        and keep_rate("mf", RuleGrid(2, 2), 4, 2500, 0.5)
+        and keep_rate("membership", RuleGrid(2, 2), 8, 1250, 0.5)
     )
     ok = rule_ok and mf_ok and slot_ok and rate_ok
     report(

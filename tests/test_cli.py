@@ -82,6 +82,8 @@ class TestHistoryCsv:
             test_rmse=np.array([2.0, 1.0]),
             loss=np.array([10.0, 5.0]),
             mean_lr=np.array([0.01, 0.0123456789012]),
+            min_lr=np.array([0.01, 0.01]),
+            max_lr=np.array([0.01, 0.015]),
         )
         path = tmp_path / "h.csv"
         write_history_csv(hist, path)

@@ -119,6 +119,19 @@ class TestLoadCsv:
             outcomes.append((outcome, [str(w.message) for w in caught]))
         assert outcomes[0] == outcomes[1]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, monkeypatch):
+        """Spreadsheet exports often start with a UTF-8 byte-order mark. Both
+        parse paths drop it, so the first column can be named as the target."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,y\n1,2\n3,4\n")
+        cells = data_module._load_csv_cells
+        monkeypatch.setattr(data_module, "_load_csv_cells", None)  # load_csv must not fall back
+        for read in (load_csv, cells):
+            assert read(path, "y").feature_names == ["a"]
+            d = read(path, "a")
+            assert d.feature_names == ["y"]
+            np.testing.assert_array_equal(d.y, [1.0, 3.0])
+
     def test_bool_path_raises_type_error_and_keeps_stdout(self):
         """open(True) would open file descriptor 1 and close it on the way
         out, so this runs in its own interpreter."""
@@ -205,6 +218,15 @@ class TestPreprocessor:
         X[:, 0] = np.arange(10.0)
         with pytest.raises(ConstantFeature):
             fit_preprocessor(Dataset(X, np.zeros(10)))
+
+    def test_constant_column_whose_mean_rounds_rejected(self):
+        """Summed down a column, ten 0.1s have a mean that is not 0.1, so
+        their std is about 1e-17, not 0; the column is still constant and is
+        refused by name."""
+        X = np.column_stack([np.arange(10.0), np.full(10, 0.1)])
+        assert X.std(axis=0, ddof=1)[1] > 0
+        with pytest.raises(ConstantFeature, match="'x2'"):
+            fit_preprocessor(Dataset(X, np.arange(10.0)))
 
     @pytest.mark.parametrize("value", [1.0, 0.1, 0.0])
     def test_constant_target_rejected(self, value):

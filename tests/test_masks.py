@@ -1,20 +1,14 @@
 """Drop-mask sampling: keep semantics, structural effects, and statistics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tskfuzzy import (
-    DropMask,
-    RuleGrid,
-    TskModel,
-    firing_levels,
-    sample_membership_mask,
-    sample_mf_mask,
-    sample_rule_mask,
-)
-from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
+from tskfuzzy import DropMask, RuleGrid, TskModel, firing_levels, sample_masks
+from tskfuzzy.masks import KEEP_AXES, keep_shape
 
 
 def _model(rng, num_inputs=2, mfs_per_input=2):
@@ -27,21 +21,25 @@ def _model(rng, num_inputs=2, mfs_per_input=2):
     )
 
 
+def one_mask(variant, grid, keep_prob, rng):
+    """One example's keep array: the batch draw of a single example."""
+    return sample_masks(variant, grid, 1, keep_prob, rng).keep[0]
+
+
 def test_keep_prob_one_keeps_everything():
     rng = np.random.default_rng(0)
+    grid = RuleGrid(5, 2)  # 32 rules
     for _ in range(20):
-        assert sample_rule_mask(32, 1.0, rng).keep.all()
-        assert sample_mf_mask(5, 2, 1.0, rng).keep.all()
-        assert sample_membership_mask(32, 5, 1.0, rng).keep.all()
+        for variant in ("rule", "mf", "membership"):
+            assert one_mask(variant, grid, 1.0, rng).all()
 
 
 def test_same_seed_same_stream():
     streams = []
+    grid = RuleGrid(3, 2)  # 8 rules
     for _ in range(2):
         rng = np.random.default_rng(1234)
-        drawn = [sample_rule_mask(8, 0.5, rng).keep for _ in range(50)]
-        drawn += [sample_mf_mask(3, 2, 0.5, rng).keep for _ in range(50)]
-        drawn += [sample_membership_mask(8, 3, 0.5, rng).keep for _ in range(50)]
+        drawn = [one_mask(v, grid, 0.5, rng) for v in ("rule", "mf", "membership") for _ in range(50)]
         streams.append(np.concatenate([k.ravel() for k in drawn]))
     np.testing.assert_array_equal(streams[0], streams[1])
 
@@ -50,15 +48,16 @@ def test_rule_keep_rate_concentrates():
     """10,000 masks of 32 rules at keep probability 0.5 land well inside
     the 0.5 +/- 0.02 band (3 sigma of a 10,000-trial binomial)."""
     rng = np.random.default_rng(7)
-    kept = sum(sample_rule_mask(32, 0.5, rng).keep.sum() for _ in range(10_000))
+    grid = RuleGrid(5, 2)  # 32 rules
+    kept = sum(one_mask("rule", grid, 0.5, rng).sum() for _ in range(10_000))
     assert abs(kept / (10_000 * 32) - 0.5) < 0.02
 
 
 def test_all_dropped_rule_mask_falls_back_to_all_keep():
     # with an effectively zero keep probability every draw is rejected
     rng = np.random.default_rng(8)
-    mask = sample_rule_mask(2, 1e-12, rng)
-    assert mask.variant == "rule" and mask.keep.all()
+    mask = sample_masks("rule", RuleGrid(1, 2), 1, 1e-12, rng)
+    assert mask.variant == "rule" and mask.keep.shape == (1, 2) and mask.keep.all()
 
 
 def test_mf_drop_changes_exactly_shared_rule_count():
@@ -112,21 +111,13 @@ def test_structural_ordering_of_variants():
 
 def test_mf_and_membership_keep_rates():
     rng = np.random.default_rng(12)
-    kept = sum(sample_mf_mask(2, 2, 0.3, rng).keep.sum() for _ in range(2500))
+    grid = RuleGrid(2, 2)  # 4 rules
+    kept = sum(one_mask("mf", grid, 0.3, rng).sum() for _ in range(2500))
     n = 2500 * 4
     assert abs(kept / n - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
-    kept = sum(sample_membership_mask(4, 2, 0.7, rng).keep.sum() for _ in range(1250))
+    kept = sum(one_mask("membership", grid, 0.7, rng).sum() for _ in range(1250))
     n = 1250 * 8
     assert abs(kept / n - 0.7) < 3 * np.sqrt(0.7 * 0.3 / n)
-
-
-PER_EXAMPLE = {
-    "rule": lambda model, p, rng: sample_rule_mask(model.num_rules, p, rng),
-    "mf": lambda model, p, rng: sample_mf_mask(model.num_inputs, model.mfs_per_input, p, rng),
-    "membership": lambda model, p, rng: sample_membership_mask(
-        model.num_rules, model.num_inputs, p, rng
-    ),
-}
 
 
 def reference_rule_mask(num_rules, keep_prob, rng):
@@ -147,21 +138,23 @@ def reference_rule_mask(num_rules, keep_prob, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob, seed):
-    """Every per-example sampler draws what its definition says, from the
-    same stream positions: rule masks with their redraws and all-keep
-    fallback, MF and membership masks as one draw each."""
+    """A one-example draw of each variant is what its definition says, from
+    the same stream positions: rule masks with their redraws and all-keep
+    fallback, MF and membership masks as one draw each. The sizes need not
+    come from one grid, so they are given as a namespace."""
+    sizes = SimpleNamespace(num_rules=num_rules, num_inputs=shape[0], mfs_per_input=shape[1])
     rng = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
     for _ in range(5):
         np.testing.assert_array_equal(
-            sample_rule_mask(num_rules, keep_prob, rng).keep,
+            one_mask("rule", sizes, keep_prob, rng),
             reference_rule_mask(num_rules, keep_prob, ref),
         )
         np.testing.assert_array_equal(
-            sample_mf_mask(*shape, keep_prob, rng).keep, ref.random(shape) <= keep_prob
+            one_mask("mf", sizes, keep_prob, rng), ref.random(shape) <= keep_prob
         )
         np.testing.assert_array_equal(
-            sample_membership_mask(num_rules, shape[0], keep_prob, rng).keep,
+            one_mask("membership", sizes, keep_prob, rng),
             ref.random((num_rules, shape[0])) <= keep_prob,
         )
     assert rng.bit_generator.state == ref.bit_generator.state
@@ -177,7 +170,7 @@ def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob
 )
 def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
     """Unless a DropRule row is redrawn, the one-call batch draw gives the
-    masks of n sequential per-example draws bit for bit and leaves the
+    masks of n sequential one-example draws bit for bit and leaves the
     stream in the same state."""
     model = _model(np.random.default_rng(0), *grid)
     first = np.random.default_rng(seed).random((n, *keep_shape(variant, model.grid)))
@@ -186,7 +179,7 @@ def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
     batch_rng = np.random.default_rng(seed)
     seq_rng = np.random.default_rng(seed)
     mask = sample_masks(variant, model.grid, n, keep_prob, batch_rng)
-    expected = np.stack([PER_EXAMPLE[variant](model, keep_prob, seq_rng).keep for _ in range(n)])
+    expected = np.stack([one_mask(variant, model.grid, keep_prob, seq_rng) for _ in range(n)])
     assert mask.variant == variant
     assert mask.keep.dtype == bool
     np.testing.assert_array_equal(mask.keep, expected)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from tskfuzzy import (
     SIGMA_MIN,
     DropMask,
-    GaussianMF,
     RuleGrid,
     TskModel,
     finite_diff_grad,
@@ -46,31 +45,6 @@ def random_model(num_inputs, mfs_per_input, rng):
         rng.uniform(0.5, 2.0, (num_inputs, mfs_per_input)),
         rng.standard_normal((grid.num_rules, num_inputs + 1)),
     )
-
-
-class TestMembership:
-    def test_one_at_center(self):
-        assert GaussianMF(0.0, 1.0).grade(0.0) == 1.0
-
-    def test_unit_offset(self):
-        # exp(-0.5), evaluated independently
-        assert abs(GaussianMF(0.0, 1.0).grade(1.0) - 0.6065306597126334) < 1e-15
-
-    def test_half_width_offset(self):
-        # (3-2)^2 / (2 * 0.25) = 2, so the grade is exp(-2)
-        assert abs(GaussianMF(2.0, 0.5).grade(3.0) - 0.1353352832366127) < 1e-15
-
-    def test_decreasing_in_distance(self):
-        mf = GaussianMF(1.0, 0.7)
-        grades = mf.grade(1.0 + np.linspace(0.0, 4.0, 30))
-        assert np.all(np.diff(grades) < 0)
-        assert np.all(grades > 0) and np.all(grades <= 1.0)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            GaussianMF(0.0, 0.0)
-        with pytest.raises(ValueError):
-            GaussianMF(0.0, -1.0)
 
 
 class TestRuleGrid:
