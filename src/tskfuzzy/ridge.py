@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularSystem
 
@@ -25,6 +24,8 @@ def ridge_fit(X, y, lam: float = 0.05) -> LinearModel:
     factorization; the intercept is recovered from the means afterwards,
     which is what leaves it out of the penalty.
     """
+    import scipy.linalg  # at the first fit: it loads slower than numpy and this package together
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     x_mean = X.mean(axis=0)

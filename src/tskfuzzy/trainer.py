@@ -23,6 +23,7 @@ from .errors import (
     Diverged,
     EmptyDataset,
     EmptyTrainingSet,
+    GridTooLarge,
     LengthMismatch,
     ZeroBaseline,
 )
@@ -51,6 +52,23 @@ from .optim import (
 from .ridge import ridge_fit, ridge_predict
 
 LR_SCHEMES = ("jang", "adam", "adabound")
+MAX_TRAIN_BYTES = 2**30  # train() refuses a grid whose _step_bytes() pass this
+
+
+def _step_bytes(num_inputs: int, mfs_per_input: int, batch_size: int, drop_variant: str) -> int:
+    """Bytes of the arrays that grow with the rule count R = Mm^M and that a
+    training step holds at once, in integer arithmetic: RuleGrid.antecedents
+    (intp) and incidence, 12 float64 vectors of the parameter count (the
+    parameters, the gradient, the adaptive moments and the step's
+    temporaries), and 3 [batch_size, R] float64 arrays of a DropRule step,
+    [batch_size, R, M] under DropMembership. At R = 4**7 it bounds
+    tracemalloc's peak of train() on small data."""
+    M, Mm = num_inputs, mfs_per_input
+    R = Mm**M
+    grid = 8 * R * M * (1 + Mm)
+    params = 12 * 8 * (2 * M * Mm + (M + 1) * R)
+    per_row = R * M if drop_variant == "membership" else R
+    return grid + params + 3 * 8 * batch_size * per_row
 
 
 @dataclass
@@ -166,13 +184,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     loss() on the batch up to the roundoff of BLAS row blocking.
 
     Raises, before any work: ValueError for an unknown drop_variant or
-    lr_scheme, a keep_prob outside (0, 1], a batch_size below 1 or negative
-    iterations; DimensionMismatch for test rows of another width than the
-    training rows; EmptyDataset for an empty test set when there is an
-    iteration to evaluate. Raises Diverged, naming the iteration (counted
-    from 1, as in the history CSV) and the first bad coordinate, at the
-    first non-finite batch loss, gradient or parameter, and at the first
-    non-finite train or test RMSE, so no history holds one.
+    lr_scheme, a keep_prob outside (0, 1], a batch_size or mfs_per_input
+    below 1 or negative iterations; DimensionMismatch for test rows of
+    another width than the training rows; EmptyDataset for an empty test
+    set when there is an iteration to evaluate; GridTooLarge when
+    _step_bytes() of the grid and batch passes MAX_TRAIN_BYTES. Raises
+    Diverged, naming the iteration (counted from 1, as in the history CSV)
+    and the first bad coordinate, at the first non-finite batch loss,
+    gradient or parameter, and at the first non-finite train or test RMSE,
+    so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -192,6 +212,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         )
     if config.iterations and test_set.n == 0:
         raise EmptyDataset("RMSE of an empty dataset is undefined")
+    if not config.mfs_per_input >= 1:
+        raise ValueError(f"mfs_per_input must be >= 1, got {config.mfs_per_input}")
+    M, batch = train_set.X.shape[1], min(config.batch_size, train_set.n)
+    nbytes = _step_bytes(M, config.mfs_per_input, batch, config.drop_variant)
+    if nbytes > MAX_TRAIN_BYTES:
+        raise GridTooLarge(
+            f"a grid of {config.mfs_per_input}**{M} = {config.mfs_per_input**M} rules needs"
+            f" {nbytes} bytes per training step, over the {MAX_TRAIN_BYTES}-byte limit"
+        )
 
     model = init_model_from_data(train_set.X, config.mfs_per_input)
     grid = model.grid
@@ -265,6 +294,8 @@ class RidgeConfig:
 
 def _ridge_history(cfg: RidgeConfig, train_set: Dataset, test_set: Dataset) -> TrainHistory:
     """One closed-form fit as a one-entry history; its learning rates are 0."""
+    import scipy.linalg  # noqa: F401  ridge_fit's first-call import, kept off the fit's clock
+
     t0 = time.perf_counter()
     lin = ridge_fit(train_set.X, train_set.y, cfg.lam)
     seconds = time.perf_counter() - t0

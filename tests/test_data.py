@@ -1,14 +1,19 @@
 """CSV ingestion, preprocessing (z-scores, centering, PCA), splitting,
 and batch sampling."""
 
+import csv
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tskfuzzy import (
     Dataset,
@@ -151,6 +156,132 @@ class TestLoadCsv:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("TypeError: ") and "bool" in done.stdout
+
+
+# Cells of generated tables: finite numbers in several float() spellings,
+# non-finite ones and words, each possibly quoted and padded.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.4e}"),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1e3", "-0.0", "0", ".5", "5.", "+3", "1_0", "-1_000.5", "-1E-3"]),
+)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-nan"])
+WORDS = st.sampled_from(["M", "F", "red", "n/a", "", "0x10", "1,5", "1 0"])
+PADS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def cells(draw, values):
+    text = draw(PADS) + draw(values) + draw(PADS)
+    if draw(st.integers(0, 4)) == 0:
+        text = f'"{text}"'
+        if draw(st.integers(0, 9)) == 0:
+            text = " " + text  # csv keeps the quotes of a cell that starts with a space
+    return text
+
+
+@st.composite
+def csv_tables(draw):
+    """(file text, target name): a header, then data rows mixed with blank,
+    whitespace-only and ragged rows; an optional categorical first column
+    and byte-order mark; \\n or \\r\\n line ends."""
+    names = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    categorical = draw(st.booleans())
+    if categorical:
+        names.insert(0, "s")
+    target = draw(st.sampled_from([*names * 4, "absent"]))
+    odd, in_20 = cells(st.one_of(NON_FINITE, WORDS)), draw(st.sampled_from([0, 1, 4]))
+    number = st.integers(0, 19).flatmap(lambda i: odd if i < in_20 else cells(FINITE))
+    lines = [""] * draw(st.integers(0, 1)) + [",".join(draw(PADS) + n for n in names)]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["data"] * 20 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " , "])))
+        else:
+            width = len(names) + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            row = [draw(cells(WORDS)) if categorical and j == 0 else draw(number)
+                   for j in range(width)]
+            lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + end.join(lines) + end * draw(st.integers(0, 1)), target
+
+
+def _plain_number(cell: str):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _plain_csv_reader(path, target):
+    """load_csv written with csv and float() alone: (X, y, names), or the
+    error it raises."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    if len(rows) < 2:
+        raise ParseError("no data rows")
+    header = [h.strip() for h in rows[0]]
+    if target not in header:
+        raise MissingTarget(target)
+    t = header.index(target)
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise ParseError("ragged row")
+    first = rows[1]
+    if _plain_number(first[t]) is None:
+        raise NonNumericTarget(target)
+    cols = [j for j in range(len(header)) if j != t and _plain_number(first[j]) is not None]
+    X, y = [], []
+    for row in rows[1:]:
+        y.append(_plain_number(row[t]))
+        if y[-1] is None:
+            raise NonNumericTarget(row[t])
+        X.append([_plain_number(row[j]) for j in cols])
+        if None in X[-1]:
+            raise ParseError(row)
+    return np.array(X, dtype=float).reshape(len(y), len(cols)), np.array(y), [header[j] for j in cols]
+
+
+def _outcome(read, path, target):
+    """What read returns, as bytes and names, or its error; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = read(path, target)
+            X, y, names = (got.X, got.y, got.feature_names) if isinstance(got, Dataset) else got
+            outcome = (X.tobytes(), X.shape, y.tobytes(), names)
+        except TskFuzzyError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [str(w.message) for w in caught]
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("np.loadtxt is switched off")
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_load_csv_matches_a_plain_csv_reader(table):
+    """load_csv gives what csv + float() give, or an error of the same type,
+    and its np.loadtxt path and its cell-by-cell path agree exactly,
+    warnings and messages included."""
+    text, target = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _outcome(load_csv, path, target)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", _refuse)
+            assert _outcome(load_csv, path, target) == got
+        plain = _outcome(_plain_csv_reader, path, target)[0]
+    if isinstance(plain[0], type):  # the plain reader raised
+        assert got[0][0] is plain[0]
+    else:
+        assert got[0] == plain
 
 
 class TestSplit:

@@ -2,6 +2,7 @@
 configurations, determinism, divergence, and the repeated-experiment suite."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from tskfuzzy.errors import (
     Diverged,
     EmptyDataset,
     EmptyTrainingSet,
+    GridTooLarge,
     ZeroBaseline,
 )
 
@@ -223,7 +225,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value",
         [("batch_size", 0), ("batch_size", -1), ("iterations", -1),
-         ("drop_variant", "dropout"), ("lr_scheme", "sgd")],
+         ("drop_variant", "dropout"), ("lr_scheme", "sgd"), ("mfs_per_input", 0)],
     )
     def test_invalid_field_rejected(self, small_splits, field, value):
         tr, te = small_splits
@@ -245,6 +247,56 @@ class TestTrain:
             assert np.all(np.isfinite(curve))
         lin = ridge_fit(trp.X, trp.y, RidgeConfig().lam)
         assert hist.test_rmse[-1] < np.sqrt(np.mean((tep.y - ridge_predict(lin, tep.X)) ** 2))
+
+
+class TestGridLimit:
+    def test_ten_inputs_at_four_mfs_refused_before_allocating(self):
+        """M=10, Mm=4 is R = 1,048,576 rules: RuleGrid.incidence alone would
+        be 320 MiB and the 12 parameter-sized vectors 1056 MiB. train()
+        refuses it from the arithmetic, so nothing of that size is built."""
+        rng = np.random.default_rng(0)
+        tr = Dataset(rng.standard_normal((3, 10)), rng.standard_normal(3))
+        te = Dataset(rng.standard_normal((2, 10)), rng.standard_normal(2))
+        nbytes = trainer._step_bytes(10, 4, 3, "rule")
+        assert nbytes == 8 * 2**20 * 10 * 5 + 12 * 8 * (80 + 11 * 2**20) + 3 * 8 * 3 * 2**20
+        tracemalloc.start()
+        try:
+            expected = rf"^a grid of 4\*\*10 = 1048576 rules needs {nbytes} bytes"
+            with pytest.raises(GridTooLarge, match=expected):
+                train(TrainConfig(mfs_per_input=4), tr, te)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_limit_counts_the_batch_and_the_membership_slots(self):
+        """One [64, R] float64 array at R = 4**10 is 512 MiB. DropMembership
+        holds [batch, R, M] arrays in their place, so M=9, Mm=4 fits the
+        limit under DropRule and not under DropMembership."""
+        assert 8 * 64 * 4**10 == 512 * 2**20
+        rule = trainer._step_bytes(10, 4, 64, "rule")
+        assert rule - trainer._step_bytes(10, 4, 1, "rule") == 3 * 8 * 63 * 4**10
+        assert trainer._step_bytes(9, 4, 64, "rule") < trainer.MAX_TRAIN_BYTES
+        assert trainer._step_bytes(9, 4, 64, "membership") > trainer.MAX_TRAIN_BYTES
+
+    @pytest.mark.parametrize("variant", ["rule", "none", "mf", "membership"])
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_estimate_bounds_the_measured_peak(self, variant, n):
+        """At R = 4**7 = 16384 the arrays the estimate counts dominate, and
+        tracemalloc's peak of two iterations lies between half of it and
+        all of it."""
+        rng = np.random.default_rng(0)
+        tr = Dataset(rng.standard_normal((n, 7)), rng.standard_normal(n))
+        te = Dataset(rng.standard_normal((2, 7)), rng.standard_normal(2))
+        cfg = TrainConfig(mfs_per_input=4, iterations=2, drop_variant=variant)
+        tracemalloc.start()
+        try:
+            train(cfg, tr, te)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = trainer._step_bytes(7, 4, min(cfg.batch_size, n), variant)
+        assert estimate / 2 < peak <= estimate
 
 
 class TestDivergence:
