@@ -66,7 +66,7 @@ def algorithm_config(name: str, overrides: dict | None = None):
     entry = ALGORITHMS[name]
     overrides = overrides or {}
     if entry.get("ridge"):
-        return RidgeConfig(lam=float(overrides.get("lam", 0.05)))
+        return RidgeConfig(**{k: v for k, v in overrides.items() if k == "lam"})
     valid = {f.name for f in dataclasses.fields(TrainConfig)}
     bad = set(overrides) - valid
     if bad:

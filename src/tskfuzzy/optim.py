@@ -70,7 +70,8 @@ class MomentState:
     """First/second moment accumulators and the step counter.
 
     last_rates holds the realized per-coordinate rates of the most recent
-    step, for instrumentation only.
+    step; the trainer's mean_lr, min_lr and max_lr history curves are read
+    from it.
     """
 
     m: np.ndarray

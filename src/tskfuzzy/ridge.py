@@ -20,12 +20,12 @@ class LinearModel:
 def ridge_fit(X, y, lam: float = 0.05) -> LinearModel:
     """Minimize sum (y - b0 - X w)^2 + lam * ||w||^2 with the bias unpenalized.
 
-    Solved on column-centered data via a symmetric positive-definite
-    factorization; the intercept is recovered from the means afterwards,
-    which is what leaves it out of the penalty.
+    Solved on column-centered data via a Cholesky factorization; the
+    intercept is recovered from the means afterwards, which is what leaves
+    it out of the penalty. A negative or NaN lam raises ValueError.
     """
-    import scipy.linalg  # at the first fit: it loads slower than numpy and this package together
-
+    if not lam >= 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     x_mean = X.mean(axis=0)
@@ -33,8 +33,8 @@ def ridge_fit(X, y, lam: float = 0.05) -> LinearModel:
     Xc = X - x_mean
     A = Xc.T @ Xc + lam * np.eye(X.shape[1])
     try:
-        factor = scipy.linalg.cho_factor(A)
-        w = scipy.linalg.cho_solve(factor, Xc.T @ (y - y_mean))
+        L = np.linalg.cholesky(A)
+        w = np.linalg.solve(L.T, np.linalg.solve(L, Xc.T @ (y - y_mean)))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations are singular: {exc}") from exc
     return LinearModel(w, float(y_mean - x_mean @ w))

@@ -184,15 +184,16 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     loss() on the batch up to the roundoff of BLAS row blocking.
 
     Raises, before any work: ValueError for an unknown drop_variant or
-    lr_scheme, a keep_prob outside (0, 1], a batch_size or mfs_per_input
-    below 1 or negative iterations; DimensionMismatch for test rows of
-    another width than the training rows; EmptyDataset for an empty test
-    set when there is an iteration to evaluate; GridTooLarge when
-    _step_bytes() of the grid and batch passes MAX_TRAIN_BYTES. Raises
-    Diverged, naming the iteration (counted from 1, as in the history CSV)
-    and the first bad coordinate, at the first non-finite batch loss,
-    gradient or parameter, and at the first non-finite train or test RMSE,
-    so no history holds one.
+    lr_scheme, a keep_prob outside (0, 1], a negative lam, an alpha,
+    alpha_final or epsilon not above 0, a beta1 or beta2 outside [0, 1), a
+    batch_size or mfs_per_input below 1 or negative iterations (NaN fails
+    every range); DimensionMismatch for test rows of another width than
+    the training rows; EmptyDataset for an empty test set when there is an
+    iteration to evaluate; GridTooLarge when _step_bytes() of the grid and
+    batch passes MAX_TRAIN_BYTES. Raises Diverged, naming the iteration
+    (counted from 1, as in the history CSV) and the first bad coordinate,
+    at the first non-finite batch loss, gradient or parameter, and at the
+    first non-finite train or test RMSE, so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -202,6 +203,14 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
     if not 0.0 < config.keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {config.keep_prob}")
+    if not config.lam >= 0.0:
+        raise ValueError(f"lam must be >= 0, got {config.lam}")
+    for name in ("alpha", "alpha_final", "epsilon"):
+        if not getattr(config, name) > 0.0:
+            raise ValueError(f"{name} must be > 0, got {getattr(config, name)}")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= getattr(config, name) < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {getattr(config, name)}")
     if not config.batch_size >= 1:
         raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
     if not config.iterations >= 0:
@@ -294,8 +303,6 @@ class RidgeConfig:
 
 def _ridge_history(cfg: RidgeConfig, train_set: Dataset, test_set: Dataset) -> TrainHistory:
     """One closed-form fit as a one-entry history; its learning rates are 0."""
-    import scipy.linalg  # noqa: F401  ridge_fit's first-call import, kept off the fit's clock
-
     t0 = time.perf_counter()
     lin = ridge_fit(train_set.X, train_set.y, cfg.lam)
     seconds = time.perf_counter() - t0

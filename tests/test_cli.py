@@ -243,6 +243,9 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "zero iterations": ({}, ["--set", "iterations=0"], "load", "iterations"),
     "config out not a string": ({"out": 5}, [], "load", '"out"'),
     "keep_prob out of range": ({}, ["--set", "keep_prob=-1"], "train", "keep_prob"),
+    "beta2 of 1": ({"algos": ["MBGD-RDA"]}, ["--set", "beta2=1", "--set", "iterations=3"],
+                   "train", "beta2"),
+    "negative ridge penalty": ({"algos": ["RR"]}, ["--set", "lam=-5"], "train", "lam"),
     "grad-check out not a directory": (
         {"out": "/dev/null/x"}, ["--grad-check", "--set", "trials=1"], "write", "/dev/null/x"
     ),

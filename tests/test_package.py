@@ -1,4 +1,4 @@
-"""The package namespace, its cold start and `python -m tskfuzzy`."""
+"""The package namespace, `python -m tskfuzzy` and the modules a run imports."""
 
 import json
 import os
@@ -8,36 +8,37 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tskfuzzy
 from tskfuzzy import apply_preprocessor, fit_preprocessor, make_synthetic, ridge_fit, split
+from tskfuzzy.cli import ALGORITHMS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
 
-# Run in a fresh interpreter, because this one has loaded scipy.linalg: one
-# MBGD-RDA run and the rest of the model API must not load it; the first
-# ridge baseline loads it, off its clock.
-COLD_START = """
-import json, sys
+# Run in a fresh interpreter, so that sys.modules holds only what the runs
+# import: `python -m tskfuzzy` over every stock algorithm, then --grad-check,
+# then one ridge fit whose bits the test compares with this process's.
+RUNS = """
+import json, runpy, sys
+before = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["tskfuzzy", *argv]
+    try:
+        runpy.run_module("tskfuzzy", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
 import numpy as np
-from tskfuzzy import (RidgeConfig, TrainConfig, apply_preprocessor, fit_preprocessor,
-                      gradients, load_model, loss, make_synthetic, predict, ridge_fit,
-                      save_model, split, train, trainer)
-tr, te = split(make_synthetic(60), 0.7, np.random.default_rng(0))
-pre = fit_preprocessor(tr)
-tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
-model, _ = train(TrainConfig(iterations=2), tr, te)
-predict(model, te.X)
-loss(model, te.X, te.y, 0.05)
-gradients(model, te.X, te.y, 0.05)
-save_model(model, sys.argv[1])
-load_model(sys.argv[1])
-after_training = "scipy.linalg" in sys.modules
-seconds = trainer._ridge_history(RidgeConfig(), tr, te).seconds
+from tskfuzzy import apply_preprocessor, fit_preprocessor, make_synthetic, ridge_fit, split
+tr, _ = split(make_synthetic(60), 0.7, np.random.default_rng(0))
+tr = apply_preprocessor(fit_preprocessor(tr), tr)
 lin = ridge_fit(tr.X, tr.y, 0.05)
-print(json.dumps(dict(after_training=after_training, seconds=seconds,
-                      after_ridge="scipy.linalg" in sys.modules,
+# a module without a __spec__ was made by an extension, not found by the import system
+imported = {name.split(".")[0] for name, module in sys.modules.items()
+            if name not in before and getattr(module, "__spec__", None) is not None}
+print(json.dumps(dict(imported=sorted(imported),
                       weights=[float.hex(float(w)) for w in lin.weights],
                       bias=float.hex(lin.bias))))
 """
@@ -51,39 +52,39 @@ def test_every_exported_name_exists():
     assert len(set(tskfuzzy.__all__)) == len(tskfuzzy.__all__)
 
 
-def test_training_leaves_scipy_linalg_unloaded_and_ridge_untimed(tmp_path):
-    """Importing scipy.linalg takes about 0.24 s, so a first ridge fit that
-    timed it would report well over 0.05 s for a fit of microseconds."""
+def test_runs_import_only_declared_dependencies(tmp_path):
+    """Every stock algorithm and the gradient check import nothing outside
+    the standard library but numpy and this package, which matches the
+    dependencies pyproject.toml declares. The first ridge fit of the
+    process takes well under 0.05 s, and its bits match this process's."""
+    suite, grad = tmp_path / "suite", tmp_path / "grad"
+    runs = [
+        ["--data", "synthetic", "--algos", ",".join(ALGORITHMS), "--repeats", "1",
+         "--set", "iterations=2", "--out", str(suite)],
+        ["--grad-check", "--set", "trials=2", "--out", str(grad)],
+    ]
     done = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(tmp_path / "model.txt")],
+        [sys.executable, "-c", RUNS, json.dumps(runs)],
         env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
-    assert out["after_training"] is False
-    assert out["seconds"] < 0.05
-    assert out["after_ridge"] is True
+    out = json.loads(done.stdout.splitlines()[-1])  # the CLI prints its own lines first
+    third_party = {name for name in out["imported"] if name not in sys.stdlib_module_names}
+    assert third_party == {"numpy", "tskfuzzy"}
+
+    rows = [line.split(",") for line in (suite / "summary.csv").read_text().splitlines()[1:]]
+    seconds = {row[0]: float(row[4]) for row in rows}
+    assert set(seconds) == set(ALGORITHMS)
+    assert seconds["RR"] < 0.05
+    assert "max_relative_error=" in (grad / "grad_check.txt").read_text()
+
     tr, _ = split(make_synthetic(60), 0.7, np.random.default_rng(0))
     tr = apply_preprocessor(fit_preprocessor(tr), tr)
     lin = ridge_fit(tr.X, tr.y, 0.05)
     assert out["weights"] == [float.hex(float(w)) for w in lin.weights]
     assert out["bias"] == float.hex(lin.bias)
 
-
-def _cli_imports(tmp_path, algos: str):
-    """python -X importtime -m tskfuzzy on the synthetic problem: the exit
-    code and whether scipy.linalg was imported."""
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "tskfuzzy", "--data", "synthetic",
-         "--algos", algos, "--repeats", "1", "--set", "iterations=2", "--out", str(tmp_path)],
-        env=ENV, capture_output=True, text=True, timeout=120,
-    )
-    loaded = re.search(r"\|\s+scipy\.linalg$", done.stderr, re.MULTILINE) is not None
-    return done.returncode, loaded
-
-
-def test_module_entry_point_loads_scipy_linalg_only_for_ridge(tmp_path):
-    assert _cli_imports(tmp_path / "mbgd", "MBGD") == (0, False)
-    assert (tmp_path / "mbgd" / "history_MBGD.csv").exists()
-    assert _cli_imports(tmp_path / "both", "RR,MBGD") == (0, True)
-    assert (tmp_path / "both" / "summary.csv").read_text().startswith("algo,")
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    names = {re.match(r"[\w.-]+", dep).group().lower() for dep in declared}
+    assert names == third_party - {"tskfuzzy"}

@@ -1,5 +1,7 @@
 """Ridge baseline against a brute-force normal-equation oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,14 +36,16 @@ def test_huge_lambda_shrinks_to_mean():
 
 
 def test_matches_normal_equation_oracle():
+    """Widths past the CLI's 5 columns too: library callers fit them."""
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        X = rng.standard_normal((50, 5))
-        y = rng.standard_normal(50)
-        model = ridge_fit(X, y, lam=0.05)
-        w, b0 = oracle_fit(X, y, 0.05)
-        np.testing.assert_allclose(model.weights, w, rtol=1e-8)
-        np.testing.assert_allclose(model.bias, b0, rtol=1e-8, atol=1e-12)
+    for width, lam in itertools.product((1, 3, 5, 8, 12), (0.05, 1.0)):
+        for _ in range(50):
+            X = rng.standard_normal((50, width))
+            y = rng.standard_normal(50)
+            model = ridge_fit(X, y, lam=lam)
+            w, b0 = oracle_fit(X, y, lam)
+            np.testing.assert_allclose(model.weights, w, rtol=1e-8)
+            np.testing.assert_allclose(model.bias, b0, rtol=1e-8, atol=1e-12)
 
 
 def test_bias_absorbs_target_shift():
@@ -72,6 +76,13 @@ def test_singular_without_penalty():
     with pytest.raises(SingularSystem):
         ridge_fit(X, y, lam=0.0)
     ridge_fit(X, y, lam=0.05)  # any positive penalty fixes it
+
+
+@pytest.mark.parametrize("lam", [-5.0, -1e-300, float("nan")])
+def test_negative_lambda_rejected(lam):
+    X = np.random.default_rng(6).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="lam"):
+        ridge_fit(X, X[:, 0], lam=lam)
 
 
 def test_predict_basics():

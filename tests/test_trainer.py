@@ -225,7 +225,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value",
         [("batch_size", 0), ("batch_size", -1), ("iterations", -1),
-         ("drop_variant", "dropout"), ("lr_scheme", "sgd"), ("mfs_per_input", 0)],
+         ("drop_variant", "dropout"), ("lr_scheme", "sgd"), ("mfs_per_input", 0),
+         ("lam", -5.0), ("lam", float("nan")), ("alpha", 0.0), ("alpha", -0.01),
+         ("alpha", float("nan")), ("alpha_final", 0.0), ("alpha_final", float("nan")),
+         ("epsilon", 0.0), ("epsilon", float("nan")), ("beta1", -0.1), ("beta1", 1.0),
+         ("beta1", float("nan")), ("beta2", 1.0), ("beta2", -0.1), ("beta2", float("nan"))],
     )
     def test_invalid_field_rejected(self, small_splits, field, value):
         tr, te = small_splits
