@@ -52,37 +52,56 @@ def test_every_exported_name_exists():
     assert len(set(tskfuzzy.__all__)) == len(tskfuzzy.__all__)
 
 
-def test_runs_import_only_declared_dependencies(tmp_path):
-    """Every stock algorithm and the gradient check import nothing outside
-    the standard library but numpy and this package, which matches the
-    dependencies pyproject.toml declares. The first ridge fit of the
-    process takes well under 0.05 s, and its bits match this process's."""
-    suite, grad = tmp_path / "suite", tmp_path / "grad"
-    runs = [
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """RUNS in one fresh interpreter: its printed record and the suite and
+    grad-check output directories."""
+    tmp = tmp_path_factory.mktemp("runs")
+    suite, grad = tmp / "suite", tmp / "grad"
+    argvs = [
         ["--data", "synthetic", "--algos", ",".join(ALGORITHMS), "--repeats", "1",
          "--set", "iterations=2", "--out", str(suite)],
         ["--grad-check", "--set", "trials=2", "--out", str(grad)],
     ]
     done = subprocess.run(
-        [sys.executable, "-c", RUNS, json.dumps(runs)],
+        [sys.executable, "-c", RUNS, json.dumps(argvs)],
         env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])  # the CLI prints its own lines first
-    third_party = {name for name in out["imported"] if name not in sys.stdlib_module_names}
-    assert third_party == {"numpy", "tskfuzzy"}
+    return out, suite, grad
 
+
+def test_training_leaves_scipy_linalg_unloaded_and_ridge_untimed(runs):
+    """Importing scipy.linalg took about 0.24 s, so a first ridge fit that
+    timed it would report well over 0.05 s for a fit of microseconds. Ridge
+    now solves with numpy, so no run loads scipy at all; the first ridge fit
+    of the process still takes well under 0.05 s, and its bits match this
+    process's."""
+    out, suite, _ = runs
+    assert "scipy" not in out["imported"]
     rows = [line.split(",") for line in (suite / "summary.csv").read_text().splitlines()[1:]]
     seconds = {row[0]: float(row[4]) for row in rows}
     assert set(seconds) == set(ALGORITHMS)
     assert seconds["RR"] < 0.05
-    assert "max_relative_error=" in (grad / "grad_check.txt").read_text()
 
     tr, _ = split(make_synthetic(60), 0.7, np.random.default_rng(0))
     tr = apply_preprocessor(fit_preprocessor(tr), tr)
     lin = ridge_fit(tr.X, tr.y, 0.05)
     assert out["weights"] == [float.hex(float(w)) for w in lin.weights]
     assert out["bias"] == float.hex(lin.bias)
+
+
+def test_module_entry_point_loads_scipy_linalg_only_for_ridge(runs):
+    """`python -m tskfuzzy` over every stock algorithm, ridge included, and
+    the gradient check import nothing outside the standard library but
+    numpy and this package, which matches the dependencies pyproject.toml
+    declares: ridge, the one run that used to load scipy.linalg, no longer
+    does."""
+    out, _, grad = runs
+    third_party = {name for name in out["imported"] if name not in sys.stdlib_module_names}
+    assert third_party == {"numpy", "tskfuzzy"}
+    assert "max_relative_error=" in (grad / "grad_check.txt").read_text()
 
     tomllib = pytest.importorskip("tomllib")
     declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
