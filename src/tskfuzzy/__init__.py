@@ -36,7 +36,6 @@ from .model import (
     unflatten,
 )
 from .optim import (
-    AdaBoundHyper,
     JangLrState,
     MomentState,
     adabound_step,
@@ -60,7 +59,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaBoundHyper",
     "Dataset",
     "DropMask",
     "JangLrState",

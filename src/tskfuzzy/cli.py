@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -32,58 +33,72 @@ from .trainer import (
 # bounded-adaptive-rate combinations, plus the alternate drop variants and
 # the unbounded (Adam) variant.
 ALGORITHMS = {
-    "RR": dict(ridge=True),
-    "MBGD": dict(lam=0.0, drop_variant="none", lr_scheme="jang"),
-    "MBGD-R": dict(lam=0.05, drop_variant="none", lr_scheme="jang"),
-    "MBGD-D": dict(lam=0.0, drop_variant="rule", lr_scheme="jang"),
-    "MBGD-RD": dict(lam=0.05, drop_variant="rule", lr_scheme="jang"),
-    "MBGD-A": dict(lam=0.0, drop_variant="none", lr_scheme="adabound"),
-    "MBGD-RDA": dict(lam=0.05, drop_variant="rule", lr_scheme="adabound"),
-    "MBGD-RDA-MF": dict(lam=0.05, drop_variant="mf", lr_scheme="adabound"),
-    "MBGD-RDA-Membership": dict(lam=0.05, drop_variant="membership", lr_scheme="adabound"),
-    "MBGD-RD-Adam": dict(lam=0.05, drop_variant="rule", lr_scheme="adam"),
+    "RR": RidgeConfig(),
+    "MBGD": TrainConfig(lam=0.0, drop_variant="none", lr_scheme="jang"),
+    "MBGD-R": TrainConfig(lam=0.05, drop_variant="none", lr_scheme="jang"),
+    "MBGD-D": TrainConfig(lam=0.0, drop_variant="rule", lr_scheme="jang"),
+    "MBGD-RD": TrainConfig(lam=0.05, drop_variant="rule", lr_scheme="jang"),
+    "MBGD-A": TrainConfig(lam=0.0, drop_variant="none", lr_scheme="adabound"),
+    "MBGD-RDA": TrainConfig(lam=0.05, drop_variant="rule", lr_scheme="adabound"),
+    "MBGD-RDA-MF": TrainConfig(lam=0.05, drop_variant="mf", lr_scheme="adabound"),
+    "MBGD-RDA-Membership": TrainConfig(lam=0.05, drop_variant="membership", lr_scheme="adabound"),
+    "MBGD-RD-Adam": TrainConfig(lam=0.05, drop_variant="rule", lr_scheme="adam"),
 }
 DEFAULT_ALGOS = ["RR", "MBGD", "MBGD-R", "MBGD-D", "MBGD-RD", "MBGD-A", "MBGD-RDA"]
 
 
 @dataclass
 class ExperimentSpec:
-    """Everything one experiment needs: dataset, algorithms, repeats, outputs."""
+    """Everything one experiment needs. The fields are the --config keys and
+    their annotations the JSON types each accepts; algos may be one
+    comma-separated string, and None means DEFAULT_ALGOS."""
 
-    data: str
-    target: object = None
-    algos: list = field(default_factory=lambda: list(DEFAULT_ALGOS))
+    data: str | None = None
+    target: str | int | None = None
+    algos: str | list | None = None
     repeats: int = 10
     seed: int = 0
-    out_dir: str = "results"
-    overrides: dict = field(default_factory=dict)
+    out: str = "results"
+    set: dict = field(default_factory=dict)
+
+
+# Types must match exactly: a bool is never an int, and null passes only where allowed
+SETTING_TYPES = {k: get_args(t) or (t,) for k, t in get_type_hints(ExperimentSpec).items()}
 
 
 def algorithm_config(name: str, overrides: dict | None = None):
-    """Resolve an algorithm name to its stock config, with field overrides."""
+    """The stock config of an algorithm, with the overrides of its own fields."""
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    entry = ALGORITHMS[name]
     overrides = overrides or {}
-    if entry.get("ridge"):
-        return RidgeConfig(**{k: v for k, v in overrides.items() if k == "lam"})
-    valid = {f.name for f in dataclasses.fields(TrainConfig)}
-    bad = set(overrides) - valid
+    bad = set(overrides) - {f.name for f in dataclasses.fields(TrainConfig)}
     if bad:
         raise ValueError(f"unknown config fields: {sorted(bad)}")
-    return TrainConfig(**{**entry, **overrides})
+    base = ALGORITHMS[name]
+    own = {f.name for f in dataclasses.fields(base)}
+    return dataclasses.replace(base, **{k: v for k, v in overrides.items() if k in own})
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run the spec end to end; returns 0 on success, nonzero otherwise."""
     stage = "load"
     try:
-        if spec.data != "synthetic" and spec.target is None:
+        algos = spec.algos
+        if isinstance(algos, str):
+            algos = [a.strip() for a in algos.split(",") if a.strip()]
+        algos = algos or DEFAULT_ALGOS
+        repeated = [a for i, a in enumerate(algos) if a in algos[:i]]
+        if repeated:
+            raise ValueError(f"algorithm {repeated[0]!r} is named more than once")
+        target = spec.target
+        if isinstance(target, str) and target.lstrip("-").isdigit():
+            target = int(target)
+        if spec.data != "synthetic" and target is None:
             raise MissingTarget("a --target column is required for CSV datasets")
-        dataset = make_synthetic() if spec.data == "synthetic" else load_csv(spec.data, spec.target)
-        configs = {name: algorithm_config(name, spec.overrides) for name in spec.algos}
+        dataset = make_synthetic() if spec.data == "synthetic" else load_csv(spec.data, target)
+        configs = {name: algorithm_config(name, spec.set) for name in algos}
         iterative = [c for c in configs.values() if isinstance(c, TrainConfig)]
-        unused = [] if iterative else [k for k in spec.overrides if k != "lam"]
+        unused = [] if iterative else [k for k in spec.set if k != "lam"]
         if unused:
             raise ValueError(f"--set {unused[0]!r} has no effect on a ridge-only run")
         if any(c.iterations < 1 for c in iterative):
@@ -103,15 +118,15 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
 
 def _write_stage(spec: ExperimentSpec, configs: dict, suite: dict) -> None:
-    out = Path(spec.out_dir)
+    out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    for name in spec.algos:
+    for name, cfg in configs.items():
         test = suite[name].test_rmse
-        iterative = isinstance(configs[name], TrainConfig)
+        iterative = isinstance(cfg, TrainConfig)
         if iterative:
             write_history_csv(suite[name], out / f"history_{name}.csv")
-        if iterative and name != "MBGD" and "MBGD" in spec.algos:
+        if iterative and name != "MBGD" and "MBGD" in configs:
             curve = percent_improvement(suite["MBGD"].test_rmse, test)
             _write_csv(out / f"improvement_{name}.csv", "iter,percent", enumerate(curve, 1))
         # ridge's one closed-form fit comes before any iteration: its best_iter is 0
@@ -126,7 +141,8 @@ def emit_gradient_check_report(
 ) -> Path:
     """Compare analytic and central-difference gradients on random instances
     and write max/median relative error to a small report file."""
-    if mfs_per_input**num_inputs > 1024:
+    # from M = 11 on, 2**M alone passes 1024: decided before the power
+    if mfs_per_input >= 2 and (num_inputs >= 11 or mfs_per_input**num_inputs > 1024):
         raise GridTooLarge(
             f"grid of {mfs_per_input}**{num_inputs} rules exceeds the 1024-rule check limit"
         )
@@ -164,24 +180,28 @@ def emit_gradient_check_report(
     return path
 
 
-GRAD_CHECK_KEYS = dict(M=int, Mm=int, trials=int)  # the --set keys of --grad-check
+GRAD_CHECK_KEYS = dict(M=2, Mm=2, trials=100)  # the --set keys of --grad-check, with defaults
 
 
 def _parse_set(pairs: list[str]) -> dict:
-    """Parse repeated key=value overrides with TrainConfig field types, or
-    the GRAD_CHECK_KEYS. seed is not one: run_suite derives every run's
-    seed from --seed."""
-    casts = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
-    casts.update(GRAD_CHECK_KEYS)
+    """Parse repeated key=value overrides with the type of each TrainConfig
+    field's default, or of a GRAD_CHECK_KEYS default. seed is not one:
+    run_suite derives every run's seed from --seed."""
+    known = {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
+    known.update(GRAD_CHECK_KEYS)
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         key = key.strip()
-        if key not in casts:
-            raise ValueError(f"unknown --set key {key!r} (known: {sorted(casts)}; seed is --seed)")
-        out[key] = casts[key](value)
+        if key not in known:
+            raise ValueError(f"unknown --set key {key!r} (known: {sorted(known)}; seed is --seed)")
+        cast = type(known[key])
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"--set {key} expects {cast.__name__}, got {value!r}") from None
     return out
 
 
@@ -204,53 +224,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# The --config keys with their defaults, and the JSON types each accepts. The
-# type must match exactly, so a bool is never an int, and a default passes as
-# itself: null where it is None.
-SETTINGS = {"data": None, "target": None, "algos": None, "repeats": 10,
-            "seed": 0, "out": "results", "set": {}}
-SETTING_TYPES = {"data": (str,), "target": (str, int), "algos": (str, list), "repeats": (int,),
-                 "seed": (int,), "out": (str,), "set": (dict,)}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    settings = dict(SETTINGS)
+    settings = {}
     try:
         if args.config:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
             if not isinstance(loaded, dict):
                 raise ValueError(f"config must be a JSON object, got {loaded!r}")
-            unknown = sorted(set(loaded) - set(settings))
+            unknown = sorted(set(loaded) - set(SETTING_TYPES))
             if unknown:
-                raise ValueError(f"unknown config keys {unknown} (known: {sorted(settings)})")
+                raise ValueError(f"unknown config keys {unknown} (known: {sorted(SETTING_TYPES)})")
             settings.update(loaded)
         for key in ("data", "target", "algos", "repeats", "seed", "out"):
             if getattr(args, key) is not None:
                 settings[key] = getattr(args, key)
         for key, value in settings.items():
-            if value is not SETTINGS[key] and type(value) not in SETTING_TYPES[key]:
+            if type(value) not in SETTING_TYPES[key]:
                 names = " or ".join(t.__name__ for t in SETTING_TYPES[key])
                 got = f"{type(value).__name__} {value!r}"
                 raise ValueError(f'config "{key}" must be {names}, got {got}')
-        overrides = _parse_set([f"{k}={v}" for k, v in settings["set"].items()] + args.set)
-        unused = [k for k in overrides if (k in GRAD_CHECK_KEYS) != args.grad_check]
+        pairs = [f"{k}={v}" for k, v in settings.get("set", {}).items()] + args.set
+        spec = ExperimentSpec(**{**settings, "set": _parse_set(pairs)})
+        unused = [k for k in spec.set if (k in GRAD_CHECK_KEYS) != args.grad_check]
         if unused:
             mode = "--grad-check" if args.grad_check else "training"
             raise ValueError(f"--set {unused[0]!r} has no effect on a {mode} run")
-        if settings["data"] is None and not args.grad_check:
+        if spec.data is None and not args.grad_check:
             raise ValueError("--data is required")
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error in load: {exc}", file=sys.stderr)
         return 1
 
     if args.grad_check:
-        out = Path(settings["out"])
+        out = Path(spec.out)
+        checks = {**GRAD_CHECK_KEYS, **spec.set}
         try:
             out.mkdir(parents=True, exist_ok=True)
             report = emit_gradient_check_report(
-                overrides.get("M", 2), overrides.get("Mm", 2),
-                overrides.get("trials", 100), settings["seed"], out / "grad_check.txt",
+                checks["M"], checks["Mm"], checks["trials"], spec.seed, out / "grad_check.txt"
             )
         except (OSError, ValueError) as exc:
             stage = "write" if isinstance(exc, OSError) else "train"
@@ -258,21 +270,6 @@ def main(argv=None) -> int:
             return 1
         print(f"wrote {report}")
         return 0
-
-    algos = settings["algos"]
-    if isinstance(algos, str):
-        algos = [a.strip() for a in algos.split(",") if a.strip()]
-    target = settings["target"]
-    if isinstance(target, str) and target.lstrip("-").isdigit():
-        target = int(target)
-    spec = ExperimentSpec(
-        data=settings["data"],
-        target=target,
-        algos=algos or list(DEFAULT_ALGOS),
-        repeats=settings["repeats"], seed=settings["seed"],
-        out_dir=settings["out"],
-        overrides=overrides,
-    )
     return run_experiment(spec)
 
 

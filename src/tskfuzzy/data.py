@@ -23,12 +23,6 @@ from .errors import (
 )
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass
 class Dataset:
     """Numeric design matrix X [N, M] with target vector y [N]."""
@@ -212,8 +206,7 @@ def split(d: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
     """Seed-deterministic random split into (train, test); disjoint and exhaustive."""
     if d.n < 2:
         raise TooSmall(f"cannot split {d.n} examples")
-    rng = _as_rng(rng)
-    perm = rng.permutation(d.n)
+    perm = np.random.default_rng(rng).permutation(d.n)
     n_train = min(max(int(round(ratio * d.n)), 1), d.n - 1)
     tr, te = perm[:n_train], perm[n_train:]
     return (
@@ -224,8 +217,7 @@ def split(d: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
 
 def sample_batch(d: Dataset, batch_size: int, rng) -> np.ndarray:
     """min(batch_size, N) distinct uniform row indices."""
-    rng = _as_rng(rng)
-    return rng.choice(d.n, size=min(batch_size, d.n), replace=False)
+    return np.random.default_rng(rng).choice(d.n, size=min(batch_size, d.n), replace=False)
 
 
 def make_synthetic(n: int = 1500, noise: float = 0.1, seed=0) -> Dataset:

@@ -107,9 +107,15 @@ def param_count(num_inputs: int, mfs_per_input: int) -> int:
     """Total trainable parameters: 2*M*Mm MF parameters plus (M+1)*Mm^M consequents."""
     if num_inputs < 1 or mfs_per_input < 1:
         raise ValueError("num_inputs and mfs_per_input must both be >= 1")
-    n = 2 * num_inputs * mfs_per_input + (num_inputs + 1) * mfs_per_input**num_inputs
-    if n > np.iinfo(np.int64).max:
-        raise OverflowError(f"parameter count {n} exceeds the supported integer range")
+    # from M = 64 on, (M + 1) * 2**M alone passes int64: decided before the
+    # power, which takes hours to compute at M = 10**9
+    big = mfs_per_input >= 2 and num_inputs >= 64
+    n = 0 if big else 2 * num_inputs * mfs_per_input + (num_inputs + 1) * mfs_per_input**num_inputs
+    if big or n > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"parameter count of M={num_inputs}, Mm={mfs_per_input} exceeds the supported"
+            " integer range"
+        )
     return n
 
 
@@ -197,17 +203,23 @@ def save_model(model: TskModel, path) -> None:
 def load_model(path) -> TskModel:
     """Read a checkpoint written by save_model. Raises ParseError, naming the
     file and the 1-based line, for a header that is not `M=<int>`/`Mm=<int>`
-    with both at least 1 and a parameter count that fits in int64, for a
-    value that is not a finite number and for a sigma below SIGMA_TINY, and
-    LengthMismatch for a wrong number of values."""
+    with both at least 1, each within int()'s digit limit, and a parameter
+    count that fits in int64, for a value that is not a finite number and
+    for a sigma below SIGMA_TINY, and LengthMismatch for a wrong number of
+    values."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
         raise ParseError(f"{path}: checkpoint must start with 'M=<int>' and 'Mm=<int>' lines")
+    sizes = []
     for (i, ln), key in zip(lines, ("M=", "Mm=")):
         if not (ln.startswith(key) and ln[len(key) :].lstrip("0").isdecimal()):  # an int >= 1
             raise ParseError(f"{path}, line {i}: expected '{key}<int >= 1>', got {ln!r}")
-    num_inputs, mfs_per_input = int(lines[0][1][2:]), int(lines[1][1][3:])
+        try:
+            sizes.append(int(ln[len(key) :]))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"{path}, line {i}: {exc}") from None
+    num_inputs, mfs_per_input = sizes
     try:
         param_count(num_inputs, mfs_per_input)
     except OverflowError as exc:

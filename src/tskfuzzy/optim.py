@@ -6,10 +6,14 @@ per-coordinate rates (with Adam as the unbounded special case l=0, u=inf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteGradient
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
 def sgd_step(theta: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
@@ -51,21 +55,6 @@ def jang_update_lr(state: JangLrState, new_loss: float) -> JangLrState:
 
 
 @dataclass
-class AdaBoundHyper:
-    """Hyperparameters of the bounded adaptive step.
-
-    alpha_final is the constant the rate bounds converge to; it replaces
-    the 0.01 baked into the usual bound formulas.
-    """
-
-    alpha: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    alpha_final: float = 0.01
-
-
-@dataclass
 class MomentState:
     """First/second moment accumulators and the step counter.
 
@@ -84,7 +73,7 @@ class MomentState:
         return MomentState(np.zeros(dim), np.zeros(dim), 0)
 
 
-def bound_l(k: int, beta2: float = 0.999, alpha_final: float = 0.01) -> float:
+def bound_l(k: int, beta2: float, alpha_final: float) -> float:
     """Lower rate bound alpha_final - alpha_final / ((1 - beta2) k + 1); 0 at k = 0.
 
     Nondecreasing in k and converging to alpha_final from below.
@@ -94,7 +83,7 @@ def bound_l(k: int, beta2: float = 0.999, alpha_final: float = 0.01) -> float:
     return alpha_final - alpha_final / ((1.0 - beta2) * k + 1.0)
 
 
-def bound_u(k: int, beta2: float = 0.999, alpha_final: float = 0.01) -> float:
+def bound_u(k: int, beta2: float, alpha_final: float) -> float:
     """Upper rate bound alpha_final + alpha_final / ((1 - beta2) k); +inf at k = 0.
 
     Nonincreasing in k and converging to alpha_final from above.
@@ -108,12 +97,13 @@ def adabound_step(
     state: MomentState,
     theta: np.ndarray,
     g: np.ndarray,
-    hyper: AdaBoundHyper,
+    hyper: TrainConfig,
     l: float,
     u: float,
 ):
     """One bounded adaptive step; returns (new theta, new state).
 
+    alpha, beta1, beta2 and epsilon are read from the TrainConfig hyper.
     Moments are updated, bias-corrected with the post-increment counter k,
     and the per-coordinate rate alpha / (sqrt(v_hat) + epsilon) is clipped
     into [l, u] before scaling the corrected first moment. Passing l=0,

@@ -17,7 +17,7 @@ class LinearModel:
     bias: float
 
 
-def ridge_fit(X, y, lam: float = 0.05) -> LinearModel:
+def ridge_fit(X, y, lam: float) -> LinearModel:
     """Minimize sum (y - b0 - X w)^2 + lam * ||w||^2 with the bias unpenalized.
 
     Solved on column-centered data via a Cholesky factorization; the

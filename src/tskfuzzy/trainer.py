@@ -40,7 +40,6 @@ from .model import (
     predict,
 )
 from .optim import (
-    AdaBoundHyper,
     JangLrState,
     MomentState,
     adabound_step,
@@ -71,12 +70,15 @@ def _step_bytes(num_inputs: int, mfs_per_input: int, batch_size: int, drop_varia
     return grid + params + 3 * 8 * batch_size * per_row
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run, checked when built.
 
     Defaults are the full method: DropRule at keep probability 0.5, l2
-    coefficient 0.05, bounded adaptive rates from alpha 0.01.
+    coefficient 0.05, bounded adaptive rates from alpha 0.01 whose bounds
+    converge to alpha_final. A field out of range raises ValueError naming
+    it (NaN fails every range). A config is frozen: dataclasses.replace()
+    makes a changed copy and checks it again.
     """
 
     mfs_per_input: int = 2
@@ -92,6 +94,39 @@ class TrainConfig:
     drop_variant: str = "rule"
     lr_scheme: str = "adabound"
     seed: int | tuple = 0
+
+    def __post_init__(self):
+        if self.drop_variant not in ("none", *KEEP_AXES):
+            raise ValueError(f"unknown drop_variant {self.drop_variant!r}")
+        if self.lr_scheme not in LR_SCHEMES:
+            raise ValueError(f"unknown lr_scheme {self.lr_scheme!r}")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        for name in ("alpha", "alpha_final", "epsilon"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.batch_size >= 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.iterations >= 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not self.mfs_per_input >= 1:
+            raise ValueError(f"mfs_per_input must be >= 1, got {self.mfs_per_input}")
+
+
+@dataclass(frozen=True)
+class RidgeConfig:
+    """The closed-form linear baseline's penalty; a negative or NaN lam raises ValueError."""
+
+    lam: float = 0.05
+
+    def __post_init__(self):
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
 
 
 @dataclass
@@ -183,46 +218,24 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     before the first step, as the consequents start at 0), so it equals
     loss() on the batch up to the roundoff of BLAS row blocking.
 
-    Raises, before any work: ValueError for an unknown drop_variant or
-    lr_scheme, a keep_prob outside (0, 1], a negative lam, an alpha,
-    alpha_final or epsilon not above 0, a beta1 or beta2 outside [0, 1), a
-    batch_size or mfs_per_input below 1 or negative iterations (NaN fails
-    every range); DimensionMismatch for test rows of another width than
-    the training rows; EmptyDataset for an empty test set when there is an
-    iteration to evaluate; GridTooLarge when _step_bytes() of the grid and
-    batch passes MAX_TRAIN_BYTES. Raises Diverged, naming the iteration
+    Raises, before any work (the config checked its own fields when
+    built): EmptyTrainingSet for an empty training set; DimensionMismatch
+    for test rows of another width than the training rows; EmptyDataset
+    for an empty test set when there is an iteration to evaluate;
+    GridTooLarge when _step_bytes() of the grid and batch passes
+    MAX_TRAIN_BYTES. Raises Diverged, naming the iteration
     (counted from 1, as in the history CSV) and the first bad coordinate,
     at the first non-finite batch loss, gradient or parameter, and at the
     first non-finite train or test RMSE, so no history holds one.
     """
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
-    if config.drop_variant not in ("none", *KEEP_AXES):
-        raise ValueError(f"unknown drop_variant {config.drop_variant!r}")
-    if config.lr_scheme not in LR_SCHEMES:
-        raise ValueError(f"unknown lr_scheme {config.lr_scheme!r}")
-    if not 0.0 < config.keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {config.keep_prob}")
-    if not config.lam >= 0.0:
-        raise ValueError(f"lam must be >= 0, got {config.lam}")
-    for name in ("alpha", "alpha_final", "epsilon"):
-        if not getattr(config, name) > 0.0:
-            raise ValueError(f"{name} must be > 0, got {getattr(config, name)}")
-    for name in ("beta1", "beta2"):
-        if not 0.0 <= getattr(config, name) < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {getattr(config, name)}")
-    if not config.batch_size >= 1:
-        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
-    if not config.iterations >= 0:
-        raise ValueError(f"iterations must be >= 0, got {config.iterations}")
     if test_set.X.shape[1:] != train_set.X.shape[1:]:
         raise DimensionMismatch(
             f"test rows have shape {test_set.X.shape[1:]}, training rows {train_set.X.shape[1:]}"
         )
     if config.iterations and test_set.n == 0:
         raise EmptyDataset("RMSE of an empty dataset is undefined")
-    if not config.mfs_per_input >= 1:
-        raise ValueError(f"mfs_per_input must be >= 1, got {config.mfs_per_input}")
     M, batch = train_set.X.shape[1], min(config.batch_size, train_set.n)
     nbytes = _step_bytes(M, config.mfs_per_input, batch, config.drop_variant)
     if nbytes > MAX_TRAIN_BYTES:
@@ -241,9 +254,6 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     batch_rng = np.random.default_rng(batch_seq)
     mask_rng = np.random.default_rng(mask_seq)
 
-    hyper = AdaBoundHyper(
-        config.alpha, config.beta1, config.beta2, config.epsilon, config.alpha_final
-    )
     moments = MomentState.zeros(theta.size)
     jang = JangLrState(config.alpha)
 
@@ -273,7 +283,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             else:
                 lo = bound_l(moments.k + 1, config.beta2, config.alpha_final)
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
-            theta, moments = adabound_step(moments, theta, g, hyper, lo, up)
+            theta, moments = adabound_step(moments, theta, g, config, lo, up)
             rates = moments.last_rates
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
@@ -294,13 +304,6 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     return model, TrainHistory(*hist, seconds)
 
 
-@dataclass
-class RidgeConfig:
-    """Marks an algorithm slot as the closed-form linear baseline."""
-
-    lam: float = 0.05
-
-
 def _ridge_history(cfg: RidgeConfig, train_set: Dataset, test_set: Dataset) -> TrainHistory:
     """One closed-form fit as a one-entry history; its learning rates are 0."""
     t0 = time.perf_counter()
@@ -319,7 +322,7 @@ def _mean_histories(histories: list[TrainHistory]) -> TrainHistory:
                           for f in fields(TrainHistory)))
 
 
-def run_suite(configs, dataset: Dataset, repeats: int = 10, seed: int = 0):
+def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
     """Run every configured algorithm over repeated fresh splits.
 
     configs maps an algorithm name to a TrainConfig or a RidgeConfig. Each

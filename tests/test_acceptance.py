@@ -6,6 +6,7 @@ Criteria 6, 7, and 10 train real suites on the bundled synthetic problem
 and take a few minutes combined.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -14,7 +15,6 @@ import pytest
 
 from tskfuzzy import (
     DropMask,
-    AdaBoundHyper,
     MomentState,
     RidgeConfig,
     RuleGrid,
@@ -117,10 +117,7 @@ def test_criterion_3_optimizer_reductions():
     trp, tep = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
 
     def shrink(cfg):
-        cfg.iterations = 80
-        cfg.batch_size = 32
-        cfg.seed = 99
-        return cfg
+        return dataclasses.replace(cfg, iterations=80, batch_size=32, seed=99)
 
     _, h_rda = train(shrink(algorithm_config("MBGD-RDA", {"keep_prob": 1.0, "lam": 0.0})), trp, tep)
     _, h_a = train(shrink(algorithm_config("MBGD-A")), trp, tep)
@@ -138,7 +135,7 @@ def test_criterion_3_optimizer_reductions():
 
     rng = np.random.default_rng(5)
     grads = rng.standard_normal((500, 9)) * 4.0
-    hyper = AdaBoundHyper()
+    hyper = TrainConfig()
     theta = np.zeros(9)
     state = MomentState.zeros(9)
     theta_ref = np.zeros(9)
@@ -171,19 +168,23 @@ def test_criterion_4_bound_discipline():
 
     tr, te = split(data, 0.7, np.random.default_rng(0))
     pre = fit_preprocessor(tr)
-    _, hist = train(TrainConfig(seed=17), apply_preprocessor(pre, tr), apply_preprocessor(pre, te))
+    cfg = TrainConfig(seed=17)
+    _, hist = train(cfg, apply_preprocessor(pre, tr), apply_preprocessor(pre, te))
     inside = all(
-        bound_l(k) <= hist.min_lr[k - 1] and hist.max_lr[k - 1] <= bound_u(k)
+        bound_l(k, cfg.beta2, cfg.alpha_final) <= hist.min_lr[k - 1]
+        and hist.max_lr[k - 1] <= bound_u(k, cfg.beta2, cfg.alpha_final)
         for k in range(1, 501)
     )
-    l_ok = abs(bound_l(1000) - 0.005) < 1e-12 * 0.005
-    u_ok = abs(bound_u(1000) - 0.02) < 1e-12 * 0.02
+    l_1000 = bound_l(1000, cfg.beta2, cfg.alpha_final)
+    u_1000 = bound_u(1000, cfg.beta2, cfg.alpha_final)
+    l_ok = abs(l_1000 - 0.005) < 1e-12 * 0.005
+    u_ok = abs(u_1000 - 0.02) < 1e-12 * 0.02
     ok = inside and l_ok and u_ok
     report(
         "criterion 4 (rate bound discipline)",
         ok,
         f"500 iterations inside [l(k), u(k)]: {inside}; "
-        f"l(1000)={bound_l(1000):.6f}, u(1000)={bound_u(1000):.6f}",
+        f"l(1000)={l_1000:.6f}, u(1000)={u_1000:.6f}",
     )
 
 
@@ -296,8 +297,8 @@ def test_criterion_9_determinism(tmp_path):
             algos=["MBGD", "MBGD-RDA"],
             repeats=2,
             seed=31,
-            out_dir=str(out),
-            overrides={"iterations": 20, "batch_size": 16},
+            out=str(out),
+            set={"iterations": 20, "batch_size": 16},
         )
         assert run_experiment(spec) == 0
         return out

@@ -3,13 +3,17 @@ and the gradient-check report."""
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tskfuzzy import RidgeConfig, TrainConfig, make_synthetic
+from tskfuzzy import RidgeConfig, TrainConfig, make_synthetic, trainer
 from tskfuzzy.cli import (
     ALGORITHMS,
     ExperimentSpec,
@@ -102,7 +106,7 @@ class TestRunExperiment:
         path = write_small_csv(tmp_path)
         out = tmp_path / "out"
         spec = ExperimentSpec(
-            data=str(path), target="y", algos=["RR"], repeats=2, seed=1, out_dir=str(out)
+            data=str(path), target="y", algos=["RR"], repeats=2, seed=1, out=str(out)
         )
         assert run_experiment(spec) == 0
         summary = (out / "summary.csv").read_text().splitlines()
@@ -120,8 +124,8 @@ class TestRunExperiment:
             algos=["RR", "MBGD", "MBGD-RDA"],
             repeats=1,
             seed=2,
-            out_dir=str(out),
-            overrides={"iterations": 8, "batch_size": 16},
+            out=str(out),
+            set={"iterations": 8, "batch_size": 16},
         )
         assert run_experiment(spec) == 0
         hist = (out / "history_MBGD-RDA.csv").read_text().splitlines()
@@ -146,7 +150,7 @@ class TestRunExperiment:
     def test_synthetic_source(self, tmp_path):
         out = tmp_path / "out"
         spec = ExperimentSpec(
-            data="synthetic", algos=["RR"], repeats=1, seed=3, out_dir=str(out)
+            data="synthetic", algos=["RR"], repeats=1, seed=3, out=str(out)
         )
         assert run_experiment(spec) == 0
         assert (out / "summary.csv").exists()
@@ -242,15 +246,15 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     ),
     "zero iterations": ({}, ["--set", "iterations=0"], "load", "iterations"),
     "config out not a string": ({"out": 5}, [], "load", '"out"'),
-    "keep_prob out of range": ({}, ["--set", "keep_prob=-1"], "train", "keep_prob"),
+    "keep_prob out of range": ({}, ["--set", "keep_prob=-1"], "load", "keep_prob"),
     "beta2 of 1": ({"algos": ["MBGD-RDA"]}, ["--set", "beta2=1", "--set", "iterations=3"],
-                   "train", "beta2"),
-    "negative ridge penalty": ({"algos": ["RR"]}, ["--set", "lam=-5"], "train", "lam"),
+                   "load", "beta2"),
+    "negative ridge penalty": ({"algos": ["RR"]}, ["--set", "lam=-5"], "load", "lam"),
     "grad-check out not a directory": (
         {"out": "/dev/null/x"}, ["--grad-check", "--set", "trials=1"], "write", "/dev/null/x"
     ),
-    "zero batch_size": ({}, ["--set", "batch_size=0"], "train", "batch_size"),
-    "negative batch_size": ({}, ["--set", "batch_size=-1"], "train", "batch_size"),
+    "zero batch_size": ({}, ["--set", "batch_size=0"], "load", "batch_size"),
+    "negative batch_size": ({}, ["--set", "batch_size=-1"], "load", "batch_size"),
     "negative iterations": ({}, ["--set", "iterations=-1"], "load", "iterations"),
     "grad-check key when training": (
         {}, ["--set", "Mm=4", "--set", "trials=7"], "load", "'Mm' has no effect on a training run"
@@ -276,6 +280,13 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "config data not a string": ({"data": ["synthetic"]}, [], "load", '"data" must be str'),
     "config repeats a float": ({"repeats": 2.5}, [], "load", '"repeats" must be int, got float'),
     "config seed a bool": ({"seed": True}, [], "load", '"seed" must be int, got bool'),
+    "set value of the wrong type": (
+        {}, ["--set", "iterations=1.5"], "load", "--set iterations expects int, got '1.5'"
+    ),
+    "algorithm named twice": (
+        {}, ["--algos", "MBGD,MBGD", "--set", "iterations=3"], "load",
+        "'MBGD' is named more than once",
+    ),
     "constant target column": (
         {"data": "constant_y.csv", "target": "y", "algos": ["RR", "MBGD-RDA"]},
         ["--set", "iterations=3"], "preprocess", "the training targets are constant",
@@ -312,6 +323,19 @@ def test_bad_input_prints_one_error_line(
     assert_one_error_line(capsys, stage, text)
 
 
+def test_bad_setting_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    """A setting that no config accepts is refused at load, before the suite
+    splits the data, preprocesses it or fits ridge."""
+    calls = []
+    split = trainer.split
+    monkeypatch.setattr(trainer, "split", lambda *a, **kw: calls.append(1) or split(*a, **kw))
+    code = main(["--data", "synthetic", "--algos", "RR,MBGD-RDA", "--repeats", "10",
+                 "--set", "beta2=1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert_one_error_line(capsys, "load", "beta2 must be in [0, 1), got 1.0")
+    assert calls == []
+
+
 class TestGradCheckReport:
     def test_report_contents(self, tmp_path):
         # fixed seed: the max is dominated by finite-difference roundoff on
@@ -331,6 +355,19 @@ class TestGradCheckReport:
     def test_grid_too_large(self, tmp_path):
         with pytest.raises(GridTooLarge):
             emit_gradient_check_report(10, 4, 1, 0, tmp_path / "g.txt")
+
+    def test_huge_grid_refused_without_the_power(self, tmp_path):
+        """3**100000000 takes minutes to compute; the limit is decided from
+        M alone."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "tskfuzzy", "--grad-check", "--set", "M=100000000",
+             "--set", "Mm=3", "--out", str(tmp_path / "gc")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error in train: grid of 3**100000000 rules exceeds the 1024-rule")
 
     def test_main_grad_check(self, tmp_path):
         out = tmp_path / "gc"

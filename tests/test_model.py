@@ -3,7 +3,10 @@ initialization, parameter layout, and checkpoint round trips."""
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -528,6 +531,12 @@ class TestParamCount:
         with pytest.raises(OverflowError):
             param_count(50, 3)
 
+    def test_large_grid_refused_before_the_power(self):
+        """From M = 64 on, (M + 1) * 2**M alone passes int64."""
+        with pytest.raises(OverflowError, match="M=64, Mm=2"):
+            param_count(64, 2)
+        assert param_count(10**9, 1) == 3 * 10**9 + 1
+
 
 class TestFlatten:
     def test_round_trip_identity(self):
@@ -609,6 +618,33 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(LengthMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [(["M=100000000", "Mm=3"], 1), (["M=" + "7" * 5000, "Mm=2"], 1),
+         (["M=1", "Mm=" + "7" * 5000], 2)],
+    )
+    def test_huge_header_refused_quickly(self, tmp_path, header, line):
+        """A parameter count of 3**100000000 takes minutes to compute, and
+        int() refuses more than 4300 digits; each is a ParseError naming the
+        line, in a fresh interpreter that must finish within 10 s."""
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join([*header, "0.5"]) + "\n")
+        script = (
+            "import sys\n"
+            "from tskfuzzy import load_model\n"
+            "try:\n"
+            "    load_model(sys.argv[1])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert re.match(rf"ParseError .*model\.txt, line {line}: ", done.stdout), done
 
     # a 1-input, 2-MF checkpoint: M=, Mm=, 2 centers, 2 sigmas, 2 x 2 consequents
     @pytest.mark.parametrize(

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tskfuzzy import (
-    AdaBoundHyper,
     JangLrState,
     MomentState,
+    TrainConfig,
     adabound_step,
     bound_l,
     bound_u,
@@ -17,6 +17,8 @@ from tskfuzzy import (
     sgd_step,
 )
 from tskfuzzy.errors import LengthMismatch, NonFiniteGradient
+
+cfg = TrainConfig()  # the default bound schedule
 
 
 class TestSgdStep:
@@ -75,21 +77,21 @@ class TestJangRule:
 
 class TestBounds:
     def test_reference_values(self):
-        assert abs(bound_l(1000) - 0.005) < 1e-12 * 0.005
-        assert abs(bound_u(1000) - 0.02) < 1e-12 * 0.02
+        assert abs(bound_l(1000, cfg.beta2, cfg.alpha_final) - 0.005) < 1e-12 * 0.005
+        assert abs(bound_u(1000, cfg.beta2, cfg.alpha_final) - 0.02) < 1e-12 * 0.02
 
     def test_unbounded_at_zero(self):
-        assert bound_l(0) == 0.0
-        assert bound_u(0) == np.inf
+        assert bound_l(0, cfg.beta2, cfg.alpha_final) == 0.0
+        assert bound_u(0, cfg.beta2, cfg.alpha_final) == np.inf
 
     def test_limits_converge_to_final_rate(self):
-        assert abs(bound_l(int(1e12)) - 0.01) < 1e-9
-        assert abs(bound_u(int(1e12)) - 0.01) < 1e-9
+        assert abs(bound_l(int(1e12), cfg.beta2, cfg.alpha_final) - 0.01) < 1e-9
+        assert abs(bound_u(int(1e12), cfg.beta2, cfg.alpha_final) - 0.01) < 1e-9
 
     def test_monotone_and_ordered(self):
         ks = np.arange(1, 5001)
-        lo = np.array([bound_l(k) for k in ks])
-        up = np.array([bound_u(k) for k in ks])
+        lo = np.array([bound_l(k, cfg.beta2, cfg.alpha_final) for k in ks])
+        up = np.array([bound_u(k, cfg.beta2, cfg.alpha_final) for k in ks])
         assert np.all(np.diff(lo) >= 0)
         assert np.all(np.diff(up) <= 0)
         assert np.all(lo < 0.01) and np.all(up > 0.01)
@@ -112,7 +114,7 @@ class TestBounds:
 class TestAdaBoundStep:
     def test_first_step_uses_raw_gradient(self):
         # bias correction makes m_hat equal g at k = 1
-        hyper = AdaBoundHyper()
+        hyper = TrainConfig()
         g = np.array([2.0, -3.0])
         theta, state = adabound_step(MomentState.zeros(2), np.zeros(2), g, hyper, 0.0, np.inf)
         assert state.k == 1
@@ -120,7 +122,7 @@ class TestAdaBoundStep:
         np.testing.assert_array_equal(theta, want)
 
     def test_zero_gradient_keeps_theta(self):
-        hyper = AdaBoundHyper()
+        hyper = TrainConfig()
         theta0 = np.array([0.5, -1.5])
         theta, state = adabound_step(MomentState.zeros(2), theta0, np.zeros(2), hyper, 0.0, np.inf)
         np.testing.assert_array_equal(theta, theta0)
@@ -128,13 +130,13 @@ class TestAdaBoundStep:
 
     def test_rates_respect_bounds(self):
         rng = np.random.default_rng(0)
-        hyper = AdaBoundHyper()
+        hyper = TrainConfig()
         theta = np.zeros(16)
         state = MomentState.zeros(16)
         for _ in range(200):
             g = rng.standard_normal(16) * 10.0 ** rng.integers(-6, 6)
-            lo = bound_l(state.k + 1)
-            up = bound_u(state.k + 1)
+            lo = bound_l(state.k + 1, cfg.beta2, cfg.alpha_final)
+            up = bound_u(state.k + 1, cfg.beta2, cfg.alpha_final)
             theta, state = adabound_step(state, theta, g, hyper, lo, up)
             assert np.all(state.last_rates >= lo) and np.all(state.last_rates <= up)
 
@@ -144,7 +146,7 @@ class TestAdaBoundStep:
         over a 500-step random gradient stream."""
         rng = np.random.default_rng(1)
         dim = 7
-        hyper = AdaBoundHyper(alpha=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        hyper = TrainConfig(alpha=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
         grads = rng.standard_normal((500, dim)) * 3.0
 
         theta_ref = np.zeros(dim)
@@ -162,7 +164,7 @@ class TestAdaBoundStep:
             np.testing.assert_array_equal(theta, theta_ref)
 
     def test_rejects_non_finite_gradient(self):
-        hyper = AdaBoundHyper()
+        hyper = TrainConfig()
         with pytest.raises(NonFiniteGradient):
             adabound_step(MomentState.zeros(2), np.zeros(2), np.array([1.0, np.nan]), hyper, 0.0, np.inf)
         with pytest.raises(NonFiniteGradient):
@@ -170,14 +172,15 @@ class TestAdaBoundStep:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            adabound_step(MomentState.zeros(3), np.zeros(2), np.zeros(2), AdaBoundHyper(), 0.0, np.inf)
+            adabound_step(MomentState.zeros(3), np.zeros(2), np.zeros(2), TrainConfig(), 0.0, np.inf)
 
     def test_deterministic(self):
-        hyper = AdaBoundHyper()
+        hyper = TrainConfig()
         g = np.array([0.3, -0.8, 4.0])
         state = MomentState(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7]), 3)
-        a1, s1 = adabound_step(state, np.ones(3), g, hyper, bound_l(4), bound_u(4))
-        a2, s2 = adabound_step(state, np.ones(3), g, hyper, bound_l(4), bound_u(4))
+        lo, up = bound_l(4, cfg.beta2, cfg.alpha_final), bound_u(4, cfg.beta2, cfg.alpha_final)
+        a1, s1 = adabound_step(state, np.ones(3), g, hyper, lo, up)
+        a2, s2 = adabound_step(state, np.ones(3), g, hyper, lo, up)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(s1.m, s2.m)
         np.testing.assert_array_equal(s1.v, s2.v)

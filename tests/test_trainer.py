@@ -167,13 +167,14 @@ class TestTrain:
 
     def test_adabound_rates_within_bounds(self, small_splits):
         tr, te = small_splits
-        _, hist = train(quick(), tr, te)
+        cfg = quick()
+        _, hist = train(cfg, tr, te)
         assert hist.min_lr is not None
         from tskfuzzy import bound_l, bound_u
 
         for k in range(1, 41):
-            assert hist.min_lr[k - 1] >= bound_l(k) - 1e-15
-            assert hist.max_lr[k - 1] <= bound_u(k) + 1e-15
+            assert hist.min_lr[k - 1] >= bound_l(k, cfg.beta2, cfg.alpha_final) - 1e-15
+            assert hist.max_lr[k - 1] <= bound_u(k, cfg.beta2, cfg.alpha_final) + 1e-15
 
     def test_batch_larger_than_dataset_clamped(self):
         data = make_synthetic(40, seed=9)
@@ -235,6 +236,23 @@ class TestTrain:
         tr, te = small_splits
         with pytest.raises(ValueError, match=field):
             train(quick(**{field: value}), tr, te)
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(TrainConfig(), **{field: value})
+
+    @pytest.mark.parametrize("lam", [-5.0, float("nan")])
+    def test_invalid_ridge_penalty_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            RidgeConfig(lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            dataclasses.replace(RidgeConfig(), lam=lam)
+
+    def test_configs_are_frozen(self):
+        """A config cannot leave the range its check saw."""
+        for cfg, field in ((TrainConfig(), "beta2"), (RidgeConfig(), "lam")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, 1.0)
 
     def test_ten_inputs_beat_ridge(self):
         """Ten inputs at two MFs each make a grid of 1024 rules; with
