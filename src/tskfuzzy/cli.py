@@ -18,7 +18,7 @@ import numpy as np
 from .data import load_csv, make_synthetic
 from .errors import ConstantFeature, GridTooLarge, MissingTarget, SchemaMismatch, TooSmall
 from .loss import finite_diff_grad, gradients
-from .model import RuleGrid, TskModel, param_count
+from .model import RuleGrid, TskModel, _check_grid, param_count
 from .trainer import (
     RidgeConfig,
     TrainConfig,
@@ -136,18 +136,26 @@ def _write_stage(spec: ExperimentSpec, configs: dict, suite: dict) -> None:
     _write_csv(out / "summary.csv", header, summary)
 
 
-def emit_gradient_check_report(
-    num_inputs: int, mfs_per_input: int, trials: int, seed: int, path
-) -> Path:
-    """Compare analytic and central-difference gradients on random instances
-    and write max/median relative error to a small report file."""
+def _check_grad_settings(num_inputs: int, mfs_per_input: int, trials: int) -> None:
+    """Raise ValueError for gradient check settings that cannot run: a grid
+    RuleGrid refuses, GridTooLarge past 1024 rules, or negative trials."""
     # from M = 11 on, 2**M alone passes 1024: decided before the power
     if mfs_per_input >= 2 and (num_inputs >= 11 or mfs_per_input**num_inputs > 1024):
         raise GridTooLarge(
             f"grid of {mfs_per_input}**{num_inputs} rules exceeds the 1024-rule check limit"
         )
+    _check_grid(num_inputs, mfs_per_input)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+
+
+def emit_gradient_check_report(
+    num_inputs: int, mfs_per_input: int, trials: int, seed: int, path
+) -> Path:
+    """Compare analytic and central-difference gradients on random instances
+    and write max/median relative error to a small report file. Raises as
+    _check_grad_settings() does, before any work."""
+    _check_grad_settings(num_inputs, mfs_per_input, trials)
     grid = RuleGrid(num_inputs, mfs_per_input)
     path = Path(path)
     if trials == 0:
@@ -252,13 +260,15 @@ def main(argv=None) -> int:
             raise ValueError(f"--set {unused[0]!r} has no effect on a {mode} run")
         if spec.data is None and not args.grad_check:
             raise ValueError("--data is required")
+        if args.grad_check:
+            checks = {**GRAD_CHECK_KEYS, **spec.set}
+            _check_grad_settings(checks["M"], checks["Mm"], checks["trials"])
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error in load: {exc}", file=sys.stderr)
         return 1
 
     if args.grad_check:
         out = Path(spec.out)
-        checks = {**GRAD_CHECK_KEYS, **spec.set}
         try:
             out.mkdir(parents=True, exist_ok=True)
             report = emit_gradient_check_report(

@@ -50,7 +50,8 @@ def _batch(X, y, what: str):
 
 def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
     """The loss value from the batch residuals y - pred."""
-    penalty = 0.5 * lam * float(np.sum(model.consequents[:, 1:] ** 2))
+    # np.sum, minus its Python layer
+    penalty = 0.5 * lam * float(np.add.reduce(model.consequents[:, 1:] ** 2, axis=None))
     return 0.5 * float(resid @ resid) + penalty
 
 
@@ -69,14 +70,23 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     X, y = _batch(X, y, "gradient")
     n = X.shape[0]
     variant, keep = _stack_masks(model, masks, n)
+    design = np.empty((n, X.shape[1] + 1))
+    design[:, 0], design[:, 1:] = 1.0, X
+    return _gradients(model, design, y, lam, variant, keep)
+
+
+def _gradients(model: TskModel, design: np.ndarray, y: np.ndarray, lam: float, variant, keep):
+    """gradients() without its checks: design holds the batch rows as
+    (1, x), y their targets, and variant and keep are what _stack_masks
+    returns for the batch mask."""
+    X = design[:, 1:]
+    n = X.shape[0]
     fw = _forward(model, X, variant, keep)
 
     err = fw.pred - y
     # Consequents: err * normalized firing, times (1, x). One [n, R] buffer
     # holds that product in the memory order of norm_firing (F from _kron),
     # then W in C order: OpenBLAS sums differently for the other order.
-    design = np.empty((n, X.shape[1] + 1))
-    design[:, 0], design[:, 1:] = 1.0, X
     buf = np.multiply(err[:, None], fw.norm_firing, out=np.empty_like(fw.norm_firing))
     grad_b = buf.T @ design
     if lam != 0.0:
@@ -102,7 +112,7 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     with np.errstate(over="ignore"):
         dx = X[:, :, None] - model.centers
         dx2 = dx**2
-        floored = dx2 / (2.0 * model.sigmas**2) >= -_log_floor(M)
+    floored = (fw.log_mu == _log_floor(M)).transpose(2, 0, 1)
     if floored.any():
         dx[floored] = dx2[floored] = 0.0
     grad_c = (V * dx).sum(axis=0) / model.sigmas**2

@@ -22,6 +22,17 @@ SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
 # gradient by sigma^3, and neither underflows to 0 from here up.
 SIGMA_TINY = np.finfo(float).tiny ** (1 / 3)
 EVAL_BLOCK = 2**20  # elements of a [rows, R] array that predict() evaluates at once
+MAX_INPUTS = 63  # RuleGrid's np.indices holds M + 1 axes, and a numpy array at most 64
+
+
+def _check_grid(num_inputs: int, mfs_per_input: int) -> None:
+    """Raise ValueError for a grid that RuleGrid cannot build: fewer than one
+    input or MF per input, or more than MAX_INPUTS inputs, decided before
+    any M-long shape is built."""
+    if num_inputs < 1 or mfs_per_input < 1:
+        raise ValueError("num_inputs and mfs_per_input must both be >= 1")
+    if num_inputs > MAX_INPUTS:
+        raise ValueError(f"a rule grid has at most {MAX_INPUTS} inputs, got M={num_inputs}")
 
 
 class RuleGrid:
@@ -35,8 +46,7 @@ class RuleGrid:
     """
 
     def __init__(self, num_inputs: int, mfs_per_input: int):
-        if num_inputs < 1 or mfs_per_input < 1:
-            raise ValueError("num_inputs and mfs_per_input must both be >= 1")
+        _check_grid(num_inputs, mfs_per_input)
         self.num_inputs = int(num_inputs)
         self.mfs_per_input = int(mfs_per_input)
         shape = (self.mfs_per_input,) * self.num_inputs
@@ -183,6 +193,16 @@ def _param_views(values: np.ndarray, grid: RuleGrid) -> tuple:
     )
 
 
+def _view_model(values: np.ndarray, grid: RuleGrid) -> TskModel:
+    """A TskModel over _param_views of values, without TskModel's checks:
+    for a finite vector whose sigmas are floored at SIGMA_MIN, as train()
+    keeps its parameters."""
+    model = TskModel.__new__(TskModel)
+    model.grid = grid
+    model.centers, model.sigmas, model.consequents = _param_views(values, grid)
+    return model
+
+
 def _param_name(i: int, grid: RuleGrid) -> str:
     """Readable name of coordinate i of the flatten() layout."""
     M, Mm = grid.num_inputs, grid.mfs_per_input
@@ -239,6 +259,7 @@ class Forward(NamedTuple):
 
     norm_firing: np.ndarray  # [N, R], every row sums to 1
     pred: np.ndarray  # [N]
+    log_mu: np.ndarray  # [M, Mm, N] unmasked log-grades, as _log_grades gives them
 
 
 _FLOAT_MIN, _FLOAT_MAX = np.finfo(float).min, np.finfo(float).max
@@ -249,44 +270,39 @@ def _log_floor(num_inputs: int) -> float:
     return _FLOAT_MIN / (num_inputs + 1)
 
 
-def _log_grades(model: TskModel, X: np.ndarray, mf_keep=None) -> np.ndarray:
-    """[Mm, N, M] log-grades of every MF at every row, floored at
-    _log_floor(M), from C-ordered [Mm, M] copies of the parameters so that
-    per-input reductions run over the outermost axis. A DropMF keep array
-    ([N, M, Mm]) sets a dropped MF's log-grade to 0. Raises
-    DimensionMismatch for rows whose width is not M."""
+def _log_grades(model: TskModel, X: np.ndarray) -> np.ndarray:
+    """[M, Mm, N] log-grades of every MF at every row, floored at
+    _log_floor(M), with the row axis innermost so that the per-input
+    reductions and products broadcast along it. Raises DimensionMismatch
+    for rows whose width is not M."""
     M = model.num_inputs
     if X.ndim != 2 or X.shape[1] != M:
         raise DimensionMismatch(f"expected rows of width {M}, got array of shape {X.shape}")
-    centers = model.centers.T.copy()[:, None]
-    sigmas = model.sigmas.T.copy()[:, None]
-    log_mu = X - centers
+    log_mu = X.T[:, None] - model.centers[:, :, None]
     with np.errstate(over="ignore"):
         np.square(log_mu, out=log_mu)
         np.negative(log_mu, out=log_mu)
-        log_mu /= 2.0 * sigmas**2
+        log_mu /= 2.0 * model.sigmas[:, :, None] ** 2
     np.maximum(log_mu, _log_floor(M), out=log_mu)
-    if mf_keep is not None:
-        log_mu = np.where(mf_keep.transpose(2, 0, 1), log_mu, 0.0)
     return log_mu
 
 
-def _input_softmax(model: TskModel, X: np.ndarray, mf_keep=None) -> np.ndarray:
-    """[Mm, N, M] softmax of each input's Mm log-grades (as _log_grades,
-    with a DropMF keep array) at every row, each shifted by its largest.
-    The unmasked or DropMF normalized firing level of a rule is the product
-    of the M softmaxes of the MFs it uses."""
-    grades = _log_grades(model, X, mf_keep)
-    grades -= grades.max(axis=0)
-    np.exp(grades, out=grades)
-    grades /= grades.sum(axis=0)
-    return grades
+def _input_softmax(log_mu: np.ndarray, out=None) -> np.ndarray:
+    """[M, Mm, N] softmax of each input's Mm log-grades at every row, each
+    shifted by its largest, written to out (which may be log_mu). The
+    unmasked or DropMF normalized firing level of a rule is the product of
+    the M softmaxes of the MFs it uses."""
+    out = np.subtract(log_mu, log_mu.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def _log_firing(
-    model: TskModel, X: np.ndarray, variant: str | None = None, keep=None
+    model: TskModel, log_mu: np.ndarray, variant: str | None = None, keep=None
 ) -> np.ndarray:
-    """[N, R] log firing levels. keep is the stacked per-example keep array.
+    """[N, R] log firing levels from the [M, Mm, N] log-grades of
+    _log_grades. keep is the stacked per-example keep array.
 
     Each rule's log firing level is the sum of the log-grades of the M MFs
     it uses, so the [N, M * Mm] log-grades map to log firing levels through
@@ -300,33 +316,36 @@ def _log_firing(
     cannot overflow.
     """
     M = model.num_inputs
-    log_mu = _log_grades(model, X, keep if variant == "mf" else None)
+    if variant == "mf":
+        log_mu = np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
+    slots = log_mu.transpose(2, 0, 1)  # [N, M, Mm]
     if variant == "membership":
-        slots = log_mu.transpose(1, 2, 0)[:, np.arange(M), model.grid.antecedents]
-        slots = np.where(keep, slots, 0.0)
+        slots = np.where(keep, slots[:, np.arange(M), model.grid.antecedents], 0.0)
         return sum(slots[:, :, m] for m in range(M))
     incidence = model.grid.incidence
-    log_f = log_mu.transpose(1, 2, 0).reshape(-1, incidence.shape[1]) @ incidence.T
+    # C order: the reshape alone is an F-ordered view, and OpenBLAS sums
+    # that order differently
+    log_f = np.ascontiguousarray(slots).reshape(-1, incidence.shape[1]) @ incidence.T
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
     return log_f
 
 
 def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=None) -> Forward:
-    """Batched forward pass. keep is the stacked per-example keep array.
+    """Batched forward pass. keep is the stacked per-example keep array, as
+    _stack_masks returns it: no DropRule row drops every rule.
 
     Normalized firing levels are the softmax of the log firing levels.
     Unmasked or under DropMF, the firing levels of a row sum to the product
     over inputs of each input's summed grades, so the softmax is the product
     of one softmax per input over its Mm log-grades (_input_softmax, as in
-    predict()): norm_firing is their row-wise Kronecker product, with no
-    log and no [N, R] exp, and every row keeps a dominant rule at >= Mm^-M.
+    predict()): norm_firing is the transpose of their Kronecker product,
+    an F-ordered [N, R], with no log and no [N, R] exp, and every row keeps
+    a dominant rule at >= Mm^-M.
     DropRule and DropMembership change single rules, so their softmax is
     over each [N, R] row of log firing levels, shifted by its maximum.
     Either way a row far from every MF weights its dominant rule(s). The
-    output is the row dot of norm_firing @ consequents with (1, x). Raises
-    MaskShapeMismatch for a DropRule row that drops every rule, whose
-    normalized firing is undefined.
+    output is the row dot of norm_firing @ consequents with (1, x).
 
     DropRule shifts the unmasked log firing levels by the largest kept one,
     the row max of log_f - finfo.max * ~keep (a kept entry is unchanged and
@@ -339,34 +358,35 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     kept ones by more than log(finfo.max) would otherwise overflow to inf,
     and inf * 0 is NaN.
     """
-    if variant == "rule" and not keep.any(axis=1).all():
-        empty = np.flatnonzero(~keep.any(axis=1))
-        raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
+    log_mu = _log_grades(model, X)
     if variant in (None, "mf"):
-        norm_firing = _kron(_input_softmax(model, X, keep))
+        grades = log_mu if variant is None else np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
+        norm_firing = _kron(_input_softmax(grades)).T
     else:
         if variant == "rule":
-            log_f = _log_firing(model, X)
+            log_f = _log_firing(model, log_mu)
             with np.errstate(over="ignore"):
                 masked = np.multiply(~keep, _FLOAT_MAX)
                 log_f -= np.subtract(log_f, masked, out=masked).max(axis=1, keepdims=True)
             norm_firing = np.exp(np.minimum(log_f, 0.0, out=log_f), out=log_f)
             norm_firing *= keep
         else:
-            log_f = _log_firing(model, X, variant, keep)
+            log_f = _log_firing(model, log_mu, variant, keep)
             norm_firing = np.exp(log_f - log_f.max(axis=1, keepdims=True))
         norm_firing /= norm_firing.sum(axis=1, keepdims=True)
     out = norm_firing @ model.consequents
     pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
-    return Forward(norm_firing, pred)
+    return Forward(norm_firing, pred, log_mu)
 
 
-def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
+def _stack_masks(model: TskModel, masks: DropMask | None, n: int, normalized: bool = True):
     """Validate a batch mask and return (variant, keep).
 
     masks is None or one DropMask whose keep has a leading batch axis of n,
     as the trainer samples them. No mask, and a mask that keeps everything,
-    give (None, None), so a no-op mask takes the unmasked path.
+    give (None, None), so a no-op mask takes the unmasked path. Raises
+    MaskShapeMismatch for a DropRule row that drops every rule, whose
+    normalized firing is undefined, unless normalized is False.
     """
     if masks is None:
         return None, None
@@ -378,6 +398,10 @@ def _stack_masks(model: TskModel, masks: DropMask | None, n: int):
         raise MaskShapeMismatch(
             f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
         )
+    if normalized and masks.variant == "rule":
+        empty = np.flatnonzero(~keep.any(axis=1))
+        if empty.size:
+            raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
     return (None, None) if keep.all() else (masks.variant, keep)
 
 
@@ -387,11 +411,11 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
     With a mask, dropped rules fire at 0 while dropped MFs or membership
     slots contribute grade 1 in place of their Gaussian value.
     """
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(x, dtype=float)[None]
     if mask is not None:
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
-    variant, keep = _stack_masks(model, mask, 1)
-    return np.exp(_log_firing(model, x[None], variant, keep))[0]
+    variant, keep = _stack_masks(model, mask, 1, normalized=False)
+    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:
@@ -410,11 +434,11 @@ def predict(model: TskModel, x):
     inputs of each input's softmax of its Mm log-grades, so the output
     contracts those per-input grades with the consequents and never forms
     the [N, R] firing matrix. The Kronecker product a of the first
-    k = ceil(M / 2) inputs' grades ([N, Ra]) and b of the others ([N, Rb])
+    k = ceil(M / 2) inputs' grades ([Ra, N]) and b of the others ([Rb, N])
     index rule r = i_a * Rb + i_b, the last input varying fastest as in
     RuleGrid, so the consequents reshape to [Ra, Rb * (M + 1)] and
-    sum_r p_r b_r = sum_{i_b} b * (a @ consequents). The output is the row
-    dot of that with (1, x).
+    sum_r p_r b_r = sum_{i_b} b * (a.T @ consequents). The output is the
+    row dot of that with (1, x).
 
     Rows are evaluated in min(N, ceil(N * R / EVAL_BLOCK)) near-equal
     blocks, so the temporaries stay bounded in N and R; N * R up to
@@ -432,22 +456,24 @@ def predict(model: TskModel, x):
 
 def _predict_rows(model: TskModel, X: np.ndarray) -> np.ndarray:
     """predict() of the [N, M] rows of X as one block."""
-    grades = _input_softmax(model, X)
+    grades = _log_grades(model, X)
+    _input_softmax(grades, out=grades)
     k = (model.num_inputs + 1) // 2
-    a, b = _kron(grades[:, :, :k]), _kron(grades[:, :, k:])
+    a, b = _kron(grades[:k]), _kron(grades[k:])
     n, cols = X.shape[0], model.num_inputs + 1
-    ab = (a @ model.consequents.reshape(a.shape[1], -1)).reshape(n, b.shape[1], cols)
-    out = np.einsum("nb,nbj->nj", b, ab)
+    ab = (a.T @ model.consequents.reshape(a.shape[0], -1)).reshape(n, b.shape[0], cols)
+    out = np.einsum("nb,nbj->nj", b.T, ab)
     return out[:, 0] + np.einsum("nm,nm->n", out[:, 1:], X)
 
 
 def _kron(grades: np.ndarray) -> np.ndarray:
-    """[N, Mm^K] row-wise Kronecker product of [Mm, N, K] per-input grades,
-    the last input varying fastest; ones of shape [N, 1] when K = 0."""
-    mm, n, k = grades.shape
+    """[Mm^K, N] row-wise Kronecker product of [K, Mm, N] per-input grades,
+    the last input varying fastest along the rule axis; ones of shape
+    [1, N] when K = 0."""
+    k, mm, n = grades.shape
     if k == 0:
-        return np.ones((n, 1))
-    out = grades[:, :, 0].T
+        return np.ones((1, n))
+    out = grades[0]
     for m in range(1, k):
-        out = (out[:, :, None] * grades[:, None, :, m].T).reshape(n, mm ** (m + 1))
+        out = (out[:, None] * grades[m]).reshape(mm ** (m + 1), n)
     return out

@@ -118,6 +118,14 @@ def adabound_step(
     if not np.isfinite(g).all():
         bad = np.flatnonzero(~np.isfinite(g))
         raise NonFiniteGradient(f"gradient has non-finite entries at indices {bad[:5]}")
+    return _adabound_step(state, theta, g, hyper, l, u)
+
+
+def _adabound_step(
+    state: MomentState, theta: np.ndarray, g: np.ndarray, hyper: TrainConfig, l: float, u: float
+):
+    """adabound_step() without its checks: theta, g and the moments are
+    float arrays of one shape, and g is finite."""
     k = state.k + 1
     m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g

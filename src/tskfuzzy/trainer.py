@@ -27,14 +27,14 @@ from .errors import (
     LengthMismatch,
     ZeroBaseline,
 )
-from .loss import _objective, gradients
+from .loss import _gradients, _objective
 from .masks import KEEP_AXES, sample_masks
 from .model import (
     SIGMA_MIN,
     RuleGrid,
     TskModel,
     _param_name,
-    _param_views,
+    _view_model,
     flatten,
     init_model_from_data,
     predict,
@@ -42,7 +42,7 @@ from .model import (
 from .optim import (
     JangLrState,
     MomentState,
-    adabound_step,
+    _adabound_step,
     bound_l,
     bound_u,
     jang_update_lr,
@@ -261,15 +261,20 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
     n_train = train_set.n
     X_eval = np.concatenate([train_set.X, test_set.X])
+    design = np.empty((n_train, M + 1))  # the training rows as (1, x)
+    design[:, 0], design[:, 1:] = 1.0, train_set.X
     # Predictions of the current model on every training row. init_model
     # starts every consequent at 0, so before the first step they are all 0.
     train_pred = np.zeros(n_train)
     t0 = time.perf_counter()
     for k in range(K):
         idx = sample_batch(train_set, config.batch_size, batch_rng)
-        Xb, yb = train_set.X[idx], train_set.y[idx]
-        masks = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng) if variant else None
-        g = gradients(model, Xb, yb, config.lam, masks)
+        yb = train_set.y[idx]
+        drop, keep = None, None
+        if variant:  # a mask that keeps everything takes the unmasked path
+            keep = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng).keep
+            drop, keep = (None, None) if keep.all() else (variant, keep)
+        g = _gradients(model, design[idx], yb, config.lam, drop, keep)
         batch_loss = _finite(_objective(model, yb - train_pred[idx], config.lam), "batch loss", k)
         _check_finite(g, "gradient of", k, grid)
 
@@ -283,13 +288,13 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             else:
                 lo = bound_l(moments.k + 1, config.beta2, config.alpha_final)
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
-            theta, moments = adabound_step(moments, theta, g, config, lo, up)
+            theta, moments = _adabound_step(moments, theta, g, config, lo, up)
             rates = moments.last_rates
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
         theta[n_mf : 2 * n_mf] = np.maximum(theta[n_mf : 2 * n_mf], SIGMA_MIN)
         _check_finite(theta, "parameter", k, grid)
-        model = TskModel(grid, *_param_views(theta, grid))  # views, no copies
+        model = _view_model(theta, grid)
 
         pred = predict(model, X_eval)
         train_pred = pred[:n_train]

@@ -240,9 +240,17 @@ class TestMain:
 BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "config repeats not an integer": ({"repeats": "x"}, [], "load", "'x'"),
     "config set not a mapping": ({"set": 5}, [], "load", '"set"'),
-    "grad-check with no MFs": ({}, ["--grad-check", "--set", "M=0"], "train", ">= 1"),
+    "grad-check with no MFs": ({}, ["--grad-check", "--set", "M=0"], "load", ">= 1"),
     "grad-check with negative trials": (
-        {}, ["--grad-check", "--set", "trials=-1"], "train", "trials"
+        {}, ["--grad-check", "--set", "trials=-1"], "load", "trials"
+    ),
+    "grad-check with 100 inputs": (
+        {}, ["--grad-check", "--set", "M=100", "--set", "Mm=1"], "load",
+        "a rule grid has at most 63 inputs, got M=100",
+    ),
+    "grad-check over 1024 rules": (
+        {}, ["--grad-check", "--set", "M=6", "--set", "Mm=4"], "load",
+        "grid of 4**6 rules exceeds the 1024-rule check limit",
     ),
     "zero iterations": ({}, ["--set", "iterations=0"], "load", "iterations"),
     "config out not a string": ({"out": 5}, [], "load", '"out"'),
@@ -356,6 +364,25 @@ class TestGradCheckReport:
         with pytest.raises(GridTooLarge):
             emit_gradient_check_report(10, 4, 1, 0, tmp_path / "g.txt")
 
+    @pytest.mark.parametrize(
+        "args, text",
+        [((100, 1, 1), "got M=100"), ((0, 2, 1), ">= 1"), ((2, 2, -1), "trials"),
+         ((6, 4, 1), "1024-rule")],
+    )
+    def test_direct_call_refuses_before_any_work(self, tmp_path, args, text):
+        """emit_gradient_check_report makes the command line's load-stage
+        checks itself, before it writes anything."""
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError, match=text):
+            emit_gradient_check_report(*args, 0, path)
+        assert not path.exists()
+
+    def test_bad_setting_fails_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert main(["--grad-check", "--set", "M=0", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "load", ">= 1")
+        assert not out.exists()
+
     def test_huge_grid_refused_without_the_power(self, tmp_path):
         """3**100000000 takes minutes to compute; the limit is decided from
         M alone."""
@@ -367,7 +394,7 @@ class TestGradCheckReport:
             env=env, capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 1
-        assert done.stderr.startswith("error in train: grid of 3**100000000 rules exceeds the 1024-rule")
+        assert done.stderr.startswith("error in load: grid of 3**100000000 rules exceeds the 1024-rule")
 
     def test_main_grad_check(self, tmp_path):
         out = tmp_path / "gc"

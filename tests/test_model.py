@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from tskfuzzy import (
     SIGMA_MIN,
+    Dataset,
     DropMask,
     RuleGrid,
+    TrainConfig,
     TskModel,
     finite_diff_grad,
     firing_levels,
@@ -28,16 +30,26 @@ from tskfuzzy import (
     init_model,
     load_model,
     loss,
+    make_synthetic,
     param_count,
     predict,
     rule_outputs,
     save_model,
+    train,
+    trainer,
     unflatten,
 )
 from tskfuzzy.errors import ConstantFeature, DimensionMismatch, LengthMismatch, ParseError
 from tskfuzzy.masks import KEEP_AXES, keep_shape, sample_masks
 from tskfuzzy import model as model_module
-from tskfuzzy.model import EVAL_BLOCK, SIGMA_TINY, _forward, _log_firing
+from tskfuzzy.model import (
+    EVAL_BLOCK,
+    MAX_INPUTS,
+    SIGMA_TINY,
+    _forward,
+    _log_firing,
+    _log_grades,
+)
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -73,6 +85,30 @@ class TestRuleGrid:
                 assert members.size == 2 ** (3 - 1)
                 seen.extend(members.tolist())
             assert sorted(seen) == list(range(grid.num_rules))
+
+    def test_more_inputs_than_numpy_axes_refused(self):
+        """np.indices holds M + 1 axes and numpy allows 64, so 63 inputs
+        build and 64 are refused by name."""
+        assert RuleGrid(MAX_INPUTS, 1).antecedents.shape == (1, MAX_INPUTS)
+        with pytest.raises(ValueError, match=r"^a rule grid has at most 63 inputs, got M=64$"):
+            RuleGrid(64, 1)
+
+    def test_huge_input_count_refused_quickly(self):
+        """M = 10**8 is refused before the M-long shape tuple (800 MB) is
+        built, in a fresh interpreter that must finish within 10 s."""
+        script = (
+            "from tskfuzzy import RuleGrid\n"
+            "try:\n"
+            "    RuleGrid(10**8, 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert done.stdout == "a rule grid has at most 63 inputs, got M=100000000\n", done
 
 
 class TestFiringLevels:
@@ -209,7 +245,7 @@ class TestTensorProductForward:
         test_per_input_softmax_matches_slot_softmax."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         slot, want = slot_log_firing(model, X, variant, keep)
-        log_f = _log_firing(model, X, variant, keep)
+        log_f = _log_firing(model, _log_grades(model, X), variant, keep)
         dropped = np.isneginf(want)
         np.testing.assert_array_equal(np.isneginf(log_f), dropped)
         tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
@@ -363,14 +399,18 @@ class TestPredict:
         assert blocks == [1] * 7
         assert single == pytest.approx(want[0], rel=1e-12)
 
-    def test_droprule_gradient_peak_memory(self):
+    def test_droprule_gradient_peak_memory(self, monkeypatch):
         """The training counterpart: a DropRule gradient on 64 rows at R=1024
         and keep 0.5 holds the normalized firing and one shared scratch
-        [64, R] buffer, so its peak stays below 2.5 such float64 arrays."""
+        [64, R] buffer, so its peak stays below 2.5 such float64 arrays. The
+        same bound holds for what train() itself allocates between drawing a
+        batch's mask and the end of the gradient kernel: the batch rows, the
+        mask resolution, and anything it would hold across the kernel."""
         rng = np.random.default_rng(9)
         model = random_model(5, 4, rng)
         X = rng.standard_normal((64, 5))
         y = rng.standard_normal(64)
+        limit = 2.5 * X.shape[0] * model.num_rules * X.itemsize
         masks = sample_masks("rule", model.grid, 64, 0.5, rng)
         gradients(model, X, y, 0.05, masks)
         tracemalloc.start()
@@ -379,7 +419,32 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * X.shape[0] * model.num_rules * X.itemsize
+        assert peak < limit
+
+        base, peaks = [], []
+        draw, kernel = trainer.sample_masks, trainer._gradients
+
+        def drawn(*args):
+            out = draw(*args)
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        def measured(*args):
+            out = kernel(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base[-1])
+            return out
+
+        monkeypatch.setattr(trainer, "sample_masks", drawn)
+        monkeypatch.setattr(trainer, "_gradients", measured)
+        data = make_synthetic(110, seed=3)
+        tr, te = Dataset(data.X[:100], data.y[:100]), Dataset(data.X[100:], data.y[100:])
+        tracemalloc.start()
+        try:
+            train(TrainConfig(mfs_per_input=4, iterations=3), tr, te)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3 and max(peaks) < limit, peaks
 
     def test_single_rule_returns_its_output(self):
         grid = RuleGrid(1, 1)

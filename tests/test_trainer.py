@@ -8,13 +8,22 @@ import numpy as np
 import pytest
 
 from tskfuzzy import (
+    SIGMA_MIN,
     Dataset,
+    JangLrState,
+    MomentState,
     RidgeConfig,
     TrainConfig,
+    adabound_step,
     apply_preprocessor,
+    bound_l,
+    bound_u,
     fit_preprocessor,
     flatten,
+    gradients,
     init_model,
+    init_model_from_data,
+    jang_update_lr,
     loss,
     make_synthetic,
     percent_improvement,
@@ -24,9 +33,12 @@ from tskfuzzy import (
     rmse,
     run_suite,
     sample_batch,
+    sample_masks,
+    sgd_step,
     split,
     train,
     trainer,
+    unflatten,
 )
 from tskfuzzy.errors import (
     DimensionMismatch,
@@ -334,7 +346,7 @@ class TestDivergence:
     @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
     def test_non_finite_gradient_raises_before_the_step(self, small_splits, monkeypatch, scheme):
         tr, te = small_splits
-        real = trainer.gradients
+        real = trainer._gradients
         calls = []
 
         def poisoned(*args):
@@ -344,7 +356,7 @@ class TestDivergence:
                 g[12] = np.nan  # M=5, Mm=2: the third sigma
             return g
 
-        monkeypatch.setattr(trainer, "gradients", poisoned)
+        monkeypatch.setattr(trainer, "_gradients", poisoned)
         message = r"^diverged at iteration 3: gradient of sigma\[1, 0\] is nan$"
         with pytest.raises(Diverged, match=message):
             train(quick(lr_scheme=scheme), tr, te)
@@ -417,7 +429,7 @@ class TestOneEvaluation:
         tr, te = small_splits
         empty = Dataset(te.X[:0], te.y[:0])
         steps = []
-        monkeypatch.setattr(trainer, "gradients", lambda *args: steps.append(None))
+        monkeypatch.setattr(trainer, "_gradients", lambda *args: steps.append(None))
         with pytest.raises(EmptyDataset, match="^RMSE of an empty dataset is undefined$"):
             train(quick(), tr, empty)
         assert steps == []
@@ -428,6 +440,72 @@ class TestOneEvaluation:
         tr, te = small_splits
         with pytest.raises(DimensionMismatch, match="test rows"):
             train(quick(), tr, Dataset(te.X[:, :3], te.y))
+
+
+def replay(cfg, tr, te):
+    """train()'s run rebuilt from the checked public functions: the final
+    parameters and the [6, K] history rows (train_rmse, test_rmse, loss,
+    mean_lr, min_lr, max_lr)."""
+    batch_seq, mask_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    batch_rng, mask_rng = np.random.default_rng(batch_seq), np.random.default_rng(mask_seq)
+    model = init_model_from_data(tr.X, cfg.mfs_per_input)
+    M, Mm = model.num_inputs, model.mfs_per_input
+    theta = flatten(model)
+    moments, jang = MomentState.zeros(theta.size), JangLrState(cfg.alpha)
+    X_eval = np.concatenate([tr.X, te.X])
+    train_pred = np.zeros(tr.n)  # the consequents start at 0
+    hist = []
+    for _ in range(cfg.iterations):
+        idx = sample_batch(tr, cfg.batch_size, batch_rng)
+        masks = None
+        if cfg.drop_variant != "none":
+            masks = sample_masks(cfg.drop_variant, model.grid, len(idx), cfg.keep_prob, mask_rng)
+        g = gradients(model, tr.X[idx], tr.y[idx], cfg.lam, masks)
+        # the batch loss at the pre-step parameters, from the last evaluation
+        resid = tr.y[idx] - train_pred[idx]
+        batch_loss = 0.5 * (resid @ resid) + 0.5 * cfg.lam * np.sum(model.consequents[:, 1:] ** 2)
+        if cfg.lr_scheme == "jang":
+            jang = jang_update_lr(jang, batch_loss)
+            theta = sgd_step(theta, g, jang.alpha)
+            lr = [jang.alpha] * 3
+        else:
+            lo, up = 0.0, np.inf
+            if cfg.lr_scheme == "adabound":
+                lo = bound_l(moments.k + 1, cfg.beta2, cfg.alpha_final)
+                up = bound_u(moments.k + 1, cfg.beta2, cfg.alpha_final)
+            theta, moments = adabound_step(moments, theta, g, cfg, lo, up)
+            lr = [moments.last_rates.mean(), moments.last_rates.min(), moments.last_rates.max()]
+        theta[M * Mm : 2 * M * Mm] = np.maximum(theta[M * Mm : 2 * M * Mm], SIGMA_MIN)
+        model = unflatten(theta, M, Mm)
+        pred = predict(model, X_eval)
+        train_pred = pred[: tr.n]
+        rmses = [np.sqrt(np.mean((d.y - p) ** 2)) for d, p in ((tr, train_pred), (te, pred[tr.n :]))]
+        hist.append([*rmses, batch_loss, *lr])
+    return theta, np.array(hist).T
+
+
+class TestReplay:
+    @pytest.mark.parametrize("alpha", [0.01, 1.0])
+    @pytest.mark.parametrize("num_inputs", [3, 5])
+    @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
+    @pytest.mark.parametrize("variant", ["none", "rule", "mf", "membership"])
+    def test_train_equals_its_checked_path(self, variant, scheme, num_inputs, alpha):
+        """train() calls the unchecked gradient and step kernels with rows,
+        masks and models it prepared itself; the run it makes equals, bit for
+        bit, the one that the public functions make, which check every call.
+        At alpha 1 most of these runs end with sigmas on the floor."""
+        data = make_synthetic(300, seed=5)
+        data = Dataset(data.X[:, :num_inputs], data.y)
+        tr, te = split(data, 0.7, np.random.default_rng(0))
+        pre = fit_preprocessor(tr)
+        tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+        cfg = quick(iterations=8, drop_variant=variant, lr_scheme=scheme, alpha=alpha)
+        model, hist = train(cfg, tr, te)
+        theta, want = replay(cfg, tr, te)
+        curves = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
+        for name, row in zip(curves, want):
+            np.testing.assert_array_equal(getattr(hist, name), row, err_msg=name)
+        np.testing.assert_array_equal(flatten(model), theta)
 
 
 class TestRunSuite:
