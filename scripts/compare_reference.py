@@ -46,9 +46,11 @@ import tskfuzzy  # noqa: E402
 import tskfuzzy.cli  # noqa: E402
 
 CURVES = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
-# Inputs M of each problem: all five synthetic columns, then the first three,
-# so that rounding which depends on M is compared at more than one width
-WIDTHS = (5, 3)
+# Inputs M of each problem: all five synthetic columns, then the first four,
+# three, two and one, so that rounding which depends on M is compared at every
+# split of predict's Kronecker factors (at M <= 3 one of them is a view of the
+# per-input softmax, and inherits its memory order)
+WIDTHS = (5, 4, 3, 2, 1)
 
 
 def load_tree(tree: Path):

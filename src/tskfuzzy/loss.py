@@ -23,6 +23,7 @@ from .model import (
 )
 
 
+@np.errstate(over="ignore")
 def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     """Half squared error over the batch plus the l2 consequent penalty.
 
@@ -55,6 +56,7 @@ def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
     return 0.5 * float(resid @ resid) + penalty
 
 
+@np.errstate(over="ignore")
 def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray:
     """Analytic gradient of the batch loss, flat and aligned with flatten(model).
 
@@ -75,19 +77,36 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     return _gradients(model, design, y, lam, variant, keep)
 
 
-def _gradients(model: TskModel, design: np.ndarray, y: np.ndarray, lam: float, variant, keep):
-    """gradients() without its checks: design holds the batch rows as
-    (1, x), y their targets, and variant and keep are what _stack_masks
-    returns for the batch mask."""
+def _gradients(
+    model: TskModel,
+    design: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    variant,
+    keep,
+    log_mu=None,
+    scratch=None,
+):
+    """gradients() without its checks or its np.errstate: design holds the
+    batch rows as (1, x), y their targets, variant and keep are what
+    _stack_masks returns for the batch mask, log_mu, when given, the rows'
+    log-grades as _log_grades gives them, and scratch, when given, a flat
+    array of at least 2 n R floats for the [n, R] arrays, as _forward
+    takes it."""
     X = design[:, 1:]
-    n = X.shape[0]
-    fw = _forward(model, X, variant, keep)
+    n, R = X.shape[0], model.num_rules
+    if scratch is None:
+        scratch = np.empty(2 * n * R)
+    fw = _forward(model, X, variant, keep, log_mu, scratch)
 
     err = fw.pred - y
-    # Consequents: err * normalized firing, times (1, x). One [n, R] buffer
-    # holds that product in the memory order of norm_firing (F from _kron),
-    # then W in C order: OpenBLAS sums differently for the other order.
-    buf = np.multiply(err[:, None], fw.norm_firing, out=np.empty_like(fw.norm_firing))
+    # Consequents: err * normalized firing, times (1, x). One [n, R] buffer,
+    # the half of scratch that _forward's temporaries are done with, holds
+    # that product in the memory order of norm_firing (F from _kron), then
+    # W in C order: OpenBLAS sums differently for the other order.
+    spare = scratch[n * R : 2 * n * R]
+    buf = spare.reshape(R, n).T if fw.norm_firing.flags.f_contiguous else spare.reshape(n, R)
+    np.multiply(err[:, None], fw.norm_firing, out=buf)
     grad_b = buf.T @ design
     if lam != 0.0:
         grad_b[:, 1:] += lam * model.consequents[:, 1:]
@@ -109,9 +128,8 @@ def _gradients(model: TskModel, design: np.ndarray, y: np.ndarray, lam: float, v
             V = np.where(keep, V, 0.0)
     # A log-grade held at its floor is constant and passes back 0; zeroing
     # its distances also keeps an overflowed dx**2 out of the sums.
-    with np.errstate(over="ignore"):
-        dx = X[:, :, None] - model.centers
-        dx2 = dx**2
+    dx = X[:, :, None] - model.centers
+    dx2 = dx**2
     floored = (fw.log_mu == _log_floor(M)).transpose(2, 0, 1)
     if floored.any():
         dx[floored] = dx2[floored] = 0.0

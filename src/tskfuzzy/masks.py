@@ -3,9 +3,11 @@
 This module defines the drop variants: their names, the keep shape of one
 example under each, and how to draw them. How each variant changes the
 forward and the gradient is in model.py and loss.py. The masks
-of a batch are one rng.random((n, *shape)) <= keep_prob draw, so
-keep_prob = 1 keeps everything while consuming the same random numbers;
-one example's mask is sample_masks(variant, grid, 1, keep_prob, rng).keep[0].
+of a batch are rng.random((n, *shape)) <= keep_prob, drawn a few rows at a
+time (the rows are outermost, so the chunks take the stream's numbers in
+the same order as one draw), so keep_prob = 1 keeps everything while
+consuming the same random numbers; one example's mask is
+sample_masks(variant, grid, 1, keep_prob, rng).keep[0].
 A batch mask that keeps everything is treated as no mask, so it changes
 nothing by construction.
 Masks are drawn once per training example and never applied at test time.
@@ -13,6 +15,7 @@ Masks are drawn once per training example and never applied at test time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .errors import MaskShapeMismatch
 KEEP_AXES = dict(rule=("num_rules",), mf=("num_inputs", "mfs_per_input"),
                  membership=("num_rules", "num_inputs"))
 MAX_RESAMPLES = 16  # redraws of an all-dropped DropRule row before it keeps every rule
+DRAW_FLOATS = 2**14  # random floats a batch draw holds at once: 128 kB, or one example's
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,11 @@ def sample_masks(variant: str, grid, n: int, keep_prob: float, rng) -> DropMask:
     example and leave the output undefined, so it is redrawn in place up
     to MAX_RESAMPLES times and then keeps every rule.
     """
-    keep = rng.random((n, *keep_shape(variant, grid))) <= keep_prob
+    shape = keep_shape(variant, grid)
+    keep = np.empty((n, *shape), dtype=bool)
+    rows = max(1, DRAW_FLOATS // math.prod(shape))
+    for lo in range(0, n, rows):
+        np.less_equal(rng.random((min(rows, n - lo), *shape)), keep_prob, out=keep[lo : lo + rows])
     if variant == "rule":
         for _ in range(MAX_RESAMPLES):
             kept = keep.any(axis=1)

@@ -8,6 +8,8 @@ weighted average of the rule consequents.
 
 from __future__ import annotations
 
+import itertools
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -223,10 +225,10 @@ def save_model(model: TskModel, path) -> None:
 def load_model(path) -> TskModel:
     """Read a checkpoint written by save_model. Raises ParseError, naming the
     file and the 1-based line, for a header that is not `M=<int>`/`Mm=<int>`
-    with both at least 1, each within int()'s digit limit, and a parameter
-    count that fits in int64, for a value that is not a finite number and
-    for a sigma below SIGMA_TINY, and LengthMismatch for a wrong number of
-    values."""
+    with both at least 1, each within int()'s digit limit, M at most
+    MAX_INPUTS and a parameter count that fits in int64, for a value that is
+    not a finite number and for a sigma below SIGMA_TINY, and LengthMismatch
+    for a wrong number of values."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
@@ -241,8 +243,9 @@ def load_model(path) -> TskModel:
             raise ParseError(f"{path}, line {i}: {exc}") from None
     num_inputs, mfs_per_input = sizes
     try:
+        _check_grid(num_inputs, mfs_per_input)
         param_count(num_inputs, mfs_per_input)
-    except OverflowError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{path}, line {lines[0][0]}: {exc}, got {lines[0][1]!r}") from exc
     values = [_parse_number(ln) for _, ln in lines[2:]]
     n_mf = num_inputs * mfs_per_input
@@ -259,7 +262,7 @@ class Forward(NamedTuple):
 
     norm_firing: np.ndarray  # [N, R], every row sums to 1
     pred: np.ndarray  # [N]
-    log_mu: np.ndarray  # [M, Mm, N] unmasked log-grades, as _log_grades gives them
+    log_mu: np.ndarray  # [M, Mm, N] C-ordered unmasked log-grades, as _log_grades gives them
 
 
 _FLOAT_MIN, _FLOAT_MAX = np.finfo(float).min, np.finfo(float).max
@@ -270,39 +273,50 @@ def _log_floor(num_inputs: int) -> float:
     return _FLOAT_MIN / (num_inputs + 1)
 
 
-def _log_grades(model: TskModel, X: np.ndarray) -> np.ndarray:
+# The private kernels below enter no np.errstate context of their own: each
+# public entry point (predict, loss, gradients, firing_levels, train) holds
+# over="ignore" once, around all of its work, and so must a direct caller.
+# Under it, a row whose squared distances overflow gets floored log-grades.
+
+
+def _log_grades(model: TskModel, XT: np.ndarray, out=None) -> np.ndarray:
     """[M, Mm, N] log-grades of every MF at every row, floored at
-    _log_floor(M), with the row axis innermost so that the per-input
-    reductions and products broadcast along it. Raises DimensionMismatch
-    for rows whose width is not M."""
+    _log_floor(M), from XT, the [M, N] transpose of the rows. They go to
+    out, a C-ordered [M, Mm, N] array, or to a new one: either way the row
+    axis is innermost in memory, so the per-input reductions and products
+    run along it. Raises DimensionMismatch for rows whose width is not M."""
     M = model.num_inputs
-    if X.ndim != 2 or X.shape[1] != M:
-        raise DimensionMismatch(f"expected rows of width {M}, got array of shape {X.shape}")
-    log_mu = X.T[:, None] - model.centers[:, :, None]
-    with np.errstate(over="ignore"):
-        np.square(log_mu, out=log_mu)
-        np.negative(log_mu, out=log_mu)
-        log_mu /= 2.0 * model.sigmas[:, :, None] ** 2
+    if XT.ndim != 2 or XT.shape[0] != M:
+        raise DimensionMismatch(f"expected rows of width {M}, got array of shape {XT.T.shape}")
+    if out is None:
+        out = np.empty((M, model.mfs_per_input, XT.shape[1]))
+    log_mu = np.subtract(XT[:, None], model.centers[:, :, None], out=out)
+    np.square(log_mu, out=log_mu)
+    np.negative(log_mu, out=log_mu)
+    log_mu /= 2.0 * model.sigmas[:, :, None] ** 2
     np.maximum(log_mu, _log_floor(M), out=log_mu)
     return log_mu
 
 
-def _input_softmax(log_mu: np.ndarray, out=None) -> np.ndarray:
+def _input_softmax(log_mu: np.ndarray, out=None, red=None) -> np.ndarray:
     """[M, Mm, N] softmax of each input's Mm log-grades at every row, each
-    shifted by its largest, written to out (which may be log_mu). The
-    unmasked or DropMF normalized firing level of a rule is the product of
-    the M softmaxes of the MFs it uses."""
-    out = np.subtract(log_mu, log_mu.max(axis=1, keepdims=True), out=out)
+    shifted by its largest, written to out (which may be log_mu) in log_mu's
+    memory order; red, an [M, 1, N] array, holds the max and then the sum.
+    The unmasked or DropMF normalized firing level of a rule is the product
+    of the M softmaxes of the MFs it uses."""
+    red = np.maximum.reduce(log_mu, axis=1, keepdims=True, out=red)
+    out = np.subtract(log_mu, red, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= np.add.reduce(out, axis=1, keepdims=True, out=red)
     return out
 
 
 def _log_firing(
-    model: TskModel, log_mu: np.ndarray, variant: str | None = None, keep=None
+    model: TskModel, log_mu: np.ndarray, variant: str | None = None, keep=None, out=None
 ) -> np.ndarray:
     """[N, R] log firing levels from the [M, Mm, N] log-grades of
-    _log_grades. keep is the stacked per-example keep array.
+    _log_grades. keep is the stacked per-example keep array; out, a
+    C-ordered [N, R] array, receives the incidence product when given.
 
     Each rule's log firing level is the sum of the log-grades of the M MFs
     it uses, so the [N, M * Mm] log-grades map to log firing levels through
@@ -325,15 +339,29 @@ def _log_firing(
     incidence = model.grid.incidence
     # C order: the reshape alone is an F-ordered view, and OpenBLAS sums
     # that order differently
-    log_f = np.ascontiguousarray(slots).reshape(-1, incidence.shape[1]) @ incidence.T
+    log_f = np.matmul(
+        np.ascontiguousarray(slots).reshape(-1, incidence.shape[1]), incidence.T, out=out
+    )
     if variant == "rule":
         log_f = np.where(keep, log_f, -np.inf)
     return log_f
 
 
-def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=None) -> Forward:
+def _forward(
+    model: TskModel,
+    X: np.ndarray,
+    variant: str | None = None,
+    keep=None,
+    log_mu=None,
+    scratch=None,
+) -> Forward:
     """Batched forward pass. keep is the stacked per-example keep array, as
-    _stack_masks returns it: no DropRule row drops every rule.
+    _stack_masks returns it: no DropRule row drops every rule. log_mu is
+    the rows' [M, Mm, N] log-grades as _log_grades gives them, when the
+    caller has them (the trainer gathers them from its last evaluation);
+    otherwise they are computed here. scratch is a flat array of at least
+    2 N R floats: norm_firing is written to its first N R, and its second
+    N R hold the [N, R] temporaries (a new one when None).
 
     Normalized firing levels are the softmax of the log firing levels.
     Unmasked or under DropMF, the firing levels of a row sum to the product
@@ -350,29 +378,36 @@ def _forward(model: TskModel, X: np.ndarray, variant: str | None = None, keep=No
     DropRule shifts the unmasked log firing levels by the largest kept one,
     the row max of log_f - finfo.max * ~keep (a kept entry is unchanged and
     at least M * _log_floor(M) > finfo.min, a dropped one ends at or below
-    finfo.min), and multiplies by keep after the exp, so the exp sees only
-    finite values: numpy 2.4's AVX-512 exp takes 9-18x the time over a
-    [64, 1024] batch whose dropped half holds -inf or -800. Kept rules get
-    the same bits as a softmax over -inf entries, dropped ones an exact +0.
-    The shifted values are clamped at 0: a dropped rule that dominates the
-    kept ones by more than log(finfo.max) would otherwise overflow to inf,
-    and inf * 0 is NaN.
+    finfo.min, or overflows to -inf), and multiplies by keep after the exp,
+    so the exp sees only finite values: numpy 2.4's AVX-512 exp takes 9-18x
+    the time over a [64, 1024] batch whose dropped half holds -inf or -800.
+    Kept rules get the same bits as a softmax over -inf entries, dropped
+    ones an exact +0. The shifted values are clamped at 0: a dropped rule
+    that dominates the kept ones by more than log(finfo.max) would otherwise
+    overflow to inf, and inf * 0 is NaN.
     """
-    log_mu = _log_grades(model, X)
+    n, R = X.shape[0], model.num_rules
+    if scratch is None:
+        scratch = np.empty(2 * n * R)
+    firing, spare = scratch[: n * R], scratch[n * R : 2 * n * R]
+    if log_mu is None:
+        log_mu = _log_grades(model, X.T)
     if variant in (None, "mf"):
         grades = log_mu if variant is None else np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
-        norm_firing = _kron(_input_softmax(grades)).T
+        norm_firing = _kron(_input_softmax(grades), firing, spare).T
     else:
         if variant == "rule":
-            log_f = _log_firing(model, log_mu)
-            with np.errstate(over="ignore"):
-                masked = np.multiply(~keep, _FLOAT_MAX)
-                log_f -= np.subtract(log_f, masked, out=masked).max(axis=1, keepdims=True)
+            log_f = _log_firing(model, log_mu, out=firing.reshape(n, R))
+            masked = np.multiply(~keep, _FLOAT_MAX, out=spare.reshape(n, R))
+            log_f -= np.subtract(log_f, masked, out=masked).max(axis=1, keepdims=True)
             norm_firing = np.exp(np.minimum(log_f, 0.0, out=log_f), out=log_f)
             norm_firing *= keep
         else:
             log_f = _log_firing(model, log_mu, variant, keep)
-            norm_firing = np.exp(log_f - log_f.max(axis=1, keepdims=True))
+            norm_firing = np.subtract(
+                log_f, log_f.max(axis=1, keepdims=True), out=firing.reshape(n, R)
+            )
+            np.exp(norm_firing, out=norm_firing)
         norm_firing /= norm_firing.sum(axis=1, keepdims=True)
     out = norm_firing @ model.consequents
     pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
@@ -405,6 +440,7 @@ def _stack_masks(model: TskModel, masks: DropMask | None, n: int, normalized: bo
     return (None, None) if keep.all() else (masks.variant, keep)
 
 
+@np.errstate(over="ignore")
 def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarray:
     """Firing level of every rule for one input vector, not normalized.
 
@@ -415,7 +451,7 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
     if mask is not None:
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
     variant, keep = _stack_masks(model, mask, 1, normalized=False)
-    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]
+    return np.exp(_log_firing(model, _log_grades(model, X.T), variant, keep))[0]
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:
@@ -426,6 +462,7 @@ def rule_outputs(model: TskModel, x) -> np.ndarray:
     return out[0] if single else out
 
 
+@np.errstate(over="ignore")
 def predict(model: TskModel, x):
     """System output for one input vector or a batch of rows, unmasked:
     test-time inference never applies drop masks.
@@ -433,47 +470,118 @@ def predict(model: TskModel, x):
     The unmasked normalized firing level of rule r is the product over
     inputs of each input's softmax of its Mm log-grades, so the output
     contracts those per-input grades with the consequents and never forms
-    the [N, R] firing matrix. The Kronecker product a of the first
-    k = ceil(M / 2) inputs' grades ([Ra, N]) and b of the others ([Rb, N])
-    index rule r = i_a * Rb + i_b, the last input varying fastest as in
-    RuleGrid, so the consequents reshape to [Ra, Rb * (M + 1)] and
-    sum_r p_r b_r = sum_{i_b} b * (a.T @ consequents). The output is the
-    row dot of that with (1, x).
-
-    Rows are evaluated in min(N, ceil(N * R / EVAL_BLOCK)) near-equal
-    blocks, so the temporaries stay bounded in N and R; N * R up to
-    EVAL_BLOCK is one block.
+    the [N, R] firing matrix (_predict_rows). Its buffers are allocated
+    for this call; train() evaluates through the same _evaluate with
+    buffers it keeps for the run.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    n = X.shape[0]
-    blocks = min(n, -(-n * model.num_rules // EVAL_BLOCK))
-    if blocks > 1:
-        return np.concatenate([_predict_rows(model, b) for b in np.array_split(X, blocks)])
-    pred = _predict_rows(model, X)
+    pred = _evaluate(model, X.T, X, _EvalWork(model.grid, X.shape[0]))
     return float(pred[0]) if x.ndim == 1 else pred
 
 
-def _predict_rows(model: TskModel, X: np.ndarray) -> np.ndarray:
-    """predict() of the [N, M] rows of X as one block."""
-    grades = _log_grades(model, X)
-    _input_softmax(grades, out=grades)
-    k = (model.num_inputs + 1) // 2
-    a, b = _kron(grades[:k]), _kron(grades[k:])
+class _EvalWork:
+    """Buffers of _evaluate over N rows.
+
+    log_mu holds the [M, Mm, N] log-grades of every row, and pred the N
+    outputs (0 until the first evaluation). The rows are contracted in
+    blocks, min(N, ceil(N * R / EVAL_BLOCK)) near-equal ones as
+    np.array_split cuts them, so the [rows, R]-sized temporaries stay
+    bounded in N and R. blocks holds each block's (lo, hi) and the views of
+    its temporaries, in _block_shapes, at the front of the flat array
+    scratch. With batch > 0, scratch also has room for the 2 batch R floats
+    of a gradient's scratch (see _forward): the trainer lends it to the
+    gradient step, which never runs during an evaluation.
+    """
+
+    def __init__(self, grid: RuleGrid, n: int, batch: int = 0):
+        count = max(1, min(n, -(-n * grid.num_rules // EVAL_BLOCK)))
+        q, r = divmod(n, count)
+        edges = [i * q + min(i, r) for i in range(count + 1)]
+        self.log_mu = np.empty((grid.num_inputs, grid.mfs_per_input, n))
+        self.pred = np.zeros(n)
+        shapes = {rows: _block_shapes(grid, rows) for rows in {q, q + (r > 0)}}
+        block = max(sum(map(math.prod, s)) for s in shapes.values())
+        self.scratch = np.empty(max(block, 2 * batch * grid.num_rules))
+        views = {rows: _views(self.scratch, s) for rows, s in shapes.items()}
+        self.blocks = [(lo, hi, views[hi - lo]) for lo, hi in zip(edges, edges[1:])]
+
+
+def _block_shapes(grid: RuleGrid, n: int) -> tuple:
+    """Shapes of the temporaries of _predict_rows on n rows: the per-input
+    softmax and its [M, 1, n] reduction, the flat Kronecker factors a and b
+    (empty when a factor is one input's softmax itself), their contraction
+    ab with the consequents, and the [n, M + 1] weighted consequents out."""
+    M, Mm = grid.num_inputs, grid.mfs_per_input
+    k = (M + 1) // 2
+    return (
+        (M, Mm, n),
+        (M, 1, n),
+        (Mm**k * n if k > 1 else 0,),
+        (Mm ** (M - k) * n if M - k > 1 else 0,),
+        (n, Mm ** (M - k) * (M + 1)),
+        (n, M + 1),
+    )
+
+
+def _views(flat: np.ndarray, shapes) -> list:
+    """C-ordered views of the given shapes, one after another from the
+    front of the flat array flat."""
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+
+
+def _evaluate(model: TskModel, XT: np.ndarray, X: np.ndarray, work: _EvalWork) -> np.ndarray:
+    """predict() of the [N, M] rows X, whose transpose is XT, into
+    work.pred: the log-grades of all rows at once, then the rest block by
+    block, as BLAS's row blocking sets the contraction's bits. Returns
+    work.pred."""
+    log_mu = _log_grades(model, XT, out=work.log_mu)
+    for lo, hi, views in work.blocks:
+        _predict_rows(model, X[lo:hi], log_mu[:, :, lo:hi], views, work.pred[lo:hi])
+    return work.pred
+
+
+def _predict_rows(model: TskModel, X: np.ndarray, log_mu: np.ndarray, views, pred) -> None:
+    """predict() of the [n, M] rows X as one block, from log_mu, their
+    [M, Mm, n] log-grades, written to pred ([n]); the temporaries go to
+    views, arrays of _block_shapes(model.grid, n).
+
+    The Kronecker product a of the first k = ceil(M / 2) inputs' softmaxes
+    ([Ra, n]) and b of the others ([Rb, n]) index rule r = i_a * Rb + i_b,
+    the last input varying fastest as in RuleGrid, so the consequents
+    reshape to [Ra, Rb * (M + 1)] and sum_r p_r b_r = sum_{i_b} b * (a.T @
+    consequents). The output is the row dot of that with (1, x).
+    """
     n, cols = X.shape[0], model.num_inputs + 1
-    ab = (a.T @ model.consequents.reshape(a.shape[0], -1)).reshape(n, b.shape[0], cols)
-    out = np.einsum("nb,nbj->nj", b.T, ab)
-    return out[:, 0] + np.einsum("nm,nm->n", out[:, 1:], X)
+    k = (model.num_inputs + 1) // 2
+    soft, red, a_buf, b_buf, ab, out = views
+    _input_softmax(log_mu, out=soft, red=red)
+    # The factors' partial products (at most Mm^(k-1) <= Rb rows) go to
+    # ab's memory, which the contraction writes only after them
+    tmp = ab.ravel()
+    a, b = _kron(soft[:k], a_buf, tmp), _kron(soft[k:], b_buf, tmp)
+    np.matmul(a.T, model.consequents.reshape(a.shape[0], -1), out=ab)
+    np.einsum("nb,nbj->nj", b.T, ab.reshape(n, b.shape[0], cols), out=out)
+    np.einsum("nm,nm->n", out[:, 1:], X, out=pred)
+    pred += out[:, 0]
 
 
-def _kron(grades: np.ndarray) -> np.ndarray:
+def _kron(grades: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """[Mm^K, N] row-wise Kronecker product of [K, Mm, N] per-input grades,
-    the last input varying fastest along the rule axis; ones of shape
-    [1, N] when K = 0."""
+    the last input varying fastest along the rule axis: ones of shape
+    [1, N] when K = 0, grades[0] itself when K = 1, and otherwise a
+    C-ordered array in the leading part of the flat buffer out, whose
+    partial products alternate between tmp (room for Mm^(K-1) rows) and
+    out so that the last lands in out. New buffers when out is None."""
     k, mm, n = grades.shape
     if k == 0:
         return np.ones((1, n))
-    out = grades[0]
+    if out is None and k > 1:
+        out, tmp = np.empty(mm**k * n), np.empty(mm ** (k - 1) * n)
+    acc = grades[0]
     for m in range(1, k):
-        out = (out[:, None] * grades[m]).reshape(mm ** (m + 1), n)
-    return out
+        dest = out if (k - 1 - m) % 2 == 0 else tmp
+        part = dest[: mm ** (m + 1) * n].reshape(mm**m, mm, n)
+        acc = np.multiply(acc[:, None], grades[m], out=part).reshape(mm ** (m + 1), n)
+    return acc

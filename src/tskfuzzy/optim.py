@@ -17,12 +17,19 @@ if TYPE_CHECKING:
 
 
 def sgd_step(theta: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """One plain descent step theta - alpha * g."""
-    theta = np.asarray(theta, dtype=float)
+    """One plain descent step theta - alpha * g, as a new vector."""
+    theta = np.array(theta, dtype=float)  # a copy, which _sgd_step updates
     g = np.asarray(g, dtype=float)
     if theta.shape != g.shape:
         raise LengthMismatch(f"theta has shape {theta.shape}, gradient {g.shape}")
-    return theta - alpha * g
+    _sgd_step(theta, g, alpha, np.empty_like(g))
+    return theta
+
+
+def _sgd_step(theta: np.ndarray, g: np.ndarray, alpha: float, tmp: np.ndarray) -> None:
+    """sgd_step() in place on theta, without its checks; tmp is a scratch
+    vector of g's shape."""
+    theta -= np.multiply(alpha, g, out=tmp)
 
 
 @dataclass
@@ -107,9 +114,10 @@ def adabound_step(
     Moments are updated, bias-corrected with the post-increment counter k,
     and the per-coordinate rate alpha / (sqrt(v_hat) + epsilon) is clipped
     into [l, u] before scaling the corrected first moment. Passing l=0,
-    u=inf makes this exactly an Adam step.
+    u=inf makes this exactly an Adam step. state and theta are left as
+    they were: the step runs on copies of them.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)  # a copy, which _adabound_step updates
     g = np.asarray(g, dtype=float)
     if theta.shape != g.shape or state.m.shape != g.shape:
         raise LengthMismatch(
@@ -118,18 +126,44 @@ def adabound_step(
     if not np.isfinite(g).all():
         bad = np.flatnonzero(~np.isfinite(g))
         raise NonFiniteGradient(f"gradient has non-finite entries at indices {bad[:5]}")
-    return _adabound_step(state, theta, g, hyper, l, u)
+    new = MomentState(
+        np.array(state.m, dtype=float), np.array(state.v, dtype=float), state.k, np.empty_like(g)
+    )
+    _adabound_step(new, theta, g, hyper, l, u, np.empty_like(g))
+    return theta, new
 
 
 def _adabound_step(
-    state: MomentState, theta: np.ndarray, g: np.ndarray, hyper: TrainConfig, l: float, u: float
-):
-    """adabound_step() without its checks: theta, g and the moments are
-    float arrays of one shape, and g is finite."""
-    k = state.k + 1
-    m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
-    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g
-    m_hat = m / (1.0 - hyper.beta1**k)
-    v_hat = v / (1.0 - hyper.beta2**k)
-    rates = np.minimum(np.maximum(hyper.alpha / (np.sqrt(v_hat) + hyper.epsilon), l), u)
-    return theta - rates * m_hat, MomentState(m, v, k, rates)
+    state: MomentState,
+    theta: np.ndarray,
+    g: np.ndarray,
+    hyper: TrainConfig,
+    l: float,
+    u: float,
+    tmp: np.ndarray,
+) -> None:
+    """adabound_step() in place, without its checks: advances state.k,
+    updates state.m, state.v and theta, and writes the rates to
+    state.last_rates. theta, g, the moments, last_rates and the scratch
+    vector tmp are float arrays of one shape, and g is finite. Each value
+    is the same operation on the same operands as in
+    theta - rates * m_hat with m = beta1 * m + (1 - beta1) * g and
+    v = beta2 * v + (1 - beta2) * g * g, so the bits are those of that
+    expression."""
+    state.k += 1
+    m, v, rates = state.m, state.v, state.last_rates
+    m *= hyper.beta1
+    m += np.multiply(1.0 - hyper.beta1, g, out=tmp)
+    v *= hyper.beta2
+    np.multiply(1.0 - hyper.beta2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    m_hat = np.divide(m, 1.0 - hyper.beta1**state.k, out=tmp)
+    np.divide(v, 1.0 - hyper.beta2**state.k, out=rates)  # v_hat
+    np.sqrt(rates, out=rates)
+    rates += hyper.epsilon
+    np.divide(hyper.alpha, rates, out=rates)
+    np.maximum(rates, l, out=rates)
+    np.minimum(rates, u, out=rates)
+    m_hat *= rates
+    theta -= m_hat

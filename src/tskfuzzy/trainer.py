@@ -33,6 +33,9 @@ from .model import (
     SIGMA_MIN,
     RuleGrid,
     TskModel,
+    _evaluate,
+    _EvalWork,
+    _log_grades,
     _param_name,
     _view_model,
     flatten,
@@ -43,10 +46,10 @@ from .optim import (
     JangLrState,
     MomentState,
     _adabound_step,
+    _sgd_step,
     bound_l,
     bound_u,
     jang_update_lr,
-    sgd_step,
 )
 from .ridge import ridge_fit, ridge_predict
 
@@ -212,11 +215,21 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     returned model is the final iterate, not the best one seen.
 
     Each iteration evaluates the model once: the training and test rows
-    are stacked before the loop, and one predict() over them gives both
-    RMSEs. The logged batch loss is the unmasked loss at the pre-step
-    parameters, taken from the batch rows of the previous evaluation (all 0
-    before the first step, as the consequents start at 0), so it equals
-    loss() on the batch up to the roundoff of BLAS row blocking.
+    are stacked before the loop, and one pass of predict()'s arithmetic
+    over them (model._evaluate) gives both RMSEs. The logged batch loss is
+    the unmasked loss at the pre-step parameters, taken from the batch rows
+    of the previous evaluation (all 0 before the first step, as the
+    consequents start at 0), so it equals loss() on the batch up to the
+    roundoff of BLAS row blocking. The next gradient gathers its rows'
+    log-grades from that evaluation too (before the first step, from one
+    pass of the initial model's).
+
+    The run keeps its working arrays, so an iteration allocates almost
+    nothing: the parameters, which every step updates in place (so the
+    model's views of them are built once), the optimizer's moments and
+    rates (adam and adabound only) and one step temporary, and the
+    evaluation's buffers (model._EvalWork), whose scratch the gradient
+    borrows for its [batch, R] arrays.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -245,27 +258,36 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         )
 
     model = init_model_from_data(train_set.X, config.mfs_per_input)
-    grid = model.grid
-    theta = flatten(model)
-    n_mf = model.num_inputs * model.mfs_per_input
+    grid, theta = model.grid, flatten(model)
+    model = _view_model(theta, grid)  # theta is only ever updated in place
+    n_mf = M * config.mfs_per_input
+    sigmas = theta[n_mf : 2 * n_mf]
     variant = None if config.drop_variant == "none" else config.drop_variant
 
     batch_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(2)
     batch_rng = np.random.default_rng(batch_seq)
     mask_rng = np.random.default_rng(mask_seq)
 
-    moments = MomentState.zeros(theta.size)
-    jang = JangLrState(config.alpha)
+    step_tmp = np.empty(theta.size)
+    if config.lr_scheme == "jang":
+        jang = JangLrState(config.alpha)
+    else:
+        moments = MomentState(np.zeros(theta.size), np.zeros(theta.size), 0, np.empty(theta.size))
 
     K = config.iterations
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
     n_train = train_set.n
     X_eval = np.concatenate([train_set.X, test_set.X])
+    XT_eval = np.ascontiguousarray(X_eval.T)
     design = np.empty((n_train, M + 1))  # the training rows as (1, x)
     design[:, 0], design[:, 1:] = 1.0, train_set.X
+    work = _EvalWork(grid, X_eval.shape[0], batch)
     # Predictions of the current model on every training row. init_model
-    # starts every consequent at 0, so before the first step they are all 0.
-    train_pred = np.zeros(n_train)
+    # starts every consequent at 0, so before the first step they are all
+    # 0, as work.pred starts; the log-grades are the initial model's.
+    train_pred, test_pred = work.pred[:n_train], work.pred[n_train:]
+    _log_grades(model, XT_eval, out=work.log_mu)
+    batch_log_mu = np.empty((M, config.mfs_per_input, batch))
     t0 = time.perf_counter()
     for k in range(K):
         idx = sample_batch(train_set, config.batch_size, batch_rng)
@@ -274,13 +296,16 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         if variant:  # a mask that keeps everything takes the unmasked path
             keep = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng).keep
             drop, keep = (None, None) if keep.all() else (variant, keep)
-        g = _gradients(model, design[idx], yb, config.lam, drop, keep)
+        # C-ordered, as _log_grades makes them; "clip" spares the index
+        # check's buffer, and sample_batch's indices are in range
+        np.take(work.log_mu, idx, axis=2, out=batch_log_mu, mode="clip")
+        g = _gradients(model, design[idx], yb, config.lam, drop, keep, batch_log_mu, work.scratch)
         batch_loss = _finite(_objective(model, yb - train_pred[idx], config.lam), "batch loss", k)
         _check_finite(g, "gradient of", k, grid)
 
         if config.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
-            theta = sgd_step(theta, g, jang.alpha)
+            _sgd_step(theta, g, jang.alpha, step_tmp)
             lr = (jang.alpha,) * 3  # one global rate is its own mean, min and max
         else:
             if config.lr_scheme == "adam":
@@ -288,19 +313,17 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             else:
                 lo = bound_l(moments.k + 1, config.beta2, config.alpha_final)
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
-            theta, moments = _adabound_step(moments, theta, g, config, lo, up)
+            _adabound_step(moments, theta, g, config, lo, up, step_tmp)
             rates = moments.last_rates
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
-        theta[n_mf : 2 * n_mf] = np.maximum(theta[n_mf : 2 * n_mf], SIGMA_MIN)
+        np.maximum(sigmas, SIGMA_MIN, out=sigmas)
         _check_finite(theta, "parameter", k, grid)
-        model = _view_model(theta, grid)
 
-        pred = predict(model, X_eval)
-        train_pred = pred[:n_train]
+        _evaluate(model, XT_eval, X_eval, work)
         hist[:, k] = (
             _finite(_rmse(train_set.y, train_pred), "train RMSE", k),
-            _finite(_rmse(test_set.y, pred[n_train:]), "test RMSE", k),
+            _finite(_rmse(test_set.y, test_pred), "test RMSE", k),
             batch_loss,
             *lr,
         )

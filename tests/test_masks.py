@@ -163,15 +163,16 @@ def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob
 @settings(max_examples=200, deadline=None)
 @given(
     variant=st.sampled_from(list(KEEP_AXES)),
-    grid=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (5, 2)]),
+    grid=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (5, 2), (5, 4)]),
     n=st.integers(1, 40),
     keep_prob=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
-    """Unless a DropRule row is redrawn, the one-call batch draw gives the
-    masks of n sequential one-example draws bit for bit and leaves the
-    stream in the same state."""
+    """Unless a DropRule row is redrawn, the batch draw gives the masks of
+    n sequential one-example draws bit for bit and leaves the stream in the
+    same state. At M=5, Mm=4 (R=1024) it draws 16 DropRule rows or 3
+    DropMembership rows at a time."""
     model = _model(np.random.default_rng(0), *grid)
     first = np.random.default_rng(seed).random((n, *keep_shape(variant, model.grid)))
     if variant == "rule" and not (first <= keep_prob).any(axis=1).all():

@@ -245,7 +245,7 @@ class TestTensorProductForward:
         test_per_input_softmax_matches_slot_softmax."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         slot, want = slot_log_firing(model, X, variant, keep)
-        log_f = _log_firing(model, _log_grades(model, X), variant, keep)
+        log_f = _log_firing(model, _log_grades(model, X.T), variant, keep)
         dropped = np.isneginf(want)
         np.testing.assert_array_equal(np.isneginf(log_f), dropped)
         tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
@@ -269,7 +269,8 @@ class TestTensorProductForward:
         distances overflow."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed, SIGMA_MIN if at_floor else None)
         kept = keep if variant == "rule" else np.ones((n, model.num_rules), dtype=bool)
-        fw = _forward(model, X, variant, keep)
+        with np.errstate(over="ignore"):  # as the public entry points hold it
+            fw = _forward(model, X, variant, keep)
         np.testing.assert_allclose(fw.norm_firing.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(fw.norm_firing[~kept] == 0.0)
         out = rule_outputs(model, X)
@@ -387,9 +388,9 @@ class TestPredict:
         blocks = []
         real = model_module._predict_rows
 
-        def counting(model, rows):
+        def counting(model, rows, *args):
             blocks.append(rows.shape[0])
-            return real(model, rows)
+            return real(model, rows, *args)
 
         monkeypatch.setattr(model_module, "_predict_rows", counting)
         single = predict(model, X[0])
@@ -515,7 +516,8 @@ class TestPredict:
         model = TskModel(grid, [[0.0, 1.0]], [[SIGMA_TINY, 1.0]], consequents)
         X = np.array([[0.0], [SIGMA_TINY], [0.5], [1e160]])
         assert np.all(np.isfinite(predict(model, X)))
-        assert np.all(np.isfinite(_forward(model, X).pred))
+        with np.errstate(over="ignore"):  # as the public entry points hold it
+            assert np.all(np.isfinite(_forward(model, X).pred))
         assert np.all(np.isfinite(gradients(model, X, np.zeros(4), 0.05)))
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -710,6 +712,19 @@ class TestCheckpoint:
             env=env, capture_output=True, text=True, timeout=10,
         )
         assert re.match(rf"ParseError .*model\.txt, line {line}: ", done.stdout), done
+
+    def test_more_inputs_than_a_grid_holds_name_line_one(self, tmp_path):
+        """At Mm=1 any M has a small parameter count (2M + M + 1 values), so
+        the header check itself refuses M above MAX_INPUTS, before RuleGrid
+        would, also when the file holds every value that count asks for."""
+        M = 100
+        assert M > MAX_INPUTS and param_count(M, 1) == 301
+        path = tmp_path / "model.txt"
+        values = ["0.0"] * M + ["1.0"] * M + ["0.0"] * (M + 1)
+        path.write_text("\n".join([f"M={M}", "Mm=1", *values]) + "\n")
+        message = rf"model\.txt, line 1: a rule grid has at most {MAX_INPUTS} inputs, got M={M}"
+        with pytest.raises(ParseError, match=message):
+            load_model(path)
 
     # a 1-input, 2-MF checkpoint: M=, Mm=, 2 centers, 2 sigmas, 2 x 2 consequents
     @pytest.mark.parametrize(

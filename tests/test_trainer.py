@@ -2,7 +2,11 @@
 configurations, determinism, divergence, and the repeated-experiment suite."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from tskfuzzy import (
     SIGMA_MIN,
     Dataset,
+    RuleGrid,
     JangLrState,
     MomentState,
     RidgeConfig,
@@ -40,6 +45,7 @@ from tskfuzzy import (
     trainer,
     unflatten,
 )
+from tskfuzzy import model as model_module
 from tskfuzzy.errors import (
     DimensionMismatch,
     Diverged,
@@ -333,6 +339,68 @@ class TestGridLimit:
         assert estimate / 2 < peak <= estimate
 
 
+# A warm-up run and then a second 100-iteration run of the stock method at
+# Mm MFs per input, counting the minor page faults the second one takes
+CHURN_SCRIPT = """
+import resource, sys
+import numpy as np
+from tskfuzzy import TrainConfig, apply_preprocessor, fit_preprocessor, make_synthetic, split, train
+data = make_synthetic(1500, seed=7)
+tr, te = split(data, 0.7, np.random.default_rng(7))
+pre = fit_preprocessor(tr)
+tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+cfg = TrainConfig(mfs_per_input=int(sys.argv[1]), iterations=100)
+train(cfg, tr, te)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(cfg, tr, te)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkingMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page-fault counts")
+    @pytest.mark.parametrize("mfs, limit", [(2, 5), (3, 10)])
+    def test_warm_training_takes_few_page_faults_per_iteration(self, mfs, limit):
+        """train() keeps its working arrays for the run, so a warm run takes
+        few minor page faults per iteration. When every iteration freed a few
+        hundred kB of temporaries, glibc returned the top of its heap to the
+        kernel and the next iteration faulted the same pages back in: 1 to
+        121 faults per iteration at Mm=2 (1050/450 rows), depending on what
+        else the heap held, and 260 to 290 at Mm=3; with the run's buffers,
+        about 1.7 and 3.4. Counted in a fresh interpreter."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", CHURN_SCRIPT, str(mfs)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        faults = int(done.stdout.split()[-1])
+        assert faults / 100 < limit, faults
+
+    def test_adaptive_rates_hold_three_vectors_more_than_jang(self):
+        """adam and adabound keep their moments and rates for the run and
+        update them in place, with the one step temporary that jang uses too;
+        so at R = 4**7 on 3 rows, where a parameter vector is 1 MiB,
+        train()'s tracemalloc peak under adabound exceeds jang's by at most
+        4 parameter vectors (5 when the step made new arrays), and jang's
+        stays below its 11.4 MiB from then."""
+        rng = np.random.default_rng(0)
+        tr = Dataset(rng.standard_normal((3, 7)), rng.standard_normal(3))
+        te = Dataset(rng.standard_normal((2, 7)), rng.standard_normal(2))
+        peaks = {}
+        for scheme in ("jang", "adabound"):
+            cfg = TrainConfig(mfs_per_input=4, iterations=2, lr_scheme=scheme)
+            tracemalloc.start()
+            try:
+                train(cfg, tr, te)
+                peaks[scheme] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        vector = 8 * (2 * 7 * 4 + 8 * 4**7)
+        assert peaks["adabound"] - peaks["jang"] <= 4 * vector, peaks
+        assert peaks["jang"] <= 11.4 * 2**20, peaks
+
+
 class TestDivergence:
     def test_large_jang_rate_raises_diverged(self):
         data = make_synthetic(1500, seed=7)
@@ -396,8 +464,8 @@ class TestDivergence:
 
 
 class TestOneEvaluation:
-    """train() evaluates the stacked training and test rows in one predict()
-    per iteration."""
+    """train() evaluates the stacked training and test rows in one pass of
+    predict()'s arithmetic (model._evaluate) per iteration."""
 
     @pytest.mark.parametrize("num_inputs", [3, 5])
     @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
@@ -412,16 +480,16 @@ class TestOneEvaluation:
         assert rmse(model, tr) == hist.train_rmse[-1]
         assert rmse(model, te) == hist.test_rmse[-1]
 
-    def test_one_predict_per_iteration(self, small_splits, monkeypatch):
+    def test_one_evaluation_per_iteration(self, small_splits, monkeypatch):
         tr, te = small_splits
         rows = []
-        real = trainer.predict
+        real = trainer._evaluate
 
-        def counting(model, X):
+        def counting(model, XT, X, work):
             rows.append(len(X))
-            return real(model, X)
+            return real(model, XT, X, work)
 
-        monkeypatch.setattr(trainer, "predict", counting)
+        monkeypatch.setattr(trainer, "_evaluate", counting)
         train(quick(iterations=7), tr, te)
         assert rows == [tr.n + te.n] * 7
 
@@ -442,10 +510,18 @@ class TestOneEvaluation:
             train(quick(), tr, Dataset(te.X[:, :3], te.y))
 
 
+def copies(theta, moments):
+    """Copies of a step's inputs: the parameters and every field of the moments."""
+    rates = moments.last_rates
+    return (theta.copy(), moments.m.copy(), moments.v.copy(), moments.k,
+            None if rates is None else rates.copy())
+
+
 def replay(cfg, tr, te):
     """train()'s run rebuilt from the checked public functions: the final
     parameters and the [6, K] history rows (train_rmse, test_rmse, loss,
-    mean_lr, min_lr, max_lr)."""
+    mean_lr, min_lr, max_lr). Each step must leave the parameters and
+    moments it was given as they were."""
     batch_seq, mask_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     batch_rng, mask_rng = np.random.default_rng(batch_seq), np.random.default_rng(mask_seq)
     model = init_model_from_data(tr.X, cfg.mfs_per_input)
@@ -464,6 +540,7 @@ def replay(cfg, tr, te):
         # the batch loss at the pre-step parameters, from the last evaluation
         resid = tr.y[idx] - train_pred[idx]
         batch_loss = 0.5 * (resid @ resid) + 0.5 * cfg.lam * np.sum(model.consequents[:, 1:] ** 2)
+        given = (theta, moments, copies(theta, moments))
         if cfg.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
             theta = sgd_step(theta, g, jang.alpha)
@@ -475,6 +552,9 @@ def replay(cfg, tr, te):
                 up = bound_u(moments.k + 1, cfg.beta2, cfg.alpha_final)
             theta, moments = adabound_step(moments, theta, g, cfg, lo, up)
             lr = [moments.last_rates.mean(), moments.last_rates.min(), moments.last_rates.max()]
+        assert theta is not given[0]
+        for now, before in zip(copies(*given[:2]), given[2]):
+            np.testing.assert_array_equal(now, before)
         theta[M * Mm : 2 * M * Mm] = np.maximum(theta[M * Mm : 2 * M * Mm], SIGMA_MIN)
         model = unflatten(theta, M, Mm)
         pred = predict(model, X_eval)
@@ -494,18 +574,46 @@ class TestReplay:
         masks and models it prepared itself; the run it makes equals, bit for
         bit, the one that the public functions make, which check every call.
         At alpha 1 most of these runs end with sigmas on the floor."""
-        data = make_synthetic(300, seed=5)
-        data = Dataset(data.X[:, :num_inputs], data.y)
-        tr, te = split(data, 0.7, np.random.default_rng(0))
-        pre = fit_preprocessor(tr)
-        tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+        tr, te = width_splits(num_inputs)
         cfg = quick(iterations=8, drop_variant=variant, lr_scheme=scheme, alpha=alpha)
-        model, hist = train(cfg, tr, te)
-        theta, want = replay(cfg, tr, te)
-        curves = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
-        for name, row in zip(curves, want):
-            np.testing.assert_array_equal(getattr(hist, name), row, err_msg=name)
-        np.testing.assert_array_equal(flatten(model), theta)
+        assert_replays(cfg, tr, te)
+
+    @pytest.mark.parametrize("num_inputs", [3, 5])
+    @pytest.mark.parametrize("scheme", trainer.LR_SCHEMES)
+    @pytest.mark.parametrize("variant", ["none", "rule", "mf", "membership"])
+    def test_blocked_evaluation_equals_its_checked_path(
+        self, monkeypatch, variant, scheme, num_inputs
+    ):
+        """With EVAL_BLOCK lowered so that the 300 stacked rows are contracted
+        in several blocks, train()'s evaluation, which takes the log-grades
+        of all rows at once into buffers it keeps for the run and lends its
+        scratch to the gradient, still equals predict()'s, which allocates
+        its own, bit for bit."""
+        tr, te = width_splits(num_inputs)
+        monkeypatch.setattr(model_module, "EVAL_BLOCK", 1000)
+        grid = RuleGrid(num_inputs, 2)
+        assert len(model_module._EvalWork(grid, tr.n + te.n).blocks) >= 2
+        assert_replays(quick(iterations=8, drop_variant=variant, lr_scheme=scheme), tr, te)
+
+
+def width_splits(num_inputs):
+    """The small_splits problem cut to its first num_inputs columns."""
+    data = make_synthetic(300, seed=5)
+    data = Dataset(data.X[:, :num_inputs], data.y)
+    tr, te = split(data, 0.7, np.random.default_rng(0))
+    pre = fit_preprocessor(tr)
+    return apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+
+
+def assert_replays(cfg, tr, te):
+    """train() and replay() give the same history and final parameters, bit
+    for bit."""
+    model, hist = train(cfg, tr, te)
+    theta, want = replay(cfg, tr, te)
+    curves = ("train_rmse", "test_rmse", "loss", "mean_lr", "min_lr", "max_lr")
+    for name, row in zip(curves, want):
+        np.testing.assert_array_equal(getattr(hist, name), row, err_msg=name)
+    np.testing.assert_array_equal(flatten(model), theta)
 
 
 class TestRunSuite:
