@@ -16,6 +16,7 @@ from .model import (
     TskModel,
     _forward,
     _log_floor,
+    _param_views,
     _stack_masks,
     flatten,
     predict,
@@ -49,10 +50,12 @@ def _batch(X, y, what: str):
     return X, y
 
 
-def _objective(model: TskModel, resid: np.ndarray, lam: float) -> float:
-    """The loss value from the batch residuals y - pred."""
+def _objective(model: TskModel, resid: np.ndarray, lam: float, sq=None) -> float:
+    """The loss value from the batch residuals y - pred. sq, when given, is
+    a C-ordered [R, M] array that receives the squared coefficients."""
+    sq = np.square(model.consequents[:, 1:], out=sq)
     # np.sum, minus its Python layer
-    penalty = 0.5 * lam * float(np.add.reduce(model.consequents[:, 1:] ** 2, axis=None))
+    penalty = 0.5 * lam * float(np.add.reduce(sq, axis=None))
     return 0.5 * float(resid @ resid) + penalty
 
 
@@ -86,17 +89,24 @@ def _gradients(
     keep,
     log_mu=None,
     scratch=None,
+    out=None,
+    sq=None,
 ):
     """gradients() without its checks or its np.errstate: design holds the
     batch rows as (1, x), y their targets, variant and keep are what
     _stack_masks returns for the batch mask, log_mu, when given, the rows'
     log-grades as _log_grades gives them, and scratch, when given, a flat
     array of at least 2 n R floats for the [n, R] arrays, as _forward
-    takes it."""
+    takes it. The gradient is written to out, a flat vector of the
+    parameter count (a new one when None), which is returned; sq, when
+    given, is a C-ordered [R, M] array for the l2 term."""
     X = design[:, 1:]
     n, R = X.shape[0], model.num_rules
     if scratch is None:
         scratch = np.empty(2 * n * R)
+    if out is None:
+        out = np.empty(2 * model.centers.size + model.consequents.size)
+    grad_c, grad_s, grad_b = _param_views(out, model.grid)
     fw = _forward(model, X, variant, keep, log_mu, scratch)
 
     err = fw.pred - y
@@ -107,9 +117,9 @@ def _gradients(
     spare = scratch[n * R : 2 * n * R]
     buf = spare.reshape(R, n).T if fw.norm_firing.flags.f_contiguous else spare.reshape(n, R)
     np.multiply(err[:, None], fw.norm_firing, out=buf)
-    grad_b = buf.T @ design
+    np.matmul(buf.T, design, out=grad_b)
     if lam != 0.0:
-        grad_b[:, 1:] += lam * model.consequents[:, 1:]
+        grad_b[:, 1:] += np.multiply(lam, model.consequents[:, 1:], out=sq)
 
     # MF parameters: V[n, m, i] sums W = err * (rule_out - pred) * normalized
     # firing over the rules whose input-m antecedent is MF i, where kept.
@@ -133,10 +143,9 @@ def _gradients(
     floored = (fw.log_mu == _log_floor(M)).transpose(2, 0, 1)
     if floored.any():
         dx[floored] = dx2[floored] = 0.0
-    grad_c = (V * dx).sum(axis=0) / model.sigmas**2
-    grad_s = (V * dx2).sum(axis=0) / model.sigmas**3
-
-    return np.concatenate([grad_c.ravel(), grad_s.ravel(), grad_b.ravel()])
+    np.divide((V * dx).sum(axis=0), model.sigmas**2, out=grad_c)
+    np.divide((V * dx2).sum(axis=0), model.sigmas**3, out=grad_s)
+    return out
 
 
 def finite_diff_grad(

@@ -51,8 +51,9 @@ def jang_update_lr(state: JangLrState, new_loss: float) -> JangLrState:
     if len(state.losses) > 5:
         del state.losses[0]
     if len(state.losses) == 5:
-        d = np.diff(state.losses)
-        if np.all(d < 0):
+        # the differences np.diff would take, as Python floats
+        d = [b - a for a, b in zip(state.losses, state.losses[1:])]
+        if d[0] < 0 and d[1] < 0 and d[2] < 0 and d[3] < 0:
             state.alpha *= 1.1
             state.losses = state.losses[-1:]
         elif d[0] > 0 and d[1] < 0 and d[2] > 0 and d[3] < 0:

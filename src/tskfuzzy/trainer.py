@@ -11,8 +11,10 @@ stops the run with Diverged.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -189,22 +191,94 @@ def percent_improvement(baseline, other) -> np.ndarray:
     return 100.0 * (baseline - other) / baseline
 
 
-def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid) -> None:
-    if not np.isfinite(values).all():
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
+def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid, ok: np.ndarray) -> None:
+    """Raise Diverged naming the first non-finite entry of values; ok is a
+    bool array of values' shape that receives np.isfinite."""
+    if not np.isfinite(values, out=ok).all():
+        i = int(np.flatnonzero(~ok)[0])
         raise Diverged(
             f"diverged at iteration {k + 1}: {what} {_param_name(i, grid)} is {values[i]}"
         )
 
 
 def _finite(value: float, what: str, k: int) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise Diverged(f"diverged at iteration {k + 1}: {what} is {value}")
     return value
 
 
-# Diverged reports the first non-finite value; overflow warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore")
+class _Split:
+    """What every run on one train/test split computes the same way: the
+    stacked rows; per mfs_per_input the RuleGrid, the flat initial
+    parameters of init_model_from_data and their log-grades of every row;
+    per grid and batch size one model._EvalWork; per seed and batch size
+    the batch indices. Each is a deterministic function of the split, the
+    grid and the seed, so a run reads the same values whether it computes
+    them or an earlier run did.
+
+    A shared split (run_suite) keeps them: a run gets a copy of the initial
+    parameters, the kept _EvalWork with pred reset to 0 and log_mu to the
+    initial log-grades, and the indices that earlier runs of its seed and
+    batch size drew, drawing on where they stopped. A lone split (train())
+    keeps nothing, so its run copies and records nothing: it updates the
+    initial parameters in place, computes the log-grades straight into its
+    _EvalWork, and draws each batch when it needs it.
+    """
+
+    def __init__(self, train_set: Dataset, test_set: Dataset, shared: bool = False):
+        self.train_set, self.test_set, self.shared = train_set, test_set, shared
+        self._initial = {}  # mfs_per_input -> (grid, theta, log_mu)
+        self._works = {}  # (mfs_per_input, batch) -> _EvalWork
+        self._drawn = {}  # (seed, batch) -> (indices drawn so far, batch rng)
+
+    @cached_property
+    def rows(self):
+        """The [N, M] training then test rows, their C-ordered [M, N]
+        transpose, and the [n_train, M + 1] training rows as (1, x)."""
+        X_eval = np.concatenate([self.train_set.X, self.test_set.X])
+        design = np.empty((self.train_set.n, X_eval.shape[1] + 1))
+        design[:, 0], design[:, 1:] = 1.0, self.train_set.X
+        return X_eval, np.ascontiguousarray(X_eval.T), design
+
+    def start(self, mfs_per_input: int, batch: int):
+        """(grid, theta, work) of a fresh run: theta the flat initial
+        parameters, to be updated in place, and work an _EvalWork for
+        batches of batch rows whose pred is 0 and whose log_mu holds the
+        initial model's log-grades."""
+        X_eval, XT_eval, _ = self.rows
+        if not self.shared:
+            model = init_model_from_data(self.train_set.X, mfs_per_input)
+            work = _EvalWork(model.grid, X_eval.shape[0], batch)
+            _log_grades(model, XT_eval, out=work.log_mu)
+            return model.grid, flatten(model), work
+        if mfs_per_input not in self._initial:
+            model = init_model_from_data(self.train_set.X, mfs_per_input)
+            self._initial[mfs_per_input] = model.grid, flatten(model), _log_grades(model, XT_eval)
+        grid, theta, log_mu = self._initial[mfs_per_input]
+        work = self._works.get((mfs_per_input, batch))
+        if work is None:
+            work = self._works[mfs_per_input, batch] = _EvalWork(grid, X_eval.shape[0], batch)
+        work.pred.fill(0.0)
+        np.copyto(work.log_mu, log_mu)
+        return grid, theta.copy(), work
+
+    def batches(self, config: TrainConfig, batch: int, batch_seq):
+        """The run's batch indices, one array per iteration, as sample_batch
+        draws them from default_rng(batch_seq), which config.seed spawned."""
+        if not self.shared:
+            rng = np.random.default_rng(batch_seq)
+            while True:
+                yield sample_batch(self.train_set, config.batch_size, rng)
+        key = (config.seed, batch)
+        if key not in self._drawn:
+            self._drawn[key] = [], np.random.default_rng(batch_seq)
+        drawn, rng = self._drawn[key]
+        for k in itertools.count():
+            if k == len(drawn):
+                drawn.append(sample_batch(self.train_set, config.batch_size, rng))
+            yield drawn[k]
+
+
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """Run the configured optimizer for config.iterations; returns (model, history).
 
@@ -227,9 +301,10 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     The run keeps its working arrays, so an iteration allocates almost
     nothing: the parameters, which every step updates in place (so the
     model's views of them are built once), the optimizer's moments and
-    rates (adam and adabound only) and one step temporary, and the
-    evaluation's buffers (model._EvalWork), whose scratch the gradient
-    borrows for its [batch, R] arrays.
+    rates (adam and adabound only) and one step temporary, the flat
+    gradient and an [R, M] buffer for the l2 term, and the evaluation's
+    buffers (model._EvalWork), whose scratch the gradient borrows for its
+    [batch, R] arrays.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -241,6 +316,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     at the first non-finite batch loss, gradient or parameter, and at the
     first non-finite train or test RMSE, so no history holds one.
     """
+    return _train(config, _Split(train_set, test_set))
+
+
+# Diverged reports the first non-finite value; overflow warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
+def _train(config: TrainConfig, prepared: _Split):
+    """train() of config on the rows of prepared, starting from what it
+    holds or computes for the run."""
+    train_set, test_set = prepared.train_set, prepared.test_set
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
     if test_set.X.shape[1:] != train_set.X.shape[1:]:
@@ -257,18 +341,19 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             f" {nbytes} bytes per training step, over the {MAX_TRAIN_BYTES}-byte limit"
         )
 
-    model = init_model_from_data(train_set.X, config.mfs_per_input)
-    grid, theta = model.grid, flatten(model)
+    grid, theta, work = prepared.start(config.mfs_per_input, batch)
     model = _view_model(theta, grid)  # theta is only ever updated in place
     n_mf = M * config.mfs_per_input
     sigmas = theta[n_mf : 2 * n_mf]
     variant = None if config.drop_variant == "none" else config.drop_variant
 
     batch_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(2)
-    batch_rng = np.random.default_rng(batch_seq)
+    batches = prepared.batches(config, batch, batch_seq)
     mask_rng = np.random.default_rng(mask_seq)
 
-    step_tmp = np.empty(theta.size)
+    step_tmp, grad = np.empty(theta.size), np.empty(theta.size)
+    finite = np.empty(theta.size, dtype=bool)
+    sq = np.empty((grid.num_rules, M))  # the l2 term's squares and products
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)
     else:
@@ -276,21 +361,14 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
 
     K = config.iterations
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
-    n_train = train_set.n
-    X_eval = np.concatenate([train_set.X, test_set.X])
-    XT_eval = np.ascontiguousarray(X_eval.T)
-    design = np.empty((n_train, M + 1))  # the training rows as (1, x)
-    design[:, 0], design[:, 1:] = 1.0, train_set.X
-    work = _EvalWork(grid, X_eval.shape[0], batch)
+    X_eval, XT_eval, design = prepared.rows
     # Predictions of the current model on every training row. init_model
     # starts every consequent at 0, so before the first step they are all
     # 0, as work.pred starts; the log-grades are the initial model's.
-    train_pred, test_pred = work.pred[:n_train], work.pred[n_train:]
-    _log_grades(model, XT_eval, out=work.log_mu)
+    train_pred, test_pred = work.pred[: train_set.n], work.pred[train_set.n :]
     batch_log_mu = np.empty((M, config.mfs_per_input, batch))
     t0 = time.perf_counter()
-    for k in range(K):
-        idx = sample_batch(train_set, config.batch_size, batch_rng)
+    for k, idx in zip(range(K), batches):  # range first: no draw past the last iteration
         yb = train_set.y[idx]
         drop, keep = None, None
         if variant:  # a mask that keeps everything takes the unmasked path
@@ -299,9 +377,12 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
         # C-ordered, as _log_grades makes them; "clip" spares the index
         # check's buffer, and sample_batch's indices are in range
         np.take(work.log_mu, idx, axis=2, out=batch_log_mu, mode="clip")
-        g = _gradients(model, design[idx], yb, config.lam, drop, keep, batch_log_mu, work.scratch)
-        batch_loss = _finite(_objective(model, yb - train_pred[idx], config.lam), "batch loss", k)
-        _check_finite(g, "gradient of", k, grid)
+        g = _gradients(
+            model, design[idx], yb, config.lam, drop, keep, batch_log_mu, work.scratch, grad, sq
+        )
+        batch_loss = _objective(model, yb - train_pred[idx], config.lam, sq)
+        _finite(batch_loss, "batch loss", k)
+        _check_finite(g, "gradient of", k, grid, finite)
 
         if config.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
@@ -318,7 +399,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
         np.maximum(sigmas, SIGMA_MIN, out=sigmas)
-        _check_finite(theta, "parameter", k, grid)
+        _check_finite(theta, "parameter", k, grid, finite)
 
         _evaluate(model, XT_eval, X_eval, work)
         hist[:, k] = (
@@ -357,6 +438,11 @@ def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
     repeat draws a fresh seeded 70/30 split, fits the preprocessor on the
     training portion only, and runs all algorithms on that identical split
     with identical training seeds (so their batch sequences are paired).
+    The runs of a repeat also share its set-up (_Split): the stacked rows,
+    the initial model and log-grades of each grid, the evaluation buffers
+    of each grid and batch size, and the batch indices of each batch size,
+    computed once and read by every run, so each history is the one
+    train() gives on that split and seed, bit for bit.
     Histories are averaged pointwise across repeats. A ridge history holds
     one entry per curve, with learning rates of 0.
     """
@@ -368,10 +454,11 @@ def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
         pre = fit_preprocessor(tr)
         tr_p = apply_preprocessor(pre, tr)
         te_p = apply_preprocessor(pre, te)
+        shared = _Split(tr_p, te_p, shared=True)
         for name, cfg in configs.items():
             if isinstance(cfg, RidgeConfig):
                 hist = _ridge_history(cfg, tr_p, te_p)
             else:
-                _, hist = train(replace(cfg, seed=(seed, j, 1)), tr_p, te_p)
+                _, hist = _train(replace(cfg, seed=(seed, j, 1)), shared)
             collected[name].append(hist)
     return {name: _mean_histories(hists) for name, hists in collected.items()}

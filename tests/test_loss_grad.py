@@ -21,6 +21,7 @@ from tskfuzzy import (
     rule_outputs,
 )
 from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
+from tskfuzzy.loss import _gradients
 from tskfuzzy.masks import sample_masks
 from tskfuzzy.model import _forward, _log_floor, _stack_masks
 
@@ -295,13 +296,22 @@ class TestGradientArithmetic:
         pred) * nf, and W routed to the MFs through the incidence matrix
         (or, under DropMembership, the kept slots). Batches of 16 rows and
         more are included: from there OpenBLAS gives different bits for the
-        same product when an operand has the other memory order."""
+        same product when an operand has the other memory order. The
+        kernel, given the flat gradient and the [R, M] l2 buffer of a
+        training run, fills them with the same bits; gradients() returns a
+        new array every call."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         y = np.random.default_rng([seed, 1]).standard_normal(n)
         masks = None if variant is None else DropMask(variant, keep)
         got = gradients(model, X, y, lam, masks)
+        assert not np.shares_memory(got, gradients(model, X, y, lam, masks))
 
         variant, keep = _stack_masks(model, masks, n)
+        out, sq = np.full(got.size, np.nan), np.full((model.num_rules, m), np.nan)
+        design = np.column_stack([np.ones(n), X])
+        with np.errstate(over="ignore"):
+            assert _gradients(model, design, y, lam, variant, keep, None, None, out, sq) is out
+        np.testing.assert_array_equal(out, got)
         fw = _forward(model, X, variant, keep)
         err = fw.pred - y
         grad_b = (err[:, None] * fw.norm_firing).T @ np.column_stack([np.ones(n), X])

@@ -616,7 +616,59 @@ def assert_replays(cfg, tr, te):
     np.testing.assert_array_equal(flatten(model), theta)
 
 
+# Two grids, and two batch sizes of which one passes the 56 training rows of
+# an 80-row problem; runs of 3 and of 7 iterations on the same grid and batch
+# size, so that a later run reads indices an earlier one drew, or draws on
+# past them; every drop variant and lr scheme, and a ridge entry among them
+MIXED_SUITE = {
+    "a": TrainConfig(mfs_per_input=2, iterations=7, batch_size=16, lr_scheme="adabound"),
+    "b": TrainConfig(mfs_per_input=3, iterations=3, batch_size=16, drop_variant="mf",
+                     lr_scheme="jang"),
+    "c": TrainConfig(mfs_per_input=2, iterations=3, batch_size=16, drop_variant="none",
+                     lr_scheme="adam"),
+    "rr": RidgeConfig(0.05),
+    "d": TrainConfig(mfs_per_input=3, iterations=7, batch_size=100, drop_variant="membership"),
+    "e": TrainConfig(mfs_per_input=2, iterations=7, batch_size=100, lam=0.0, lr_scheme="jang"),
+    "f": TrainConfig(mfs_per_input=3, iterations=7, batch_size=16, drop_variant="none",
+                     lr_scheme="jang"),
+    "g": TrainConfig(mfs_per_input=2, iterations=3, batch_size=100, drop_variant="mf",
+                     lr_scheme="adam"),
+}
+
+
 class TestRunSuite:
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_mixed_suite_equals_direct_runs(self, monkeypatch, order):
+        """The runs of a repeat share its set-up (the initial models, the
+        evaluation buffers and the batch indices); each run's history still
+        equals, bit for bit, that of a direct train() on the repeat's split
+        and seed, in either order of the configs."""
+        configs = dict(list(MIXED_SUITE.items())[::order])
+        runs = {}
+        real = trainer._mean_histories
+
+        def recording(histories):
+            runs[len(runs)] = histories
+            return real(histories)
+
+        monkeypatch.setattr(trainer, "_mean_histories", recording)
+        data = make_synthetic(80, seed=11)
+        run_suite(configs, data, repeats=2, seed=5)
+        curves = [f.name for f in dataclasses.fields(trainer.TrainHistory) if f.name != "seconds"]
+        for j in range(2):
+            tr, te = split(data, 0.7, np.random.default_rng((5, j, 0)))
+            pre = fit_preprocessor(tr)
+            tr, te = apply_preprocessor(pre, tr), apply_preprocessor(pre, te)
+            for i, (name, cfg) in enumerate(configs.items()):
+                if isinstance(cfg, RidgeConfig):
+                    want = trainer._ridge_history(cfg, tr, te)
+                else:
+                    _, want = train(dataclasses.replace(cfg, seed=(5, j, 1)), tr, te)
+                for curve in curves:
+                    np.testing.assert_array_equal(
+                        getattr(runs[i][j], curve), getattr(want, curve), err_msg=f"{name} {curve}"
+                    )
+
     def test_single_repeat_equals_direct_run(self):
         data = make_synthetic(200, seed=6)
         cfg = TrainConfig(iterations=20, batch_size=16)
