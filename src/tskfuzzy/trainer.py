@@ -57,6 +57,7 @@ from .ridge import ridge_fit, ridge_predict
 
 LR_SCHEMES = ("jang", "adam", "adabound")
 MAX_TRAIN_BYTES = 2**30  # train() refuses a grid whose _step_bytes() pass this
+MAX_RECORD_BYTES = 2**24  # a shared split records no batch indices of a run that needs more
 
 
 def _step_bytes(num_inputs: int, mfs_per_input: int, batch_size: int, drop_variant: str) -> int:
@@ -207,28 +208,48 @@ def _finite(value: float, what: str, k: int) -> float:
     return value
 
 
+class _RunWork:
+    """The working arrays of a run on one grid and batch size: the
+    evaluation's buffers (model._EvalWork, whose scratch the gradient
+    borrows), the batch's [M, Mm, batch] log-grades, the flat gradient, the
+    step temporary, the bool vector of the finiteness checks and the l2
+    term's [R, M] buffer; size is the parameter count. A run overwrites
+    each before it reads it, except eval.pred and eval.log_mu, which
+    _Split.start resets."""
+
+    def __init__(self, grid: RuleGrid, n: int, batch: int, size: int):
+        self.eval = _EvalWork(grid, n, batch)
+        self.batch_log_mu = np.empty((grid.num_inputs, grid.mfs_per_input, batch))
+        self.grad, self.step_tmp = np.empty(size), np.empty(size)
+        self.finite = np.empty(size, dtype=bool)
+        self.sq = np.empty((grid.num_rules, grid.num_inputs))
+
+
 class _Split:
     """What every run on one train/test split computes the same way: the
-    stacked rows; per mfs_per_input the RuleGrid, the flat initial
-    parameters of init_model_from_data and their log-grades of every row;
-    per grid and batch size one model._EvalWork; per seed and batch size
-    the batch indices. Each is a deterministic function of the split, the
-    grid and the seed, so a run reads the same values whether it computes
-    them or an earlier run did.
+    stacked rows; per mfs_per_input the RuleGrid and the flat initial
+    parameters of init_model_from_data; per grid and batch size one
+    _RunWork; per seed and batch size the batch indices. Each is a
+    deterministic function of the split, the grid and the seed, so a run
+    reads the same values whether it computes them or an earlier run did.
 
-    A shared split (run_suite) keeps them: a run gets a copy of the initial
-    parameters, the kept _EvalWork with pred reset to 0 and log_mu to the
-    initial log-grades, and the indices that earlier runs of its seed and
-    batch size drew, drawing on where they stopped. A lone split (train())
-    keeps nothing, so its run copies and records nothing: it updates the
-    initial parameters in place, computes the log-grades straight into its
-    _EvalWork, and draws each batch when it needs it.
+    A run gets a copy of the initial parameters and the kept _RunWork, with
+    pred reset to 0 and log_mu to the initial model's log-grades, computed
+    there: a kept copy of them would cost every run, a lone one too, an
+    [M, Mm, N] array more to save a pass of a few tens of microseconds per
+    shared run. A shared split (run_suite) also records the batch indices
+    that its runs draw, so a later run of the same seed and batch size
+    reads them and draws on where they stopped; those of one seed and
+    batch size cost iterations * batch * 8 bytes (256 KiB at the stock 500
+    iterations of 64 rows), and a run whose indices would pass
+    MAX_RECORD_BYTES draws its own instead. A lone split (train()) records none: its run draws each
+    batch when it needs it.
     """
 
     def __init__(self, train_set: Dataset, test_set: Dataset, shared: bool = False):
         self.train_set, self.test_set, self.shared = train_set, test_set, shared
-        self._initial = {}  # mfs_per_input -> (grid, theta, log_mu)
-        self._works = {}  # (mfs_per_input, batch) -> _EvalWork
+        self._initial = {}  # mfs_per_input -> (grid, theta)
+        self._works = {}  # (mfs_per_input, batch) -> _RunWork
         self._drawn = {}  # (seed, batch) -> (indices drawn so far, batch rng)
 
     @cached_property
@@ -241,31 +262,29 @@ class _Split:
         return X_eval, np.ascontiguousarray(X_eval.T), design
 
     def start(self, mfs_per_input: int, batch: int):
-        """(grid, theta, work) of a fresh run: theta the flat initial
-        parameters, to be updated in place, and work an _EvalWork for
-        batches of batch rows whose pred is 0 and whose log_mu holds the
-        initial model's log-grades."""
+        """(theta, model, work) of a fresh run: theta a copy of the flat
+        initial parameters, to be updated in place, model its views, and
+        work a _RunWork for batches of batch rows whose eval.pred is 0 and
+        whose eval.log_mu holds the initial model's log-grades."""
         X_eval, XT_eval, _ = self.rows
-        if not self.shared:
-            model = init_model_from_data(self.train_set.X, mfs_per_input)
-            work = _EvalWork(model.grid, X_eval.shape[0], batch)
-            _log_grades(model, XT_eval, out=work.log_mu)
-            return model.grid, flatten(model), work
         if mfs_per_input not in self._initial:
             model = init_model_from_data(self.train_set.X, mfs_per_input)
-            self._initial[mfs_per_input] = model.grid, flatten(model), _log_grades(model, XT_eval)
-        grid, theta, log_mu = self._initial[mfs_per_input]
-        work = self._works.get((mfs_per_input, batch))
-        if work is None:
-            work = self._works[mfs_per_input, batch] = _EvalWork(grid, X_eval.shape[0], batch)
-        work.pred.fill(0.0)
-        np.copyto(work.log_mu, log_mu)
-        return grid, theta.copy(), work
+            self._initial[mfs_per_input] = model.grid, flatten(model)
+        grid, theta = self._initial[mfs_per_input]
+        theta = theta.copy()
+        model = _view_model(theta, grid)  # theta is only ever updated in place
+        key = (mfs_per_input, batch)
+        if key not in self._works:
+            self._works[key] = _RunWork(grid, X_eval.shape[0], batch, theta.size)
+        work = self._works[key]
+        work.eval.pred.fill(0.0)
+        _log_grades(model, XT_eval, out=work.eval.log_mu)
+        return theta, model, work
 
     def batches(self, config: TrainConfig, batch: int, batch_seq):
         """The run's batch indices, one array per iteration, as sample_batch
         draws them from default_rng(batch_seq), which config.seed spawned."""
-        if not self.shared:
+        if not self.shared or config.iterations * batch * 8 > MAX_RECORD_BYTES:
             rng = np.random.default_rng(batch_seq)
             while True:
                 yield sample_batch(self.train_set, config.batch_size, rng)
@@ -301,10 +320,10 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     The run keeps its working arrays, so an iteration allocates almost
     nothing: the parameters, which every step updates in place (so the
     model's views of them are built once), the optimizer's moments and
-    rates (adam and adabound only) and one step temporary, the flat
-    gradient and an [R, M] buffer for the l2 term, and the evaluation's
+    rates (adam and adabound only), and a _RunWork: the evaluation's
     buffers (model._EvalWork), whose scratch the gradient borrows for its
-    [batch, R] arrays.
+    [batch, R] arrays, the flat gradient, one step temporary and an
+    [R, M] buffer for the l2 term.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -341,8 +360,8 @@ def _train(config: TrainConfig, prepared: _Split):
             f" {nbytes} bytes per training step, over the {MAX_TRAIN_BYTES}-byte limit"
         )
 
-    grid, theta, work = prepared.start(config.mfs_per_input, batch)
-    model = _view_model(theta, grid)  # theta is only ever updated in place
+    theta, model, work = prepared.start(config.mfs_per_input, batch)
+    grid = model.grid
     n_mf = M * config.mfs_per_input
     sigmas = theta[n_mf : 2 * n_mf]
     variant = None if config.drop_variant == "none" else config.drop_variant
@@ -351,9 +370,6 @@ def _train(config: TrainConfig, prepared: _Split):
     batches = prepared.batches(config, batch, batch_seq)
     mask_rng = np.random.default_rng(mask_seq)
 
-    step_tmp, grad = np.empty(theta.size), np.empty(theta.size)
-    finite = np.empty(theta.size, dtype=bool)
-    sq = np.empty((grid.num_rules, M))  # the l2 term's squares and products
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)
     else:
@@ -364,9 +380,8 @@ def _train(config: TrainConfig, prepared: _Split):
     X_eval, XT_eval, design = prepared.rows
     # Predictions of the current model on every training row. init_model
     # starts every consequent at 0, so before the first step they are all
-    # 0, as work.pred starts; the log-grades are the initial model's.
-    train_pred, test_pred = work.pred[: train_set.n], work.pred[train_set.n :]
-    batch_log_mu = np.empty((M, config.mfs_per_input, batch))
+    # 0, as work.eval.pred starts; the log-grades are the initial model's.
+    train_pred, test_pred = work.eval.pred[: train_set.n], work.eval.pred[train_set.n :]
     t0 = time.perf_counter()
     for k, idx in zip(range(K), batches):  # range first: no draw past the last iteration
         yb = train_set.y[idx]
@@ -376,17 +391,18 @@ def _train(config: TrainConfig, prepared: _Split):
             drop, keep = (None, None) if keep.all() else (variant, keep)
         # C-ordered, as _log_grades makes them; "clip" spares the index
         # check's buffer, and sample_batch's indices are in range
-        np.take(work.log_mu, idx, axis=2, out=batch_log_mu, mode="clip")
+        np.take(work.eval.log_mu, idx, axis=2, out=work.batch_log_mu, mode="clip")
         g = _gradients(
-            model, design[idx], yb, config.lam, drop, keep, batch_log_mu, work.scratch, grad, sq
+            model, design[idx], yb, config.lam, drop, keep,
+            work.batch_log_mu, work.eval.scratch, work.grad, work.sq,
         )
-        batch_loss = _objective(model, yb - train_pred[idx], config.lam, sq)
+        batch_loss = _objective(model, yb - train_pred[idx], config.lam, work.sq)
         _finite(batch_loss, "batch loss", k)
-        _check_finite(g, "gradient of", k, grid, finite)
+        _check_finite(g, "gradient of", k, grid, work.finite)
 
         if config.lr_scheme == "jang":
             jang = jang_update_lr(jang, batch_loss)
-            _sgd_step(theta, g, jang.alpha, step_tmp)
+            _sgd_step(theta, g, jang.alpha, work.step_tmp)
             lr = (jang.alpha,) * 3  # one global rate is its own mean, min and max
         else:
             if config.lr_scheme == "adam":
@@ -394,14 +410,14 @@ def _train(config: TrainConfig, prepared: _Split):
             else:
                 lo = bound_l(moments.k + 1, config.beta2, config.alpha_final)
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
-            _adabound_step(moments, theta, g, config, lo, up, step_tmp)
+            _adabound_step(moments, theta, g, config, lo, up, work.step_tmp)
             rates = moments.last_rates
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
         np.maximum(sigmas, SIGMA_MIN, out=sigmas)
-        _check_finite(theta, "parameter", k, grid, finite)
+        _check_finite(theta, "parameter", k, grid, work.finite)
 
-        _evaluate(model, XT_eval, X_eval, work)
+        _evaluate(model, XT_eval, X_eval, work.eval)
         hist[:, k] = (
             _finite(_rmse(train_set.y, train_pred), "train RMSE", k),
             _finite(_rmse(test_set.y, test_pred), "test RMSE", k),
@@ -439,10 +455,10 @@ def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
     training portion only, and runs all algorithms on that identical split
     with identical training seeds (so their batch sequences are paired).
     The runs of a repeat also share its set-up (_Split): the stacked rows,
-    the initial model and log-grades of each grid, the evaluation buffers
-    of each grid and batch size, and the batch indices of each batch size,
-    computed once and read by every run, so each history is the one
-    train() gives on that split and seed, bit for bit.
+    the initial model of each grid, the working arrays of each grid and
+    batch size, and the batch indices of each batch size, computed once
+    and read by every run, so each history is the one train() gives on
+    that split and seed, bit for bit.
     Histories are averaged pointwise across repeats. A ridge history holds
     one entry per curve, with learning rates of 0.
     """

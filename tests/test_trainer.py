@@ -637,12 +637,16 @@ MIXED_SUITE = {
 
 
 class TestRunSuite:
+    @pytest.mark.parametrize("record", [trainer.MAX_RECORD_BYTES, 1000], ids=["all", "capped"])
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-    def test_mixed_suite_equals_direct_runs(self, monkeypatch, order):
+    def test_mixed_suite_equals_direct_runs(self, monkeypatch, order, record):
         """The runs of a repeat share its set-up (the initial models, the
         evaluation buffers and the batch indices); each run's history still
         equals, bit for bit, that of a direct train() on the repeat's split
-        and seed, in either order of the configs."""
+        and seed, in either order of the configs. With the record capped at
+        1000 bytes, the 3-iteration runs of 16 rows record their indices
+        and the longer or wider runs draw their own."""
+        monkeypatch.setattr(trainer, "MAX_RECORD_BYTES", record)
         configs = dict(list(MIXED_SUITE.items())[::order])
         runs = {}
         real = trainer._mean_histories
