@@ -1,15 +1,15 @@
-"""Check that training is bit-identical to a reference copy of the package.
+"""Check that training is bit-identical to the package of another source tree.
 
 Trains every stock algorithm of the command line with the package in
 src/ and with a reference on the same data, split and seed, and compares
 every per-iteration history curve and the final parameters bit for bit
 (ridge: the fitted weights and bias). The data is the synthetic problem cut
-to each width M of WIDTHS, its first M columns. The reference is the frozen copy
-perfbench/reference/tskfuzzy_ref, or with --against the package in the
-src/ of another source tree, such as a parent commit unpacked with
-`git archive`, imported under the name tskfuzzy_against. For each array
-that differs it prints the largest relative difference and, for a history
-curve, the first iteration whose relative difference exceeds 1e-12.
+to each width M of WIDTHS, its first M columns. The reference is the
+package in the src/ of the tree given by --against, such as a parent
+commit unpacked with `git archive`, imported under the name
+tskfuzzy_against. For each array that differs it prints the largest
+relative difference and, for a history curve, the first iteration whose
+relative difference exceeds 1e-12.
 
 It then runs each package's command line three ways on the same inputs:
 the suite of every stock algorithm over two repeats (--iterations each) on
@@ -18,8 +18,8 @@ ridge-only run on that CSV, and a gradient check of 5 trials. It compares
 the exit status and every file written, byte for byte, except the seconds
 column of summary.csv, which is a wall-clock time.
 
-    python3 scripts/compare_reference.py --mfs 2 3 4 --iterations 100
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 scripts/compare_reference.py --against /tmp/parent --mfs 2 3 4 --iterations 100
     python3 scripts/compare_reference.py --against /tmp/parent --mfs 2 --iterations 500
 
 Exits non-zero if any algorithm or command line differs.
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench" / "reference")]
+sys.path.insert(0, str(ROOT / "src"))
 
 import tskfuzzy  # noqa: E402
 import tskfuzzy.cli  # noqa: E402
@@ -144,16 +144,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--against",
         type=Path,
+        required=True,
         metavar="TREE",
-        help="root of a source tree whose src/tskfuzzy is the reference "
-        "(default: the frozen perfbench/reference copy)",
+        help="root of a source tree whose src/tskfuzzy is the reference",
     )
     args = parser.parse_args(argv)
-    if args.against is None:
-        reference = importlib.import_module("tskfuzzy_ref")
-        importlib.import_module("tskfuzzy_ref.cli")
-    else:
-        reference = load_tree(args.against.resolve())
+    reference = load_tree(args.against.resolve())
 
     failures = 0
     for width, mm in itertools.product(WIDTHS, args.mfs):

@@ -22,6 +22,7 @@ from .model import RuleGrid, TskModel, _check_grid, param_count
 from .trainer import (
     RidgeConfig,
     TrainConfig,
+    _seed_sequence,
     _write_csv,
     percent_improvement,
     run_suite,
@@ -51,7 +52,8 @@ DEFAULT_ALGOS = ["RR", "MBGD", "MBGD-R", "MBGD-D", "MBGD-RD", "MBGD-A", "MBGD-RD
 class ExperimentSpec:
     """Everything one experiment needs. The fields are the --config keys and
     their annotations the JSON types each accepts; algos may be one
-    comma-separated string, and None means DEFAULT_ALGOS."""
+    comma-separated string; None means DEFAULT_ALGOS, and algos that name
+    no algorithm are refused."""
 
     data: str | None = None
     target: str | int | None = None
@@ -86,7 +88,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
         algos = spec.algos
         if isinstance(algos, str):
             algos = [a.strip() for a in algos.split(",") if a.strip()]
-        algos = algos or DEFAULT_ALGOS
+        algos = DEFAULT_ALGOS if algos is None else algos
+        if not algos:
+            raise ValueError(f"algos {spec.algos!r} names no algorithm")
         repeated = [a for i, a in enumerate(algos) if a in algos[:i]]
         if repeated:
             raise ValueError(f"algorithm {repeated[0]!r} is named more than once")
@@ -105,6 +109,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             raise ValueError("iterations must be >= 1: the summary needs a best iteration")
         if spec.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
+        _seed_sequence(spec.seed)
         stage = "train"
         suite = run_suite(configs, dataset, repeats=spec.repeats, seed=spec.seed)
         stage = "write"
@@ -263,6 +268,7 @@ def main(argv=None) -> int:
         if args.grad_check:
             checks = {**GRAD_CHECK_KEYS, **spec.set}
             _check_grad_settings(checks["M"], checks["Mm"], checks["trials"])
+            _seed_sequence(spec.seed)
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error in load: {exc}", file=sys.stderr)
         return 1

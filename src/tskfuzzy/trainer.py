@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -57,7 +57,7 @@ from .ridge import ridge_fit, ridge_predict
 
 LR_SCHEMES = ("jang", "adam", "adabound")
 MAX_TRAIN_BYTES = 2**30  # train() refuses a grid whose _step_bytes() pass this
-MAX_RECORD_BYTES = 2**24  # a shared split records no batch indices of a run that needs more
+MAX_RECORD_BYTES = 2**24  # a split records no batch indices of a run that needs more
 
 
 def _step_bytes(num_inputs: int, mfs_per_input: int, batch_size: int, drop_variant: str) -> int:
@@ -82,9 +82,11 @@ class TrainConfig:
 
     Defaults are the full method: DropRule at keep probability 0.5, l2
     coefficient 0.05, bounded adaptive rates from alpha 0.01 whose bounds
-    converge to alpha_final. A field out of range raises ValueError naming
-    it (NaN fails every range). A config is frozen: dataclasses.replace()
-    makes a changed copy and checks it again.
+    converge to alpha_final. A field out of range or of the wrong type
+    raises ValueError naming it (NaN fails every range; an integer field
+    takes a Python or numpy integer, not a bool, and holds it as an int;
+    seed is not None). A config is frozen: dataclasses.replace() makes a
+    changed copy and checks it again.
     """
 
     mfs_per_input: int = 2
@@ -116,12 +118,25 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.batch_size >= 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not self.mfs_per_input >= 1:
-            raise ValueError(f"mfs_per_input must be >= 1, got {self.mfs_per_input}")
+        for name, low in (("batch_size", 1), ("iterations", 0), ("mfs_per_input", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))  # numpy's Mm**M would wrap
+        _seed_sequence(self.seed)
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """np.random.SeedSequence(seed), or ValueError naming the seed where
+    that raises, and for None, which would seed from the operating system."""
+    try:
+        if seed is not None:
+            return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -226,31 +241,31 @@ class _RunWork:
 
 
 class _Split:
-    """What every run on one train/test split computes the same way: the
-    stacked rows; per mfs_per_input the RuleGrid and the flat initial
-    parameters of init_model_from_data; per grid and batch size one
-    _RunWork; per seed and batch size the batch indices. Each is a
-    deterministic function of the split, the grid and the seed, so a run
-    reads the same values whether it computes them or an earlier run did.
+    """A train/test split and the training seed of its runs, with what they
+    all compute the same way: the batch and mask streams spawned from the
+    seed (batch_seq, mask_seq); the stacked rows; per mfs_per_input the
+    RuleGrid and the flat initial parameters of init_model_from_data; per
+    grid and batch size one _RunWork; per batch size the batch indices
+    drawn so far. Each is a deterministic function of the split, the grid
+    and the seed, so a run reads the same values whether it computes them
+    or an earlier run did.
 
     A run gets a copy of the initial parameters and the kept _RunWork, with
     pred reset to 0 and log_mu to the initial model's log-grades, computed
-    there: a kept copy of them would cost every run, a lone one too, an
-    [M, Mm, N] array more to save a pass of a few tens of microseconds per
-    shared run. A shared split (run_suite) also records the batch indices
-    that its runs draw, so a later run of the same seed and batch size
-    reads them and draws on where they stopped; those of one seed and
-    batch size cost iterations * batch * 8 bytes (256 KiB at the stock 500
+    there: a kept copy of them would cost every run an [M, Mm, N] array
+    more to save a pass of a few tens of microseconds. A later run of a
+    batch size reads the recorded indices and draws on where they stop;
+    they cost iterations * batch * 8 bytes (256 KiB at the stock 500
     iterations of 64 rows), and a run whose indices would pass
-    MAX_RECORD_BYTES draws its own instead. A lone split (train()) records none: its run draws each
-    batch when it needs it.
+    MAX_RECORD_BYTES draws its own instead.
     """
 
-    def __init__(self, train_set: Dataset, test_set: Dataset, shared: bool = False):
-        self.train_set, self.test_set, self.shared = train_set, test_set, shared
+    def __init__(self, train_set: Dataset, test_set: Dataset, seed):
+        self.train_set, self.test_set = train_set, test_set
+        self.batch_seq, self.mask_seq = _seed_sequence(seed).spawn(2)
         self._initial = {}  # mfs_per_input -> (grid, theta)
         self._works = {}  # (mfs_per_input, batch) -> _RunWork
-        self._drawn = {}  # (seed, batch) -> (indices drawn so far, batch rng)
+        self._drawn = {}  # batch -> (indices drawn so far, batch rng)
 
     @cached_property
     def rows(self):
@@ -281,20 +296,21 @@ class _Split:
         _log_grades(model, XT_eval, out=work.eval.log_mu)
         return theta, model, work
 
-    def batches(self, config: TrainConfig, batch: int, batch_seq):
-        """The run's batch indices, one array per iteration, as sample_batch
-        draws them from default_rng(batch_seq), which config.seed spawned."""
-        if not self.shared or config.iterations * batch * 8 > MAX_RECORD_BYTES:
-            rng = np.random.default_rng(batch_seq)
-            while True:
-                yield sample_batch(self.train_set, config.batch_size, rng)
-        key = (config.seed, batch)
-        if key not in self._drawn:
-            self._drawn[key] = [], np.random.default_rng(batch_seq)
-        drawn, rng = self._drawn[key]
-        for k in itertools.count():
+    def batches(self, iterations: int, batch: int):
+        """The run's batch indices, one array of batch rows per iteration, as
+        sample_batch draws them from default_rng(batch_seq), each when the
+        run asks for it."""
+        if iterations * batch * 8 > MAX_RECORD_BYTES:
+            rng = np.random.default_rng(self.batch_seq)
+            for _ in range(iterations):
+                yield sample_batch(self.train_set, batch, rng)
+            return
+        if batch not in self._drawn:  # setdefault would build an rng per call
+            self._drawn[batch] = [], np.random.default_rng(self.batch_seq)
+        drawn, rng = self._drawn[batch]
+        for k in range(iterations):
             if k == len(drawn):
-                drawn.append(sample_batch(self.train_set, config.batch_size, rng))
+                drawn.append(sample_batch(self.train_set, batch, rng))
             yield drawn[k]
 
 
@@ -323,7 +339,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     rates (adam and adabound only), and a _RunWork: the evaluation's
     buffers (model._EvalWork), whose scratch the gradient borrows for its
     [batch, R] arrays, the flat gradient, one step temporary and an
-    [R, M] buffer for the l2 term.
+    [R, M] buffer for the l2 term. Its _Split also records the batch
+    indices, as run_suite's do.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -335,14 +352,14 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     at the first non-finite batch loss, gradient or parameter, and at the
     first non-finite train or test RMSE, so no history holds one.
     """
-    return _train(config, _Split(train_set, test_set))
+    return _train(config, _Split(train_set, test_set, config.seed))
 
 
 # Diverged reports the first non-finite value; overflow warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _train(config: TrainConfig, prepared: _Split):
-    """train() of config on the rows of prepared, starting from what it
-    holds or computes for the run."""
+    """train() of config on the rows and with the seed of prepared, not
+    config.seed, starting from what prepared holds or computes for the run."""
     train_set, test_set = prepared.train_set, prepared.test_set
     if train_set.n == 0:
         raise EmptyTrainingSet("training set has no examples")
@@ -362,13 +379,8 @@ def _train(config: TrainConfig, prepared: _Split):
 
     theta, model, work = prepared.start(config.mfs_per_input, batch)
     grid = model.grid
-    n_mf = M * config.mfs_per_input
-    sigmas = theta[n_mf : 2 * n_mf]
     variant = None if config.drop_variant == "none" else config.drop_variant
-
-    batch_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(2)
-    batches = prepared.batches(config, batch, batch_seq)
-    mask_rng = np.random.default_rng(mask_seq)
+    mask_rng = np.random.default_rng(prepared.mask_seq)
 
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)
@@ -383,7 +395,7 @@ def _train(config: TrainConfig, prepared: _Split):
     # 0, as work.eval.pred starts; the log-grades are the initial model's.
     train_pred, test_pred = work.eval.pred[: train_set.n], work.eval.pred[train_set.n :]
     t0 = time.perf_counter()
-    for k, idx in zip(range(K), batches):  # range first: no draw past the last iteration
+    for k, idx in enumerate(prepared.batches(K, batch)):
         yb = train_set.y[idx]
         drop, keep = None, None
         if variant:  # a mask that keeps everything takes the unmasked path
@@ -414,7 +426,7 @@ def _train(config: TrainConfig, prepared: _Split):
             rates = moments.last_rates
             lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
 
-        np.maximum(sigmas, SIGMA_MIN, out=sigmas)
+        np.maximum(model.sigmas, SIGMA_MIN, out=model.sigmas)
         _check_finite(theta, "parameter", k, grid, work.finite)
 
         _evaluate(model, XT_eval, X_eval, work.eval)
@@ -451,30 +463,31 @@ def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
     """Run every configured algorithm over repeated fresh splits.
 
     configs maps an algorithm name to a TrainConfig or a RidgeConfig. Each
-    repeat draws a fresh seeded 70/30 split, fits the preprocessor on the
+    repeat j draws a fresh seeded 70/30 split, fits the preprocessor on the
     training portion only, and runs all algorithms on that identical split
-    with identical training seeds (so their batch sequences are paired).
-    The runs of a repeat also share its set-up (_Split): the stacked rows,
-    the initial model of each grid, the working arrays of each grid and
-    batch size, and the batch indices of each batch size, computed once
-    and read by every run, so each history is the one train() gives on
-    that split and seed, bit for bit.
-    Histories are averaged pointwise across repeats. A ridge history holds
-    one entry per curve, with learning rates of 0.
+    with the training seed (seed, j, 1), not their own (so their batch
+    sequences are paired), through one _Split that computes once what they
+    share: the stacked rows, the initial model of each grid, the working
+    arrays of each grid and batch size, and the batch indices of each batch
+    size. So each history is the one train() gives on that split and seed,
+    bit for bit. Histories are averaged pointwise across repeats. A ridge
+    history holds one entry per curve, with learning rates of 0. A repeats
+    below 1 or a bad seed raises ValueError before any split.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    _seed_sequence(seed)
     collected = {name: [] for name in configs}
     for j in range(repeats):
         tr, te = split(dataset, 0.7, np.random.default_rng((seed, j, 0)))
         pre = fit_preprocessor(tr)
         tr_p = apply_preprocessor(pre, tr)
         te_p = apply_preprocessor(pre, te)
-        shared = _Split(tr_p, te_p, shared=True)
+        prepared = _Split(tr_p, te_p, (seed, j, 1))
         for name, cfg in configs.items():
             if isinstance(cfg, RidgeConfig):
                 hist = _ridge_history(cfg, tr_p, te_p)
             else:
-                _, hist = _train(replace(cfg, seed=(seed, j, 1)), shared)
+                _, hist = _train(cfg, prepared)
             collected[name].append(hist)
     return {name: _mean_histories(hists) for name, hists in collected.items()}

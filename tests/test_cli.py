@@ -288,6 +288,13 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "config data not a string": ({"data": ["synthetic"]}, [], "load", '"data" must be str'),
     "config repeats a float": ({"repeats": 2.5}, [], "load", '"repeats" must be int, got float'),
     "config seed a bool": ({"seed": True}, [], "load", '"seed" must be int, got bool'),
+    "negative seed": ({}, ["--seed", "-1"], "load", "seed must be a non-negative integer"),
+    "grad-check with a negative seed": (
+        {}, ["--grad-check", "--set", "trials=1", "--seed", "-1"], "load", "got -1"
+    ),
+    "algos of no name": ({}, ["--algos", ""], "load", "algos '' names no algorithm"),
+    "algos of commas only": ({}, ["--algos", ","], "load", "algos ',' names no algorithm"),
+    "config algos an empty list": ({"algos": []}, [], "load", "algos [] names no algorithm"),
     "set value of the wrong type": (
         {}, ["--set", "iterations=1.5"], "load", "--set iterations expects int, got '1.5'"
     ),

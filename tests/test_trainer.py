@@ -248,7 +248,10 @@ class TestTrain:
          ("lam", -5.0), ("lam", float("nan")), ("alpha", 0.0), ("alpha", -0.01),
          ("alpha", float("nan")), ("alpha_final", 0.0), ("alpha_final", float("nan")),
          ("epsilon", 0.0), ("epsilon", float("nan")), ("beta1", -0.1), ("beta1", 1.0),
-         ("beta1", float("nan")), ("beta2", 1.0), ("beta2", -0.1), ("beta2", float("nan"))],
+         ("beta1", float("nan")), ("beta2", 1.0), ("beta2", -0.1), ("beta2", float("nan")),
+         ("iterations", 2.5), ("batch_size", 2.5), ("mfs_per_input", 2.0), ("iterations", True),
+         ("batch_size", np.True_), ("seed", -1), ("seed", (1, -2)), ("seed", 1.5),
+         ("seed", None)],
     )
     def test_invalid_field_rejected(self, small_splits, field, value):
         tr, te = small_splits
@@ -308,6 +311,18 @@ class TestGridLimit:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_numpy_integer_fields_are_held_as_ints(self):
+        """A config holds numpy integer fields as Python ints, so the rule
+        count cannot wrap: np.int64(4) ** 40 is 0, yet the grid of 4**40
+        rules is still refused before anything of its size is built."""
+        cfg = TrainConfig(mfs_per_input=np.int64(4), iterations=np.int32(1), batch_size=np.uint8(3))
+        assert cfg == TrainConfig(mfs_per_input=4, iterations=1, batch_size=3)
+        assert {type(v) for v in (cfg.mfs_per_input, cfg.iterations, cfg.batch_size)} == {int}
+        rng = np.random.default_rng(0)
+        tr = Dataset(rng.standard_normal((3, 40)), rng.standard_normal(3))
+        with pytest.raises(GridTooLarge, match=rf"^a grid of 4\*\*40 = {4**40} rules"):
+            train(cfg, tr, tr)
 
     def test_limit_counts_the_batch_and_the_membership_slots(self):
         """One [64, R] float64 array at R = 4**10 is 512 MiB. DropMembership
@@ -637,15 +652,15 @@ MIXED_SUITE = {
 
 
 class TestRunSuite:
-    @pytest.mark.parametrize("record", [trainer.MAX_RECORD_BYTES, 1000], ids=["all", "capped"])
+    @pytest.mark.parametrize("record", [trainer.MAX_RECORD_BYTES, 500], ids=["all", "capped"])
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_mixed_suite_equals_direct_runs(self, monkeypatch, order, record):
         """The runs of a repeat share its set-up (the initial models, the
         evaluation buffers and the batch indices); each run's history still
         equals, bit for bit, that of a direct train() on the repeat's split
         and seed, in either order of the configs. With the record capped at
-        1000 bytes, the 3-iteration runs of 16 rows record their indices
-        and the longer or wider runs draw their own."""
+        500 bytes, the 3-iteration runs of 16 rows record their indices
+        and the longer or wider runs draw their own, beside that record."""
         monkeypatch.setattr(trainer, "MAX_RECORD_BYTES", record)
         configs = dict(list(MIXED_SUITE.items())[::order])
         runs = {}
@@ -672,6 +687,32 @@ class TestRunSuite:
                     np.testing.assert_array_equal(
                         getattr(runs[i][j], curve), getattr(want, curve), err_msg=f"{name} {curve}"
                     )
+
+    @pytest.mark.parametrize("record, draws", [(trainer.MAX_RECORD_BYTES, 2 * 7),
+                                               (0, 2 * (3 + 5 + 7))], ids=["all", "capped"])
+    def test_split_draws_each_batch_once(self, monkeypatch, record, draws):
+        """Runs of 3, 5 and 7 iterations on one batch size read the indices
+        their repeat's split recorded, so two repeats draw 2 * 7 batches;
+        with the record capped at 0 bytes each run draws its own. A lone
+        train() draws one batch per iteration."""
+        monkeypatch.setattr(trainer, "MAX_RECORD_BYTES", record)
+        calls = []
+        real = trainer.sample_batch
+        monkeypatch.setattr(trainer, "sample_batch", lambda *a: calls.append(1) or real(*a))
+        configs = {k: TrainConfig(iterations=k, batch_size=16) for k in (3, 7, 5)}
+        data = make_synthetic(80, seed=11)
+        run_suite(configs, data, repeats=2, seed=5)
+        assert len(calls) == draws
+        tr, te = split(data, 0.7, np.random.default_rng(0))
+        calls.clear()
+        train(configs[7], tr, te)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_refused_before_any_split(self, monkeypatch, seed):
+        monkeypatch.setattr(trainer, "split", None)
+        with pytest.raises(ValueError, match="seed must be"):
+            run_suite({"a": TrainConfig(iterations=1)}, make_synthetic(50), repeats=1, seed=seed)
 
     def test_single_repeat_equals_direct_run(self):
         data = make_synthetic(200, seed=6)
