@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import (
     ConstantFeature,
+    DimensionMismatch,
+    LengthMismatch,
     MissingTarget,
     NonNumericTarget,
     ParseError,
@@ -25,7 +27,10 @@ from .errors import (
 
 @dataclass
 class Dataset:
-    """Numeric design matrix X [N, M] with target vector y [N]."""
+    """Numeric design matrix X [N, M] with target vector y [N] and one
+    name per column (x1, x2, ... when none are given). Raises
+    DimensionMismatch unless X is 2-D, and LengthMismatch unless y holds
+    one value per row and the names one per column."""
 
     X: np.ndarray
     y: np.ndarray
@@ -34,8 +39,18 @@ class Dataset:
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
+        if self.X.ndim != 2:
+            raise DimensionMismatch(f"X must be a 2-D [N, M] array, got shape {self.X.shape}")
+        if self.y.shape != (self.n,):
+            raise LengthMismatch(
+                f"y has shape {self.y.shape}, expected one value per row: ({self.n},)"
+            )
         if not self.feature_names:
-            self.feature_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
+            self.feature_names = [f"x{j + 1}" for j in range(self.num_features)]
+        if len(self.feature_names) != self.num_features:
+            raise LengthMismatch(
+                f"{len(self.feature_names)} feature names for {self.num_features} columns"
+            )
 
     @property
     def n(self) -> int:

@@ -12,7 +12,8 @@ class ConstantFeature(TskFuzzyError):
 
 class LengthMismatch(TskFuzzyError):
     """A vector's length does not match the expected dimension: a flat
-    parameter vector, or targets that are not one per row of a batch."""
+    parameter vector, targets that are not one per row of a batch or a
+    dataset, or feature names that are not one per column."""
 
 
 class EmptyBatch(TskFuzzyError):
@@ -70,7 +71,8 @@ class SingularSystem(TskFuzzyError):
 
 
 class DimensionMismatch(TskFuzzyError):
-    """Input width does not match the fitted model."""
+    """Input width does not match the fitted model, or a dataset's design
+    matrix is not 2-D."""
 
 
 class GridTooLarge(TskFuzzyError):

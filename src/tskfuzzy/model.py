@@ -75,8 +75,8 @@ class TskModel:
     consequents: [R, M + 1] affine rule consequents; column 0 is the bias.
 
     Instances are treated as immutable during inference, so concurrent
-    reads are safe; the trainer builds a new model after every step, from
-    views into its flat parameter vector (flatten() layout).
+    reads are safe. The arrays may be views of one flat vector in the
+    flatten() layout (_param_views), which a training run updates in place.
     """
 
     def __init__(self, grid: RuleGrid, centers, sigmas, consequents):
@@ -193,16 +193,6 @@ def _param_views(values: np.ndarray, grid: RuleGrid) -> tuple:
         values[n_mf : 2 * n_mf].reshape(M, Mm),
         values[2 * n_mf :].reshape(grid.num_rules, M + 1),
     )
-
-
-def _view_model(values: np.ndarray, grid: RuleGrid) -> TskModel:
-    """A TskModel over _param_views of values, without TskModel's checks:
-    for a finite vector whose sigmas are floored at SIGMA_MIN, as train()
-    keeps its parameters."""
-    model = TskModel.__new__(TskModel)
-    model.grid = grid
-    model.centers, model.sigmas, model.consequents = _param_views(values, grid)
-    return model
 
 
 def _param_name(i: int, grid: RuleGrid) -> str:
@@ -567,18 +557,16 @@ def _predict_rows(model: TskModel, X: np.ndarray, log_mu: np.ndarray, views, pre
     pred += out[:, 0]
 
 
-def _kron(grades: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _kron(grades: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """[Mm^K, N] row-wise Kronecker product of [K, Mm, N] per-input grades,
     the last input varying fastest along the rule axis: ones of shape
     [1, N] when K = 0, grades[0] itself when K = 1, and otherwise a
     C-ordered array in the leading part of the flat buffer out, whose
     partial products alternate between tmp (room for Mm^(K-1) rows) and
-    out so that the last lands in out. New buffers when out is None."""
+    out so that the last lands in out."""
     k, mm, n = grades.shape
     if k == 0:
         return np.ones((1, n))
-    if out is None and k > 1:
-        out, tmp = np.empty(mm**k * n), np.empty(mm ** (k - 1) * n)
     acc = grades[0]
     for m in range(1, k):
         dest = out if (k - 1 - m) % 2 == 0 else tmp

@@ -39,7 +39,7 @@ from .model import (
     _EvalWork,
     _log_grades,
     _param_name,
-    _view_model,
+    _param_views,
     flatten,
     init_model_from_data,
     predict,
@@ -84,9 +84,10 @@ class TrainConfig:
     coefficient 0.05, bounded adaptive rates from alpha 0.01 whose bounds
     converge to alpha_final. A field out of range or of the wrong type
     raises ValueError naming it (NaN fails every range; an integer field
-    takes a Python or numpy integer, not a bool, and holds it as an int;
-    seed is not None). A config is frozen: dataclasses.replace() makes a
-    changed copy and checks it again.
+    takes a Python or numpy integer, not a bool, and holds it as an int; a
+    float field takes a Python or numpy integer or float, not a bool, and
+    holds it as a float; seed is not None). A config is frozen:
+    dataclasses.replace() makes a changed copy and checks it again.
     """
 
     mfs_per_input: int = 2
@@ -108,6 +109,8 @@ class TrainConfig:
             raise ValueError(f"unknown drop_variant {self.drop_variant!r}")
         if self.lr_scheme not in LR_SCHEMES:
             raise ValueError(f"unknown lr_scheme {self.lr_scheme!r}")
+        for name in ("keep_prob", "alpha", "lam", "beta1", "beta2", "epsilon", "alpha_final"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
         if not self.lam >= 0.0:
@@ -119,13 +122,24 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         for name, low in (("batch_size", 1), ("iterations", 0), ("mfs_per_input", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = _number(name, getattr(self, name), integer=True)  # numpy's Mm**M would wrap
             if not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))  # numpy's Mm**M would wrap
+            object.__setattr__(self, name, value)
         _seed_sequence(self.seed)
+
+
+def _number(name: str, value, integer: bool = False):
+    """value as an int when integer, else as a float; ValueError naming
+    name unless value is a Python or numpy integer (or, when not integer,
+    float) and not a bool, or for a float past the float range."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be in the float range, got {value!r}") from None
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -141,11 +155,14 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class RidgeConfig:
-    """The closed-form linear baseline's penalty; a negative or NaN lam raises ValueError."""
+    """The closed-form linear baseline's penalty, checked and held as
+    TrainConfig's lam: a negative or NaN lam, a bool or a value that is not
+    a number raises ValueError."""
 
     lam: float = 0.05
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _number("lam", self.lam))
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
@@ -224,48 +241,51 @@ def _finite(value: float, what: str, k: int) -> float:
 
 
 class _RunWork:
-    """The working arrays of a run on one grid and batch size: the
-    evaluation's buffers (model._EvalWork, whose scratch the gradient
-    borrows), the batch's [M, Mm, batch] log-grades, the flat gradient, the
-    step temporary, the bool vector of the finiteness checks and the l2
-    term's [R, M] buffer; size is the parameter count. A run overwrites
-    each before it reads it, except eval.pred and eval.log_mu, which
-    _Split.start resets."""
+    """What the runs of a split on one grid and batch size share: the grid
+    and flat parameters theta of init_model_from_data on the training rows;
+    the working arrays, namely the evaluation's buffers (model._EvalWork,
+    whose scratch the gradient borrows), the batch's [M, Mm, batch]
+    log-grades, the flat gradient, the step temporary, the bool vector of
+    the finiteness checks and the l2 term's [R, M] buffer; and drawn, the
+    batch indices drawn so far, with rng, the generator that continues
+    them. A run overwrites each working array before it reads it, except
+    eval.pred and eval.log_mu, which _Split.start resets."""
 
-    def __init__(self, grid: RuleGrid, n: int, batch: int, size: int):
-        self.eval = _EvalWork(grid, n, batch)
+    def __init__(self, prepared: _Split, mfs_per_input: int, batch: int):
+        initial = init_model_from_data(prepared.train_set.X, mfs_per_input)
+        self.grid, self.theta, self.batch = initial.grid, flatten(initial), batch
+        grid, size = self.grid, self.theta.size
+        self.eval = _EvalWork(grid, prepared.rows[0].shape[0], batch)
         self.batch_log_mu = np.empty((grid.num_inputs, grid.mfs_per_input, batch))
         self.grad, self.step_tmp = np.empty(size), np.empty(size)
         self.finite = np.empty(size, dtype=bool)
         self.sq = np.empty((grid.num_rules, grid.num_inputs))
+        self.drawn, self.rng = [], np.random.default_rng(prepared.batch_seq)
 
 
 class _Split:
     """A train/test split and the training seed of its runs, with what they
     all compute the same way: the batch and mask streams spawned from the
-    seed (batch_seq, mask_seq); the stacked rows; per mfs_per_input the
-    RuleGrid and the flat initial parameters of init_model_from_data; per
-    grid and batch size one _RunWork; per batch size the batch indices
-    drawn so far. Each is a deterministic function of the split, the grid
-    and the seed, so a run reads the same values whether it computes them
-    or an earlier run did.
+    seed (batch_seq, mask_seq), the stacked rows, and one _RunWork per grid
+    and batch size, keyed by (mfs_per_input, batch). Each is a
+    deterministic function of the split, the grid and the seed, so a run
+    reads the same values whether it computes them or an earlier run did.
 
-    A run gets a copy of the initial parameters and the kept _RunWork, with
-    pred reset to 0 and log_mu to the initial model's log-grades, computed
-    there: a kept copy of them would cost every run an [M, Mm, N] array
-    more to save a pass of a few tens of microseconds. A later run of a
-    batch size reads the recorded indices and draws on where they stop;
-    they cost iterations * batch * 8 bytes (256 KiB at the stock 500
-    iterations of 64 rows), and a run whose indices would pass
-    MAX_RECORD_BYTES draws its own instead.
+    A run gets a flat copy of the entry's initial parameters and its
+    working arrays, with pred reset to 0 and log_mu to the initial model's
+    log-grades, computed there: a kept copy of them would cost every run an
+    [M, Mm, N] array more to save a pass of a few tens of microseconds. A
+    later run of the entry reads the recorded indices and draws on where
+    they stop; they cost iterations * batch * 8 bytes (256 KiB at the stock
+    500 iterations of 64 rows), and a run whose indices would pass
+    MAX_RECORD_BYTES draws its own instead. Entries of two grids draw the
+    same indices for a batch size, each from its own copy of the stream.
     """
 
     def __init__(self, train_set: Dataset, test_set: Dataset, seed):
         self.train_set, self.test_set = train_set, test_set
         self.batch_seq, self.mask_seq = _seed_sequence(seed).spawn(2)
-        self._initial = {}  # mfs_per_input -> (grid, theta)
         self._works = {}  # (mfs_per_input, batch) -> _RunWork
-        self._drawn = {}  # batch -> (indices drawn so far, batch rng)
 
     @cached_property
     def rows(self):
@@ -277,41 +297,34 @@ class _Split:
         return X_eval, np.ascontiguousarray(X_eval.T), design
 
     def start(self, mfs_per_input: int, batch: int):
-        """(theta, model, work) of a fresh run: theta a copy of the flat
-        initial parameters, to be updated in place, model its views, and
-        work a _RunWork for batches of batch rows whose eval.pred is 0 and
-        whose eval.log_mu holds the initial model's log-grades."""
-        X_eval, XT_eval, _ = self.rows
-        if mfs_per_input not in self._initial:
-            model = init_model_from_data(self.train_set.X, mfs_per_input)
-            self._initial[mfs_per_input] = model.grid, flatten(model)
-        grid, theta = self._initial[mfs_per_input]
-        theta = theta.copy()
-        model = _view_model(theta, grid)  # theta is only ever updated in place
+        """(theta, model, work) of a fresh run: theta a flat copy of the
+        initial parameters, to be updated in place, model a TskModel of its
+        views, and work the _RunWork of the grid and batch size, whose
+        eval.pred is 0 and whose eval.log_mu holds the initial model's
+        log-grades."""
         key = (mfs_per_input, batch)
         if key not in self._works:
-            self._works[key] = _RunWork(grid, X_eval.shape[0], batch, theta.size)
+            self._works[key] = _RunWork(self, mfs_per_input, batch)
         work = self._works[key]
+        theta = work.theta.copy()
+        model = TskModel(work.grid, *_param_views(theta, work.grid))
         work.eval.pred.fill(0.0)
-        _log_grades(model, XT_eval, out=work.eval.log_mu)
+        _log_grades(model, self.rows[1], out=work.eval.log_mu)
         return theta, model, work
 
-    def batches(self, iterations: int, batch: int):
-        """The run's batch indices, one array of batch rows per iteration, as
-        sample_batch draws them from default_rng(batch_seq), each when the
-        run asks for it."""
-        if iterations * batch * 8 > MAX_RECORD_BYTES:
+    def batches(self, iterations: int, work: _RunWork):
+        """The run's batch indices, one array of work.batch rows per
+        iteration, as sample_batch draws them from default_rng(batch_seq),
+        each when the run asks for it."""
+        if iterations * work.batch * 8 > MAX_RECORD_BYTES:
             rng = np.random.default_rng(self.batch_seq)
             for _ in range(iterations):
-                yield sample_batch(self.train_set, batch, rng)
+                yield sample_batch(self.train_set, work.batch, rng)
             return
-        if batch not in self._drawn:  # setdefault would build an rng per call
-            self._drawn[batch] = [], np.random.default_rng(self.batch_seq)
-        drawn, rng = self._drawn[batch]
         for k in range(iterations):
-            if k == len(drawn):
-                drawn.append(sample_batch(self.train_set, batch, rng))
-            yield drawn[k]
+            if k == len(work.drawn):
+                work.drawn.append(sample_batch(self.train_set, work.batch, work.rng))
+            yield work.drawn[k]
 
 
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
@@ -395,7 +408,7 @@ def _train(config: TrainConfig, prepared: _Split):
     # 0, as work.eval.pred starts; the log-grades are the initial model's.
     train_pred, test_pred = work.eval.pred[: train_set.n], work.eval.pred[train_set.n :]
     t0 = time.perf_counter()
-    for k, idx in enumerate(prepared.batches(K, batch)):
+    for k, idx in enumerate(prepared.batches(K, work)):
         yb = train_set.y[idx]
         drop, keep = None, None
         if variant:  # a mask that keeps everything takes the unmasked path
@@ -467,15 +480,17 @@ def run_suite(configs, dataset: Dataset, repeats: int, seed: int):
     training portion only, and runs all algorithms on that identical split
     with the training seed (seed, j, 1), not their own (so their batch
     sequences are paired), through one _Split that computes once what they
-    share: the stacked rows, the initial model of each grid, the working
-    arrays of each grid and batch size, and the batch indices of each batch
-    size. So each history is the one train() gives on that split and seed,
-    bit for bit. Histories are averaged pointwise across repeats. A ridge
-    history holds one entry per curve, with learning rates of 0. A repeats
-    below 1 or a bad seed raises ValueError before any split.
+    share: the stacked rows and, per grid and batch size, the initial
+    model, the working arrays and the batch indices. So each history is
+    the one train() gives on that split and seed, bit for bit. Histories
+    are averaged pointwise across repeats. A ridge history holds one entry
+    per curve, with learning rates of 0. A repeats that is not a Python or
+    numpy integer, or is a bool or below 1, and a bad seed raise
+    ValueError before any split.
     """
+    repeats = _number("repeats", repeats, integer=True)
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     _seed_sequence(seed)
     collected = {name: [] for name in configs}
     for j in range(repeats):

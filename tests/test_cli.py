@@ -169,6 +169,19 @@ class TestMain:
         hist = (out / "history_MBGD.csv").read_text().splitlines()
         assert len(hist) == 6
 
+    def test_target_by_column_index(self, tmp_path):
+        """--target 5 names the sixth column, y of the CSV, as --target y does."""
+        path = write_small_csv(tmp_path)
+        summaries = []
+        for target in ("y", "5"):
+            out = tmp_path / target
+            flags = ["--data", str(path), "--target", target, "--algos", "RR", "--repeats", "2",
+                     "--out", str(out)]
+            assert main(flags) == 0
+            summaries.append([row.rsplit(",", 1)[0] for row in
+                              (out / "summary.csv").read_text().splitlines()])
+        assert summaries[0] == summaries[1]
+
     def test_config_file_with_flag_precedence(self, tmp_path):
         path = write_small_csv(tmp_path)
         cfg = tmp_path / "exp.json"
@@ -276,6 +289,13 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "set pair without =": ({}, ["--set", "iterations"], "load", "key=value"),
     "config file not JSON": ({}, ["--config", "not.json"], "load", "Expecting property name"),
     "CSV without target": ({"data": "constant.csv"}, [], "load", "--target"),
+    "target index past the columns": (
+        {"data": "constant.csv"}, ["--target", "3"], "load",
+        "target index 3 out of range for 3 columns",
+    ),
+    "negative target index": (
+        {"data": "constant.csv"}, ["--target", "-1"], "load", "target index -1 out of range",
+    ),
     "zero repeats": ({}, ["--repeats", "0"], "load", "repeats"),
     "misspelled config keys": (
         {"repeat": 5, "outdir": "elsewhere"}, [], "load", "unknown config keys ['outdir', 'repeat']"

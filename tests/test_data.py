@@ -27,6 +27,8 @@ from tskfuzzy import (
 from tskfuzzy import data as data_module
 from tskfuzzy.errors import (
     ConstantFeature,
+    DimensionMismatch,
+    LengthMismatch,
     MissingTarget,
     NonNumericTarget,
     ParseError,
@@ -282,6 +284,29 @@ def test_load_csv_matches_a_plain_csv_reader(table):
         assert got[0][0] is plain[0]
     else:
         assert got[0] == plain
+
+
+class TestDataset:
+    def test_default_names_one_per_column(self):
+        d = Dataset(np.zeros((4, 3)), np.zeros(4))
+        assert d.feature_names == ["x1", "x2", "x3"] and (d.n, d.num_features) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "X, y, names, error",
+        [(np.arange(5.0), np.zeros(5), [], DimensionMismatch),
+         (np.zeros((2, 2, 2)), np.zeros(2), [], DimensionMismatch),
+         (3.0, np.zeros(1), [], DimensionMismatch),
+         (np.zeros((5, 2)), np.zeros(4), [], LengthMismatch),
+         (np.zeros((5, 2)), np.zeros((5, 1)), [], LengthMismatch),
+         (np.zeros((5, 2)), 1.0, [], LengthMismatch),
+         (np.zeros((5, 2)), np.zeros(5), ["a"], LengthMismatch),
+         (np.zeros((5, 2)), np.zeros(5), ["a", "b", "c"], LengthMismatch)],
+        ids=["1-d X", "3-d X", "scalar X", "short y", "column y", "scalar y", "short names",
+             "long names"],
+    )
+    def test_shape_checked_when_built(self, X, y, names, error):
+        with pytest.raises(error):
+            Dataset(X, y, names)
 
 
 class TestSplit:

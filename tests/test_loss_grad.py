@@ -124,6 +124,12 @@ class TestGradientsAgainstOracle:
         err_h2 = np.linalg.norm(finite_diff_grad(model, X, y, 0.0, h=5e-4) - g)
         assert 2.0 < err_h / err_h2 < 8.0
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan")])
+    def test_oracle_step_must_be_positive(self, h):
+        model = random_model(1, 2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="h must be positive"):
+            finite_diff_grad(model, [[0.5]], [1.0], 0.0, h=h)
+
     def test_oracle_zero_at_zero_loss(self):
         rng = np.random.default_rng(6)
         model = random_model(2, 2, rng)

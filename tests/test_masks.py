@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tskfuzzy import DropMask, RuleGrid, TskModel, firing_levels, sample_masks
+from tskfuzzy.errors import MaskShapeMismatch
 from tskfuzzy.masks import KEEP_AXES, keep_shape
 
 
@@ -24,6 +25,11 @@ def _model(rng, num_inputs=2, mfs_per_input=2):
 def one_mask(variant, grid, keep_prob, rng):
     """One example's keep array: the batch draw of a single example."""
     return sample_masks(variant, grid, 1, keep_prob, rng).keep[0]
+
+
+def test_unknown_variant_has_no_keep_shape():
+    with pytest.raises(MaskShapeMismatch, match="unknown mask variant 'dropout'"):
+        keep_shape("dropout", RuleGrid(2, 2))
 
 
 def test_keep_prob_one_keeps_everything():

@@ -111,6 +111,23 @@ class TestRuleGrid:
         assert done.stdout == "a rule grid has at most 63 inputs, got M=100000000\n", done
 
 
+class TestTskModel:
+    @pytest.mark.parametrize(
+        "centers, sigmas, consequents, message",
+        [(np.zeros((1, 2)), np.ones((2, 2)), np.zeros((4, 3)), r"centers/sigmas .* \(2, 2\)"),
+         (np.zeros((2, 2)), np.ones((2, 3)), np.zeros((4, 3)), r"centers/sigmas .* \(2, 2\)"),
+         (np.zeros((2, 2)), np.ones((2, 2)), np.zeros((4, 2)), r"consequents .* \(4, 3\)"),
+         (np.zeros((2, 2)), [[1.0, 0.0], [1.0, 1.0]], np.zeros((4, 3)), "sigmas must be positive"),
+         (np.zeros((2, 2)), [[1.0, 1.0], [-1.0, 1.0]], np.zeros((4, 3)), "sigmas must be positive"),
+         (np.zeros((2, 2)), [[1.0, 1.0], [1.0, np.nan]], np.zeros((4, 3)),
+          "sigmas must be positive")],
+        ids=["centers", "sigmas", "consequents", "zero sigma", "negative sigma", "nan sigma"],
+    )
+    def test_bad_parameters_rejected(self, centers, sigmas, consequents, message):
+        with pytest.raises(ValueError, match=message):
+            TskModel(RuleGrid(2, 2), centers, sigmas, consequents)
+
+
 class TestFiringLevels:
     def test_one_at_rule_centers(self):
         rng = np.random.default_rng(0)
@@ -581,6 +598,19 @@ class TestInitModel:
         with pytest.raises(ConstantFeature):
             init_model([1.0, 2.0], [1.0, 3.0], [0.5, 0.5], 2)
 
+    @pytest.mark.parametrize(
+        "mins, maxs, stds, error, message",
+        [([[0.0]], [[1.0]], [[0.5]], ValueError, "1-D arrays of equal length"),
+         ([0.0, 0.0], [1.0], [0.5], ValueError, "1-D arrays of equal length"),
+         ([0.0], [1.0], [0.5, 0.5], ValueError, "1-D arrays of equal length"),
+         ([0.0, 0.0], [1.0, 1.0], [0.5, 0.0], ConstantFeature, "positive standard deviation"),
+         ([0.0], [1.0], [-0.5], ConstantFeature, "positive standard deviation")],
+        ids=["2-d", "short maxs", "long stds", "zero std", "negative std"],
+    )
+    def test_bad_statistics_rejected(self, mins, maxs, stds, error, message):
+        with pytest.raises(error, match=message):
+            init_model(mins, maxs, stds, 2)
+
 
 class TestParamCount:
     def test_reference_grids(self):
@@ -597,6 +627,11 @@ class TestParamCount:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             param_count(50, 3)
+
+    @pytest.mark.parametrize("m, mm", [(0, 2), (2, 0), (-3, 1)])
+    def test_counts_below_one_rejected(self, m, mm):
+        with pytest.raises(ValueError, match="must both be >= 1"):
+            param_count(m, mm)
 
     def test_large_grid_refused_before_the_power(self):
         """From M = 64 on, (M + 1) * 2**M alone passes int64."""
@@ -676,6 +711,13 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         assert lines[0] == "M=1" and lines[1] == "Mm=2"
         assert len(lines) == 2 + param_count(1, 2)
+
+    @pytest.mark.parametrize("text", ["", "M=1\n", "\n  \nM=1\n\n"])
+    def test_file_of_fewer_than_two_lines_rejected(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"model\.txt: checkpoint must start with 'M=<int>'"):
+            load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = init_model([0.0], [1.0], [0.5], 2)

@@ -52,6 +52,7 @@ from tskfuzzy.errors import (
     EmptyDataset,
     EmptyTrainingSet,
     GridTooLarge,
+    LengthMismatch,
     ZeroBaseline,
 )
 
@@ -112,6 +113,10 @@ class TestPercentImprovement:
     def test_zero_baseline(self):
         with pytest.raises(ZeroBaseline):
             percent_improvement([0.0, 1.0], [1.0, 1.0])
+
+    def test_curves_of_different_shapes(self):
+        with pytest.raises(LengthMismatch, match=r"\(2,\) vs \(3,\)"):
+            percent_improvement([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestTrain:
@@ -251,7 +256,9 @@ class TestTrain:
          ("beta1", float("nan")), ("beta2", 1.0), ("beta2", -0.1), ("beta2", float("nan")),
          ("iterations", 2.5), ("batch_size", 2.5), ("mfs_per_input", 2.0), ("iterations", True),
          ("batch_size", np.True_), ("seed", -1), ("seed", (1, -2)), ("seed", 1.5),
-         ("seed", None)],
+         ("seed", None), ("keep_prob", True), ("alpha", "0.01"), ("lam", None),
+         ("beta1", np.False_), ("epsilon", [1e-8]),
+         pytest.param("alpha_final", 10**400, id="alpha_final-past-float-range")],
     )
     def test_invalid_field_rejected(self, small_splits, field, value):
         tr, te = small_splits
@@ -262,12 +269,20 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(TrainConfig(), **{field: value})
 
-    @pytest.mark.parametrize("lam", [-5.0, float("nan")])
+    @pytest.mark.parametrize("lam", [-5.0, float("nan"), True, "x", None])
     def test_invalid_ridge_penalty_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
             RidgeConfig(lam=lam)
         with pytest.raises(ValueError, match="lam"):
             dataclasses.replace(RidgeConfig(), lam=lam)
+
+    def test_float_fields_are_held_as_floats(self):
+        """Python and numpy integers and floats are held as Python floats."""
+        cfg = TrainConfig(keep_prob=1, alpha=np.float32(0.5), lam=np.int64(0), beta1=np.float64(0))
+        assert cfg == TrainConfig(keep_prob=1.0, alpha=0.5, lam=0.0, beta1=0.0)
+        floats = ("keep_prob", "alpha", "lam", "beta1", "beta2", "epsilon", "alpha_final")
+        assert {type(getattr(cfg, name)) for name in floats} == {float}
+        assert type(RidgeConfig(lam=np.int32(2)).lam) is float
 
     def test_configs_are_frozen(self):
         """A config cannot leave the range its check saw."""
@@ -688,18 +703,25 @@ class TestRunSuite:
                         getattr(runs[i][j], curve), getattr(want, curve), err_msg=f"{name} {curve}"
                     )
 
-    @pytest.mark.parametrize("record, draws", [(trainer.MAX_RECORD_BYTES, 2 * 7),
-                                               (0, 2 * (3 + 5 + 7))], ids=["all", "capped"])
-    def test_split_draws_each_batch_once(self, monkeypatch, record, draws):
-        """Runs of 3, 5 and 7 iterations on one batch size read the indices
-        their repeat's split recorded, so two repeats draw 2 * 7 batches;
-        with the record capped at 0 bytes each run draws its own. A lone
+    @pytest.mark.parametrize(
+        "record, mfs, draws",
+        [(trainer.MAX_RECORD_BYTES, (2, 2, 2), 2 * 7), (0, (2, 2, 2), 2 * (3 + 7 + 5)),
+         (trainer.MAX_RECORD_BYTES, (2, 2, 3), 2 * (7 + 5))],
+        ids=["all", "capped", "mixed-grids"],
+    )
+    def test_split_draws_each_batch_once(self, monkeypatch, record, mfs, draws):
+        """Runs of 3, 7 and 5 iterations on one batch size and grid read the
+        indices their repeat's split recorded, so two repeats draw 2 * 7
+        batches; with the record capped at 0 bytes each run draws its own.
+        Each grid records its own indices, so when the 5-iteration run has a
+        grid of its own, it draws its 5 beside the 7 of the others. A lone
         train() draws one batch per iteration."""
         monkeypatch.setattr(trainer, "MAX_RECORD_BYTES", record)
         calls = []
         real = trainer.sample_batch
         monkeypatch.setattr(trainer, "sample_batch", lambda *a: calls.append(1) or real(*a))
-        configs = {k: TrainConfig(iterations=k, batch_size=16) for k in (3, 7, 5)}
+        configs = {k: TrainConfig(mfs_per_input=m, iterations=k, batch_size=16)
+                   for k, m in zip((3, 7, 5), mfs)}
         data = make_synthetic(80, seed=11)
         run_suite(configs, data, repeats=2, seed=5)
         assert len(calls) == draws
@@ -707,6 +729,12 @@ class TestRunSuite:
         calls.clear()
         train(configs[7], tr, te)
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("repeats", [0, -1, True, 2.5, "2", None])
+    def test_bad_repeats_refused_before_any_split(self, monkeypatch, repeats):
+        monkeypatch.setattr(trainer, "split", None)
+        with pytest.raises(ValueError, match="repeats must be"):
+            run_suite({"a": TrainConfig(iterations=1)}, make_synthetic(50), repeats, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_bad_seed_refused_before_any_split(self, monkeypatch, seed):
