@@ -11,6 +11,11 @@ tskfuzzy_against. For each array that differs it prints the largest
 relative difference and, for a history curve, the first iteration whose
 relative difference exceeds 1e-12.
 
+It compares the public entry points predict, loss, gradients and
+firing_levels bit for bit on seeded random models and rows, with no mask
+and with a mask of each drop variant, since train() calls the private
+kernels and so never goes through them.
+
 It then runs each package's command line three ways on the same inputs:
 the suite of every stock algorithm over two repeats (--iterations each) on
 a CSV of the synthetic problem widened to 8 columns so that PCA runs, a
@@ -87,6 +92,41 @@ def run(pkg, name: str, overrides: dict, rows: int, seed: int, width: int) -> di
     model, hist = pkg.train(cfg, tr, te)
     out = {c: getattr(hist, c) for c in CURVES}
     out["theta"] = pkg.flatten(model)
+    return out
+
+
+def public_outputs(pkg, seed: int) -> dict:
+    """Every public entry point's output on seeded random models, five of
+    each of M = 1 to 5 inputs and Mm = 2 or 3 MFs, and on 12 rows, keyed by a
+    readable name: predict of the rows and of the first as a 1-D row, and
+    loss, gradients and firing_levels of the first two rows with no mask
+    and with a mask of each drop variant (keeping at least one rule per
+    DropRule row, as the masked loss requires)."""
+    out = {}
+    for m, mm, k in itertools.product(range(1, 6), (2, 3), range(5)):
+        rng = np.random.default_rng((seed, m, mm, k))
+        grid = pkg.RuleGrid(m, mm)
+        model = pkg.TskModel(
+            grid, rng.standard_normal((m, mm)), rng.uniform(0.5, 2.0, (m, mm)),
+            rng.standard_normal((grid.num_rules, m + 1)),
+        )
+        X, y = 2.0 * rng.standard_normal((12, m)), rng.standard_normal(12)
+        name = f"M={m} Mm={mm} #{k}"
+        out[f"{name} predict"] = pkg.predict(model, X)
+        out[f"{name} predict of one row"] = np.array(pkg.predict(model, X[0]))
+        for variant in ("none", "rule", "mf", "membership"):
+            masks = None
+            if variant != "none":
+                keep = rng.random((len(X), *pkg.masks.keep_shape(variant, grid))) <= 0.5
+                if variant == "rule":
+                    keep[np.arange(len(X)), rng.integers(0, grid.num_rules, len(X))] = True
+                masks = pkg.DropMask(variant, keep)
+            key = f"{name} {variant}"
+            out[f"{key} loss"] = np.array(pkg.loss(model, X, y, 0.05, masks))
+            out[f"{key} gradients"] = pkg.gradients(model, X, y, 0.05, masks)
+            for i in range(2):
+                mask = None if masks is None else pkg.DropMask(variant, masks.keep[i])
+                out[f"{key} firing_levels of row {i}"] = pkg.firing_levels(model, X[i], mask)
     return out
 
 
@@ -170,6 +210,21 @@ def main(argv=None) -> int:
                 f"({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
                 flush=True,
             )
+
+    t0 = time.perf_counter()
+    new = public_outputs(tskfuzzy, args.seed)
+    t1 = time.perf_counter()
+    ref = public_outputs(reference, args.seed)
+    t2 = time.perf_counter()
+    differ = [k for k in ref if not np.array_equal(new[k], ref[k])]
+    failures += bool(differ)
+    verdict = f"{len(ref)} outputs identical"
+    if differ:  # the first three, as one change may touch every output
+        verdict = f"DIFFERS in {len(differ)} of {len(ref)} outputs, such as " + ", ".join(
+            describe(k, new[k], ref[k]) for k in differ[:3]
+        )
+    print(f"public entry points {verdict}  ({t1 - t0:.2f} s vs reference {t2 - t1:.2f} s)",
+          flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

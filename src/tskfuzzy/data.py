@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     MissingTarget,
+    NonFiniteValue,
     NonNumericTarget,
     ParseError,
     SchemaMismatch,
@@ -29,8 +30,9 @@ from .errors import (
 class Dataset:
     """Numeric design matrix X [N, M] with target vector y [N] and one
     name per column (x1, x2, ... when none are given). Raises
-    DimensionMismatch unless X is 2-D, and LengthMismatch unless y holds
-    one value per row and the names one per column."""
+    DimensionMismatch unless X is 2-D, LengthMismatch unless y holds one
+    value per row and the names one per column, and NonFiniteValue, naming
+    the first bad row and column, for a NaN or infinite cell."""
 
     X: np.ndarray
     y: np.ndarray
@@ -51,6 +53,11 @@ class Dataset:
             raise LengthMismatch(
                 f"{len(self.feature_names)} feature names for {self.num_features} columns"
             )
+        for cells, names in ((self.X, self.feature_names), (self.y[:, None], ["y"])):
+            bad = np.argwhere(~np.isfinite(cells))
+            if bad.size:
+                i, j = bad[0]
+                raise NonFiniteValue(f"row {i}, column {names[j]!r} is {cells[i, j]}")
 
     @property
     def n(self) -> int:
@@ -218,7 +225,11 @@ def apply_preprocessor(pre: Preprocessor, d: Dataset) -> Dataset:
 
 
 def split(d: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
-    """Seed-deterministic random split into (train, test); disjoint and exhaustive."""
+    """Seed-deterministic random split into (train, test); disjoint and
+    exhaustive. Raises ValueError unless 0 < ratio < 1, and TooSmall for
+    fewer than 2 rows."""
+    if not 0 < ratio < 1:
+        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     if d.n < 2:
         raise TooSmall(f"cannot split {d.n} examples")
     perm = np.random.default_rng(rng).permutation(d.n)

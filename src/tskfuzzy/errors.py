@@ -58,6 +58,10 @@ class NonNumericTarget(TskFuzzyError):
     """The target column contains non-numeric values."""
 
 
+class NonFiniteValue(TskFuzzyError):
+    """A dataset cell is NaN or infinite."""
+
+
 class SchemaMismatch(TskFuzzyError):
     """Dataset columns do not match the fitted preprocessor."""
 

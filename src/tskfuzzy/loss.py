@@ -16,6 +16,7 @@ from .model import (
     TskModel,
     _forward,
     _log_floor,
+    _log_grades,
     _param_views,
     _stack_masks,
     flatten,
@@ -34,7 +35,11 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     """
     X, y = _batch(X, y, "loss")
     variant, keep = _stack_masks(model, masks, X.shape[0])
-    pred = predict(model, X) if variant is None else _forward(model, X, variant, keep).pred
+    if variant is None:
+        pred = predict(model, X)
+    else:
+        scratch = np.empty(2 * X.shape[0] * model.num_rules)
+        pred = _forward(model, X, variant, keep, _log_grades(model, X), scratch)[1]
     return _objective(model, y - pred, lam)
 
 
@@ -75,9 +80,12 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     X, y = _batch(X, y, "gradient")
     n = X.shape[0]
     variant, keep = _stack_masks(model, masks, n)
+    log_mu = _log_grades(model, X)
     design = np.empty((n, X.shape[1] + 1))
     design[:, 0], design[:, 1:] = 1.0, X
-    return _gradients(model, design, y, lam, variant, keep)
+    scratch = np.empty(2 * n * model.num_rules)
+    out = np.empty(2 * model.centers.size + model.consequents.size)
+    return _gradients(model, design, y, lam, variant, keep, log_mu, scratch, out)
 
 
 def _gradients(
@@ -87,36 +95,32 @@ def _gradients(
     lam: float,
     variant,
     keep,
-    log_mu=None,
-    scratch=None,
-    out=None,
+    log_mu: np.ndarray,
+    scratch: np.ndarray,
+    out: np.ndarray,
     sq=None,
 ):
     """gradients() without its checks or its np.errstate: design holds the
     batch rows as (1, x), y their targets, variant and keep are what
-    _stack_masks returns for the batch mask, log_mu, when given, the rows'
-    log-grades as _log_grades gives them, and scratch, when given, a flat
-    array of at least 2 n R floats for the [n, R] arrays, as _forward
-    takes it. The gradient is written to out, a flat vector of the
-    parameter count (a new one when None), which is returned; sq, when
-    given, is a C-ordered [R, M] array for the l2 term."""
+    _stack_masks returns for the batch mask, log_mu the rows' log-grades
+    as _log_grades gives them, and scratch a flat array of at least 2 n R
+    floats for the [n, R] arrays, as _forward takes it. The gradient is
+    written to out, a flat vector of the parameter count, which is
+    returned; sq, when given, is a C-ordered [R, M] array for the l2
+    term."""
     X = design[:, 1:]
     n, R = X.shape[0], model.num_rules
-    if scratch is None:
-        scratch = np.empty(2 * n * R)
-    if out is None:
-        out = np.empty(2 * model.centers.size + model.consequents.size)
     grad_c, grad_s, grad_b = _param_views(out, model.grid)
-    fw = _forward(model, X, variant, keep, log_mu, scratch)
+    norm_firing, pred = _forward(model, X, variant, keep, log_mu, scratch)
 
-    err = fw.pred - y
+    err = pred - y
     # Consequents: err * normalized firing, times (1, x). One [n, R] buffer,
     # the half of scratch that _forward's temporaries are done with, holds
     # that product in the memory order of norm_firing (F from _kron), then
     # W in C order: OpenBLAS sums differently for the other order.
     spare = scratch[n * R : 2 * n * R]
-    buf = spare.reshape(R, n).T if fw.norm_firing.flags.f_contiguous else spare.reshape(n, R)
-    np.multiply(err[:, None], fw.norm_firing, out=buf)
+    buf = spare.reshape(R, n).T if norm_firing.flags.f_contiguous else spare.reshape(n, R)
+    np.multiply(err[:, None], norm_firing, out=buf)
     np.matmul(buf.T, design, out=grad_b)
     if lam != 0.0:
         grad_b[:, 1:] += np.multiply(lam, model.consequents[:, 1:], out=sq)
@@ -125,9 +129,9 @@ def _gradients(
     # firing over the rules whose input-m antecedent is MF i, where kept.
     W = np.matmul(X, model.consequents[:, 1:].T, out=buf.ravel("K").reshape(buf.shape))
     W += model.consequents[:, 0].copy()  # rule_out; a contiguous bias adds faster
-    W -= fw.pred[:, None]
+    W -= pred[:, None]
     W *= err[:, None]
-    W *= fw.norm_firing
+    W *= norm_firing
     M, Mm = model.num_inputs, model.mfs_per_input
     incidence = model.grid.incidence
     if variant == "membership":
@@ -140,7 +144,7 @@ def _gradients(
     # its distances also keeps an overflowed dx**2 out of the sums.
     dx = X[:, :, None] - model.centers
     dx2 = dx**2
-    floored = (fw.log_mu == _log_floor(M)).transpose(2, 0, 1)
+    floored = (log_mu == _log_floor(M)).transpose(2, 0, 1)
     if floored.any():
         dx[floored] = dx2[floored] = 0.0
     np.divide((V * dx).sum(axis=0), model.sigmas**2, out=grad_c)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +73,9 @@ class TskModel:
     centers, sigmas: [M, Mm] shared Gaussian MF parameters per input.
     consequents: [R, M + 1] affine rule consequents; column 0 is the bias.
 
+    Raises ValueError for arrays of the wrong shape, a sigma that is not
+    positive or is below SIGMA_TINY, and a NaN or infinite parameter.
+
     Instances are treated as immutable during inference, so concurrent
     reads are safe. The arrays may be views of one flat vector in the
     flatten() layout (_param_views), which a training run updates in place.
@@ -97,6 +99,10 @@ class TskModel:
             raise ValueError(
                 f"smallest sigma {smallest} is below {SIGMA_TINY:.3g}: its cube underflows"
             )
+        named = {"centers": centers, "sigmas": sigmas, "consequents": consequents}
+        for name, values in named.items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         self.grid = grid
         self.centers = centers
         self.sigmas = sigmas
@@ -136,13 +142,18 @@ def init_model(mins, maxs, stds, mfs_per_input: int) -> TskModel:
 
     Centers are evenly spaced over each input's [min, max] (endpoints
     included), every width starts at the input's standard deviation, and
-    all consequents start at zero.
+    all consequents start at zero. Raises ValueError for statistics that
+    are not 1-D arrays of equal length or not finite, and ConstantFeature
+    for an input of zero range or a standard deviation that is not positive.
     """
     mins = np.asarray(mins, dtype=float)
     maxs = np.asarray(maxs, dtype=float)
     stds = np.asarray(stds, dtype=float)
     if not (mins.shape == maxs.shape == stds.shape) or mins.ndim != 1:
         raise ValueError("mins, maxs, stds must be 1-D arrays of equal length")
+    for name, values in (("mins", mins), ("maxs", maxs), ("stds", stds)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     flat = np.flatnonzero(maxs - mins <= 0)
     if flat.size:
         raise ConstantFeature(f"input {flat[0]} has zero range")
@@ -247,14 +258,6 @@ def load_model(path) -> TskModel:
     return unflatten(np.array(values), num_inputs, mfs_per_input)
 
 
-class Forward(NamedTuple):
-    """Outputs of one (possibly masked) batched forward pass."""
-
-    norm_firing: np.ndarray  # [N, R], every row sums to 1
-    pred: np.ndarray  # [N]
-    log_mu: np.ndarray  # [M, Mm, N] C-ordered unmasked log-grades, as _log_grades gives them
-
-
 _FLOAT_MIN, _FLOAT_MAX = np.finfo(float).min, np.finfo(float).max
 
 
@@ -269,18 +272,18 @@ def _log_floor(num_inputs: int) -> float:
 # Under it, a row whose squared distances overflow gets floored log-grades.
 
 
-def _log_grades(model: TskModel, XT: np.ndarray, out=None) -> np.ndarray:
-    """[M, Mm, N] log-grades of every MF at every row, floored at
-    _log_floor(M), from XT, the [M, N] transpose of the rows. They go to
-    out, a C-ordered [M, Mm, N] array, or to a new one: either way the row
-    axis is innermost in memory, so the per-input reductions and products
-    run along it. Raises DimensionMismatch for rows whose width is not M."""
+def _log_grades(model: TskModel, X: np.ndarray, out=None) -> np.ndarray:
+    """[M, Mm, N] log-grades of every MF at every one of the [N, M] rows X,
+    floored at _log_floor(M), read through the view X.T. They go to out, a
+    C-ordered [M, Mm, N] array, or to a new one: either way the row axis is
+    innermost in memory, so the per-input reductions and products run along
+    it. Raises DimensionMismatch for rows whose width is not M."""
     M = model.num_inputs
-    if XT.ndim != 2 or XT.shape[0] != M:
-        raise DimensionMismatch(f"expected rows of width {M}, got array of shape {XT.T.shape}")
+    if X.ndim != 2 or X.shape[1] != M:
+        raise DimensionMismatch(f"expected rows of width {M}, got array of shape {X.shape}")
     if out is None:
-        out = np.empty((M, model.mfs_per_input, XT.shape[1]))
-    log_mu = np.subtract(XT[:, None], model.centers[:, :, None], out=out)
+        out = np.empty((M, model.mfs_per_input, X.shape[0]))
+    log_mu = np.subtract(X.T[:, None], model.centers[:, :, None], out=out)
     np.square(log_mu, out=log_mu)
     np.negative(log_mu, out=log_mu)
     log_mu /= 2.0 * model.sigmas[:, :, None] ** 2
@@ -338,20 +341,16 @@ def _log_firing(
 
 
 def _forward(
-    model: TskModel,
-    X: np.ndarray,
-    variant: str | None = None,
-    keep=None,
-    log_mu=None,
-    scratch=None,
-) -> Forward:
-    """Batched forward pass. keep is the stacked per-example keep array, as
-    _stack_masks returns it: no DropRule row drops every rule. log_mu is
-    the rows' [M, Mm, N] log-grades as _log_grades gives them, when the
-    caller has them (the trainer gathers them from its last evaluation);
-    otherwise they are computed here. scratch is a flat array of at least
-    2 N R floats: norm_firing is written to its first N R, and its second
-    N R hold the [N, R] temporaries (a new one when None).
+    model: TskModel, X: np.ndarray, variant, keep, log_mu: np.ndarray, scratch: np.ndarray
+) -> tuple:
+    """Batched forward pass of the [N, M] rows X: (norm_firing, pred), the
+    [N, R] normalized firing levels and the N outputs. variant and keep are
+    what _stack_masks returns for the batch mask: no DropRule row drops
+    every rule. log_mu is the rows' [M, Mm, N] log-grades as _log_grades
+    gives them (the trainer gathers them from its last evaluation).
+    scratch is a flat array of at least 2 N R floats: norm_firing is
+    written to its first N R, and its second N R hold the [N, R]
+    temporaries.
 
     Normalized firing levels are the softmax of the log firing levels.
     Unmasked or under DropMF, the firing levels of a row sum to the product
@@ -377,11 +376,7 @@ def _forward(
     overflow to inf, and inf * 0 is NaN.
     """
     n, R = X.shape[0], model.num_rules
-    if scratch is None:
-        scratch = np.empty(2 * n * R)
     firing, spare = scratch[: n * R], scratch[n * R : 2 * n * R]
-    if log_mu is None:
-        log_mu = _log_grades(model, X.T)
     if variant in (None, "mf"):
         grades = log_mu if variant is None else np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
         norm_firing = _kron(_input_softmax(grades), firing, spare).T
@@ -401,7 +396,7 @@ def _forward(
         norm_firing /= norm_firing.sum(axis=1, keepdims=True)
     out = norm_firing @ model.consequents
     pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
-    return Forward(norm_firing, pred, log_mu)
+    return norm_firing, pred
 
 
 def _stack_masks(model: TskModel, masks: DropMask | None, n: int, normalized: bool = True):
@@ -441,7 +436,7 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
     if mask is not None:
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
     variant, keep = _stack_masks(model, mask, 1, normalized=False)
-    return np.exp(_log_firing(model, _log_grades(model, X.T), variant, keep))[0]
+    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:
@@ -466,7 +461,7 @@ def predict(model: TskModel, x):
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    pred = _evaluate(model, X.T, X, _EvalWork(model.grid, X.shape[0]))
+    pred = _evaluate(model, X, _EvalWork(model.grid, X.shape[0]))
     return float(pred[0]) if x.ndim == 1 else pred
 
 
@@ -521,12 +516,11 @@ def _views(flat: np.ndarray, shapes) -> list:
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
 
-def _evaluate(model: TskModel, XT: np.ndarray, X: np.ndarray, work: _EvalWork) -> np.ndarray:
-    """predict() of the [N, M] rows X, whose transpose is XT, into
-    work.pred: the log-grades of all rows at once, then the rest block by
-    block, as BLAS's row blocking sets the contraction's bits. Returns
-    work.pred."""
-    log_mu = _log_grades(model, XT, out=work.log_mu)
+def _evaluate(model: TskModel, X: np.ndarray, work: _EvalWork) -> np.ndarray:
+    """predict() of the [N, M] rows X into work.pred: the log-grades of all
+    rows at once, then the rest block by block, as BLAS's row blocking sets
+    the contraction's bits. Returns work.pred."""
+    log_mu = _log_grades(model, X, out=work.log_mu)
     for lo, hi, views in work.blocks:
         _predict_rows(model, X[lo:hi], log_mu[:, :, lo:hi], views, work.pred[lo:hi])
     return work.pred

@@ -289,12 +289,13 @@ class _Split:
 
     @cached_property
     def rows(self):
-        """The [N, M] training then test rows, their C-ordered [M, N]
-        transpose, and the [n_train, M + 1] training rows as (1, x)."""
+        """The [N, M] training then test rows, which the evaluation reads
+        through the view X_eval.T, and the [n_train, M + 1] training rows
+        as (1, x)."""
         X_eval = np.concatenate([self.train_set.X, self.test_set.X])
         design = np.empty((self.train_set.n, X_eval.shape[1] + 1))
         design[:, 0], design[:, 1:] = 1.0, self.train_set.X
-        return X_eval, np.ascontiguousarray(X_eval.T), design
+        return X_eval, design
 
     def start(self, mfs_per_input: int, batch: int):
         """(theta, model, work) of a fresh run: theta a flat copy of the
@@ -309,7 +310,7 @@ class _Split:
         theta = work.theta.copy()
         model = TskModel(work.grid, *_param_views(theta, work.grid))
         work.eval.pred.fill(0.0)
-        _log_grades(model, self.rows[1], out=work.eval.log_mu)
+        _log_grades(model, self.rows[0], out=work.eval.log_mu)
         return theta, model, work
 
     def batches(self, iterations: int, work: _RunWork):
@@ -402,7 +403,7 @@ def _train(config: TrainConfig, prepared: _Split):
 
     K = config.iterations
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
-    X_eval, XT_eval, design = prepared.rows
+    X_eval, design = prepared.rows
     # Predictions of the current model on every training row. init_model
     # starts every consequent at 0, so before the first step they are all
     # 0, as work.eval.pred starts; the log-grades are the initial model's.
@@ -442,7 +443,7 @@ def _train(config: TrainConfig, prepared: _Split):
         np.maximum(model.sigmas, SIGMA_MIN, out=model.sigmas)
         _check_finite(theta, "parameter", k, grid, work.finite)
 
-        _evaluate(model, XT_eval, X_eval, work.eval)
+        _evaluate(model, X_eval, work.eval)
         hist[:, k] = (
             _finite(_rmse(train_set.y, train_pred), "train RMSE", k),
             _finite(_rmse(test_set.y, test_pred), "test RMSE", k),

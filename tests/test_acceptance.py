@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import complex_step_grad, reference_loss
 
 from tskfuzzy import (
     DropMask,
@@ -27,6 +28,7 @@ from tskfuzzy import (
     firing_levels,
     flatten,
     gradients,
+    loss,
     make_synthetic,
     param_count,
     ridge_fit,
@@ -90,6 +92,49 @@ def test_criterion_1_gradient_correctness():
         "criterion 1 (gradient correctness)",
         ok,
         f"{trials} instances, max mixed error {worst:.2e} (limit 1e-05), {elapsed:.1f}s",
+    )
+
+
+def test_criterion_11_masked_gradient_correctness():
+    """Analytic gradients with no mask and under each drop variant match
+    the complex-step gradient of the reference loss (tests/oracle.py) on
+    102 seeded instances each within 1e-5 (absolute floor 1e-8), for both
+    mask draws: masks drawn before the rows and targets, from the stream
+    the instance comes from, and masks drawn from a separate stream. The
+    reference loss itself agrees with loss() to 1e-12 relative."""
+    t0 = time.perf_counter()
+    worst, loss_gap, checks = {}, 0.0, 0
+    for variant in (None, "rule", "mf", "membership"):
+        for draw in ("before rows", "own stream")[: 2 if variant else 1]:
+            rng = np.random.default_rng(2024)
+            mask_rng = rng if draw == "before rows" else np.random.default_rng((2024, 1))
+            key = f"{variant} ({draw})" if variant else "none"
+            worst[key] = 0.0
+            for trial in range(102):
+                m = [1, 2, 3][trial % 3]
+                lam = 0.05 if trial % 2 else 0.0
+                model = random_model(m, 2, rng)
+                masks = None
+                if variant:
+                    masks = sample_masks(variant, model.grid, 4, TrainConfig.keep_prob, mask_rng)
+                X = rng.standard_normal((4, m))
+                y = rng.standard_normal(4)
+                g = gradients(model, X, y, lam, masks)
+                exact = complex_step_grad(model, X, y, lam, masks)
+                err = np.max(np.abs(g - exact) / np.maximum(np.abs(exact), 1e-8))
+                worst[key] = max(worst[key], float(err))
+                want = loss(model, X, y, lam, masks)
+                got = reference_loss(model.grid, flatten(model), X, y, lam, masks)
+                loss_gap = max(loss_gap, abs(got - want) / max(abs(want), 1.0))
+                checks += 1
+    elapsed = time.perf_counter() - t0
+    ok = max(worst.values()) <= 1e-5 and loss_gap <= 1e-12 and elapsed < 10.0
+    report(
+        "criterion 11 (masked gradient correctness)",
+        ok,
+        f"{checks} instances, max mixed error "
+        + ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
+        + f" (limit 1e-05), loss gap {loss_gap:.1e}, {elapsed:.1f}s",
     )
 
 

@@ -35,3 +35,18 @@ def test_changed_constant_differs(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFERS" in done.stdout
     assert done.stdout.splitlines()[-1].endswith("runs differ")
+
+
+def test_changed_public_entry_differs(tmp_path):
+    """firing_levels is public only: training never calls it, so only the
+    comparison of the public entry points sees a change to it."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    model = tmp_path / "src" / "tskfuzzy" / "model.py"
+    text = model.read_text(encoding="utf-8")
+    line = "    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]\n"
+    assert text.count(line) == 1
+    model.write_text(text.replace(line, line[:-1] + " * (1 + 2**-52)\n"), encoding="utf-8")
+    done = compare_against(tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    differ = [ln for ln in done.stdout.splitlines() if "DIFFERS" in ln]
+    assert len(differ) == 1 and differ[0].startswith("public entry points DIFFERS"), done.stdout

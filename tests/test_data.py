@@ -30,6 +30,7 @@ from tskfuzzy.errors import (
     DimensionMismatch,
     LengthMismatch,
     MissingTarget,
+    NonFiniteValue,
     NonNumericTarget,
     ParseError,
     SchemaMismatch,
@@ -308,6 +309,17 @@ class TestDataset:
         with pytest.raises(error):
             Dataset(X, y, names)
 
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [([[0.0, 1.0], [2.0, np.nan]], [0.0, 1.0], "row 1, column 'b' is nan"),
+         ([[0.0, 1.0], [np.inf, np.nan]], [0.0, np.nan], "row 1, column 'a' is inf"),
+         ([[0.0, 1.0], [2.0, 3.0]], [0.0, -np.inf], "row 1, column 'y' is -inf")],
+        ids=["nan cell", "first of two", "infinite target"],
+    )
+    def test_non_finite_cell_named_when_built(self, X, y, message):
+        with pytest.raises(NonFiniteValue, match=f"^{message}$"):
+            Dataset(X, y, ["a", "b"])
+
 
 class TestSplit:
     def test_seven_three(self):
@@ -327,6 +339,12 @@ class TestSplit:
         b = split(d, 0.7, np.random.default_rng(42))
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[1].y, b[1].y)
+
+    @pytest.mark.parametrize("ratio", [np.nan, 0.0, 1.0, 2.0, -0.5])
+    def test_ratio_checked(self, ratio):
+        d = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10.0))
+        with pytest.raises(ValueError, match="^ratio must be in "):
+            split(d, ratio, np.random.default_rng(0))
 
     def test_too_small(self):
         with pytest.raises(TooSmall):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_model import FORWARD_CASES, forward_case
+from oracle import complex_step_grad
+from test_model import FORWARD_CASES, forward, forward_case
 
 from tskfuzzy import (
     DropMask,
@@ -23,7 +24,7 @@ from tskfuzzy import (
 from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
 from tskfuzzy.loss import _gradients
 from tskfuzzy.masks import sample_masks
-from tskfuzzy.model import _forward, _log_floor, _stack_masks
+from tskfuzzy.model import _log_floor, _log_grades, _stack_masks
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -141,18 +142,13 @@ class TestGradientsAgainstOracle:
 
 class TestMaskedGradientsAgainstOracle:
     @pytest.mark.parametrize("variant", ["rule", "mf", "membership"])
-    def test_matches_finite_differences(self, variant):
-        """Criterion 1's instances and limit, with one drop mask per example.
-
-        Masks often leave coordinates with |g| between 1e-8 and 1e-5, where
-        no single central-difference step meets the mixed 1e-5 limit: at
-        h=1e-6 roundoff of the O(1) loss (about eps * loss / h) exceeds it,
-        and at h=1e-4 the h^2 truncation term does on sigma coordinates with
-        ordinary curvature. Extrapolating the h and 2h differences cancels
-        the h^2 term, so a step of 1e-3 can keep roundoff small as well.
-        """
+    def test_matches_the_complex_step(self, variant):
+        """Criterion 1's instances and limit, with one drop mask per example
+        drawn after the rows, against the complex-step gradient of the
+        reference loss (tests/oracle.py), which resolves the coordinates
+        with |g| between 1e-8 and 1e-5 that no central-difference step
+        does."""
         rng = np.random.default_rng(2024)
-        h = 1e-3
         for trial in range(102):
             m = [1, 2, 3][trial % 3]
             lam = 0.05 if trial % 2 else 0.0
@@ -161,11 +157,7 @@ class TestMaskedGradientsAgainstOracle:
             y = rng.standard_normal(4)
             masks = sample_masks(variant, model.grid, 4, TrainConfig.keep_prob, rng)
             g = gradients(model, X, y, lam, masks)
-            fd = (
-                4.0 * finite_diff_grad(model, X, y, lam, h, masks)
-                - finite_diff_grad(model, X, y, lam, 2.0 * h, masks)
-            ) / 3.0
-            assert max_mixed_error(g, fd) <= 1e-5, f"trial {trial}"
+            assert max_mixed_error(g, complex_step_grad(model, X, y, lam, masks)) <= 1e-5, trial
 
     def test_masked_loss_matches_forward(self):
         rng = np.random.default_rng(15)
@@ -189,7 +181,7 @@ class TestGradientStructure:
         model = random_model(2, 2, rng)
         X = rng.standard_normal((4, 2))
         # zero residuals under the forward gradients() itself takes: only the penalty remains
-        y = _forward(model, X).pred
+        y = forward(model, X)[1]
         g = gradients(model, X, y, lam=0.05)
         n_mf = 2 * 2 * 2
         np.testing.assert_array_equal(g[:n_mf], 0.0)
@@ -315,15 +307,17 @@ class TestGradientArithmetic:
         variant, keep = _stack_masks(model, masks, n)
         out, sq = np.full(got.size, np.nan), np.full((model.num_rules, m), np.nan)
         design = np.column_stack([np.ones(n), X])
+        scratch = np.empty(2 * n * model.num_rules)
         with np.errstate(over="ignore"):
-            assert _gradients(model, design, y, lam, variant, keep, None, None, out, sq) is out
+            log_mu = _log_grades(model, X)
+            assert _gradients(model, design, y, lam, variant, keep, log_mu, scratch, out, sq) is out
+            norm, pred = forward(model, X, variant, keep)
         np.testing.assert_array_equal(out, got)
-        fw = _forward(model, X, variant, keep)
-        err = fw.pred - y
-        grad_b = (err[:, None] * fw.norm_firing).T @ np.column_stack([np.ones(n), X])
+        err = pred - y
+        grad_b = (err[:, None] * norm).T @ np.column_stack([np.ones(n), X])
         if lam != 0.0:
             grad_b[:, 1:] += lam * model.consequents[:, 1:]
-        W = err[:, None] * (rule_outputs(model, X) - fw.pred[:, None]) * fw.norm_firing
+        W = err[:, None] * (rule_outputs(model, X) - pred[:, None]) * norm
         incidence = model.grid.incidence
         if variant == "membership":
             V = np.einsum("nrm,rmi->nmi", W[:, :, None] * keep, incidence.reshape(-1, m, mm))

@@ -52,6 +52,13 @@ from tskfuzzy.model import (
 )
 
 
+def forward(model, X, variant=None, keep=None):
+    """_forward of the rows X, with the log-grades and scratch it takes
+    from its caller built here: (norm_firing, pred)."""
+    scratch = np.empty(2 * X.shape[0] * model.num_rules)
+    return _forward(model, X, variant, keep, _log_grades(model, X), scratch)
+
+
 def random_model(num_inputs, mfs_per_input, rng):
     grid = RuleGrid(num_inputs, mfs_per_input)
     return TskModel(
@@ -120,8 +127,15 @@ class TestTskModel:
          (np.zeros((2, 2)), [[1.0, 0.0], [1.0, 1.0]], np.zeros((4, 3)), "sigmas must be positive"),
          (np.zeros((2, 2)), [[1.0, 1.0], [-1.0, 1.0]], np.zeros((4, 3)), "sigmas must be positive"),
          (np.zeros((2, 2)), [[1.0, 1.0], [1.0, np.nan]], np.zeros((4, 3)),
-          "sigmas must be positive")],
-        ids=["centers", "sigmas", "consequents", "zero sigma", "negative sigma", "nan sigma"],
+          "sigmas must be positive"),
+         ([[0.0, np.nan], [0.0, 0.0]], np.ones((2, 2)), np.zeros((4, 3)), "centers must be finite"),
+         (np.zeros((2, 2)), [[1.0, np.inf], [1.0, 1.0]], np.zeros((4, 3)), "sigmas must be finite"),
+         (np.zeros((2, 2)), np.ones((2, 2)), np.full((4, 3), -np.inf),
+          "consequents must be finite"),
+         (np.zeros((2, 2)), np.ones((2, 2)), [[0.0] * 3] * 3 + [[0.0, 0.0, np.nan]],
+          "consequents must be finite")],
+        ids=["centers", "sigmas", "consequents", "zero sigma", "negative sigma", "nan sigma",
+             "nan center", "infinite sigma", "infinite consequents", "nan consequent"],
     )
     def test_bad_parameters_rejected(self, centers, sigmas, consequents, message):
         with pytest.raises(ValueError, match=message):
@@ -262,16 +276,16 @@ class TestTensorProductForward:
         test_per_input_softmax_matches_slot_softmax."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         slot, want = slot_log_firing(model, X, variant, keep)
-        log_f = _log_firing(model, _log_grades(model, X.T), variant, keep)
+        log_f = _log_firing(model, _log_grades(model, X), variant, keep)
         dropped = np.isneginf(want)
         np.testing.assert_array_equal(np.isneginf(log_f), dropped)
         tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
         assert np.all(np.abs(log_f[~dropped] - want[~dropped]) <= tol[~dropped])
         if variant in ("rule", "membership"):
-            fw = _forward(model, X, variant, keep)
+            got_norm, got_pred = forward(model, X, variant, keep)
             norm, pred = slot_forward(model, X, variant, keep, log_f)
-            np.testing.assert_array_equal(fw.norm_firing, norm)
-            np.testing.assert_array_equal(fw.pred, pred)
+            np.testing.assert_array_equal(got_norm, norm)
+            np.testing.assert_array_equal(got_pred, pred)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -287,14 +301,14 @@ class TestTensorProductForward:
         model, X, keep = forward_case(m, mm, n, variant, far, seed, SIGMA_MIN if at_floor else None)
         kept = keep if variant == "rule" else np.ones((n, model.num_rules), dtype=bool)
         with np.errstate(over="ignore"):  # as the public entry points hold it
-            fw = _forward(model, X, variant, keep)
-        np.testing.assert_allclose(fw.norm_firing.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(fw.norm_firing[~kept] == 0.0)
+            norm, pred = forward(model, X, variant, keep)
+        np.testing.assert_allclose(norm.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(norm[~kept] == 0.0)
         out = rule_outputs(model, X)
         design = np.column_stack([np.ones(n), X])
         tol = 1e-12 * (np.abs(design) @ np.abs(model.consequents).T).max(axis=1)
-        assert np.all(fw.pred >= np.where(kept, out, np.inf).min(axis=1) - tol)
-        assert np.all(fw.pred <= np.where(kept, out, -np.inf).max(axis=1) + tol)
+        assert np.all(pred >= np.where(kept, out, np.inf).min(axis=1) - tol)
+        assert np.all(pred <= np.where(kept, out, -np.inf).max(axis=1) + tol)
 
 
 class TestPredict:
@@ -341,7 +355,7 @@ class TestPredict:
         R = model.num_rules
         scale = (np.abs(np.column_stack([np.ones(n), X])) @ np.abs(model.consequents).T).max(axis=1)
         tol = 2 * np.finfo(float).eps * (m * (L + mm + np.log(R)) + np.log2(R) + m + 2) * scale
-        got = [_forward(model, X, variant, keep).pred]
+        got = [forward(model, X, variant, keep)[1]]
         if variant is None:
             got.append(predict(model, X))
         for pred in got:
@@ -391,7 +405,7 @@ class TestPredict:
         X = rng.standard_normal((n, m))
         if model.num_rules < 1024:
             monkeypatch.setattr(model_module, "EVAL_BLOCK", 1000)
-        want = _forward(model, X).pred
+        want = forward(model, X)[1]
         np.testing.assert_allclose(predict(model, X), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_one_row_is_never_split(self, monkeypatch):
@@ -400,7 +414,7 @@ class TestPredict:
         rng = np.random.default_rng(12)
         model = random_model(3, 2, rng)
         X = rng.standard_normal((5, 3))
-        want = _forward(model, X).pred
+        want = forward(model, X)[1]
         monkeypatch.setattr(model_module, "EVAL_BLOCK", 1)
         blocks = []
         real = model_module._predict_rows
@@ -534,7 +548,7 @@ class TestPredict:
         X = np.array([[0.0], [SIGMA_TINY], [0.5], [1e160]])
         assert np.all(np.isfinite(predict(model, X)))
         with np.errstate(over="ignore"):  # as the public entry points hold it
-            assert np.all(np.isfinite(_forward(model, X).pred))
+            assert np.all(np.isfinite(forward(model, X)[1]))
         assert np.all(np.isfinite(gradients(model, X, np.zeros(4), 0.05)))
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -604,8 +618,12 @@ class TestInitModel:
          ([0.0, 0.0], [1.0], [0.5], ValueError, "1-D arrays of equal length"),
          ([0.0], [1.0], [0.5, 0.5], ValueError, "1-D arrays of equal length"),
          ([0.0, 0.0], [1.0, 1.0], [0.5, 0.0], ConstantFeature, "positive standard deviation"),
-         ([0.0], [1.0], [-0.5], ConstantFeature, "positive standard deviation")],
-        ids=["2-d", "short maxs", "long stds", "zero std", "negative std"],
+         ([0.0], [1.0], [-0.5], ConstantFeature, "positive standard deviation"),
+         ([0.0], [np.inf], [1.0], ValueError, "maxs must be finite"),
+         ([np.nan, 0.0], [1.0, 1.0], [1.0, 1.0], ValueError, "mins must be finite"),
+         ([0.0], [1.0], [np.inf], ValueError, "stds must be finite")],
+        ids=["2-d", "short maxs", "long stds", "zero std", "negative std", "infinite max",
+             "nan min", "infinite std"],
     )
     def test_bad_statistics_rejected(self, mins, maxs, stds, error, message):
         with pytest.raises(error, match=message):

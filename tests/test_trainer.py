@@ -515,9 +515,9 @@ class TestOneEvaluation:
         rows = []
         real = trainer._evaluate
 
-        def counting(model, XT, X, work):
+        def counting(model, X, work):
             rows.append(len(X))
-            return real(model, XT, X, work)
+            return real(model, X, work)
 
         monkeypatch.setattr(trainer, "_evaluate", counting)
         train(quick(iterations=7), tr, te)
