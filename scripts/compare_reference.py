@@ -14,7 +14,8 @@ relative difference exceeds 1e-12.
 It compares the public entry points predict, loss, gradients and
 firing_levels bit for bit on seeded random models and rows, with no mask
 and with a mask of each drop variant, since train() calls the private
-kernels and so never goes through them.
+kernels and so never goes through them, and predict of one model on
+rows enough for three unequal EVAL_BLOCK blocks.
 
 It then runs each package's command line three ways on the same inputs:
 the suite of every stock algorithm over two repeats (--iterations each) on
@@ -95,21 +96,32 @@ def run(pkg, name: str, overrides: dict, rows: int, seed: int, width: int) -> di
     return out
 
 
+def seeded_model(pkg, m: int, mm: int, rng):
+    """A pkg.TskModel of m inputs and mm MFs each, drawn from rng: normal
+    centers and consequents, sigmas uniform in [0.5, 2)."""
+    grid = pkg.RuleGrid(m, mm)
+    return pkg.TskModel(
+        grid, rng.standard_normal((m, mm)), rng.uniform(0.5, 2.0, (m, mm)),
+        rng.standard_normal((grid.num_rules, m + 1)),
+    )
+
+
 def public_outputs(pkg, seed: int) -> dict:
     """Every public entry point's output on seeded random models, five of
     each of M = 1 to 5 inputs and Mm = 2 or 3 MFs, and on 12 rows, keyed by a
     readable name: predict of the rows and of the first as a 1-D row, and
     loss, gradients and firing_levels of the first two rows with no mask
     and with a mask of each drop variant (keeping at least one rule per
-    DropRule row, as the masked loss requires)."""
-    out = {}
+    DropRule row, as the masked loss requires); and predict of one model
+    at M=5, Mm=4 (R=1024) on 2,500 rows, which it evaluates in three
+    blocks of 834, 833 and 833 rows."""
+    rng = np.random.default_rng((seed, 5, 4))
+    model = seeded_model(pkg, 5, 4, rng)
+    X = 2.0 * rng.standard_normal((2500, 5))
+    out = {"M=5 Mm=4 predict of 2500 rows": pkg.predict(model, X)}
     for m, mm, k in itertools.product(range(1, 6), (2, 3), range(5)):
         rng = np.random.default_rng((seed, m, mm, k))
-        grid = pkg.RuleGrid(m, mm)
-        model = pkg.TskModel(
-            grid, rng.standard_normal((m, mm)), rng.uniform(0.5, 2.0, (m, mm)),
-            rng.standard_normal((grid.num_rules, m + 1)),
-        )
+        model = seeded_model(pkg, m, mm, rng)
         X, y = 2.0 * rng.standard_normal((12, m)), rng.standard_normal(12)
         name = f"M={m} Mm={mm} #{k}"
         out[f"{name} predict"] = pkg.predict(model, X)
@@ -117,9 +129,9 @@ def public_outputs(pkg, seed: int) -> dict:
         for variant in ("none", "rule", "mf", "membership"):
             masks = None
             if variant != "none":
-                keep = rng.random((len(X), *pkg.masks.keep_shape(variant, grid))) <= 0.5
+                keep = rng.random((len(X), *pkg.masks.keep_shape(variant, model.grid))) <= 0.5
                 if variant == "rule":
-                    keep[np.arange(len(X)), rng.integers(0, grid.num_rules, len(X))] = True
+                    keep[np.arange(len(X)), rng.integers(0, model.num_rules, len(X))] = True
                 masks = pkg.DropMask(variant, keep)
             key = f"{name} {variant}"
             out[f"{key} loss"] = np.array(pkg.loss(model, X, y, 0.05, masks))

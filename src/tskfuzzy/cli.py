@@ -16,7 +16,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .data import load_csv, make_synthetic
-from .errors import ConstantFeature, GridTooLarge, MissingTarget, SchemaMismatch, TooSmall
+from .errors import (
+    ConstantFeature, GridTooLarge, MissingTarget, NonFiniteValue, SchemaMismatch, TooSmall
+)
 from .loss import finite_diff_grad, gradients
 from .model import RuleGrid, TskModel, _check_grid, param_count
 from .trainer import (
@@ -115,7 +117,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
         stage = "write"
         _write_stage(spec, configs, suite)
     except Exception as exc:
-        if stage == "train" and isinstance(exc, (ConstantFeature, SchemaMismatch, TooSmall)):
+        preprocess = (ConstantFeature, NonFiniteValue, SchemaMismatch, TooSmall)
+        if stage == "train" and isinstance(exc, preprocess):
             stage = "preprocess"
         print(f"error in {stage}: {exc}", file=sys.stderr)
         return 1

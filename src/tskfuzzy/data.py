@@ -183,18 +183,30 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
     signs are fixed so the largest-magnitude entry of each is positive.
     Raises ConstantFeature for a constant input column, and for training
     targets that are all equal: centered, they are all 0, which any model
-    fits exactly.
+    fits exactly. Raises NonFiniteValue for a column of finite values whose
+    mean or standard deviation overflows, which no z-score survives, and
+    for training targets whose mean overflows.
     """
     X = train.X
-    means = X.mean(axis=0)
-    stds = X.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0, ddof=1)
+        spread = np.ptp(X, axis=0)
+        output_mean = float(train.y.mean())
+        constant_y = np.ptp(train.y) == 0
     # ptp is exact for equal values, whose std can round above 0; a spread
     # too small to survive the std's squares is refused as well
-    flat = np.flatnonzero((np.ptp(X, axis=0) == 0) | (stds <= 0))
+    flat = np.flatnonzero((spread == 0) | (stds <= 0))
     if flat.size:
         raise ConstantFeature(f"feature {train.feature_names[flat[0]]!r} is constant")
-    if np.ptp(train.y) == 0:
+    huge = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
+    if huge.size:
+        what = "a mean or standard deviation past the float range"
+        raise NonFiniteValue(f"feature {train.feature_names[huge[0]]!r} has {what}")
+    if constant_y:
         raise ConstantFeature("the training targets are constant")
+    if not math.isfinite(output_mean):
+        raise NonFiniteValue("the training targets have a mean past the float range")
     projection = None
     if X.shape[1] > max_dims:
         Z = (X - means) / stds
@@ -206,7 +218,7 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
             i = np.argmax(np.abs(projection[:, j]))
             if projection[i, j] < 0:
                 projection[:, j] = -projection[:, j]
-    return Preprocessor(means, stds, float(train.y.mean()), projection)
+    return Preprocessor(means, stds, output_mean, projection)
 
 
 def apply_preprocessor(pre: Preprocessor, d: Dataset) -> Dataset:

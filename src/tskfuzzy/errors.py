@@ -59,7 +59,8 @@ class NonNumericTarget(TskFuzzyError):
 
 
 class NonFiniteValue(TskFuzzyError):
-    """A dataset cell is NaN or infinite."""
+    """A dataset cell is NaN or infinite, or a column's mean or standard
+    deviation overflows the float range."""
 
 
 class SchemaMismatch(TskFuzzyError):

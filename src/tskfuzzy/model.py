@@ -285,8 +285,8 @@ def _log_grades(model: TskModel, X: np.ndarray, out=None) -> np.ndarray:
         out = np.empty((M, model.mfs_per_input, X.shape[0]))
     log_mu = np.subtract(X.T[:, None], model.centers[:, :, None], out=out)
     np.square(log_mu, out=log_mu)
-    np.negative(log_mu, out=log_mu)
-    log_mu /= 2.0 * model.sigmas[:, :, None] ** 2
+    # IEEE division is sign-symmetric: the bits of negating first, one pass fewer
+    log_mu /= -2.0 * model.sigmas[:, :, None] ** 2
     np.maximum(log_mu, _log_floor(M), out=log_mu)
     return log_mu
 
@@ -347,7 +347,7 @@ def _forward(
     [N, R] normalized firing levels and the N outputs. variant and keep are
     what _stack_masks returns for the batch mask: no DropRule row drops
     every rule. log_mu is the rows' [M, Mm, N] log-grades as _log_grades
-    gives them (the trainer gathers them from its last evaluation).
+    gives them (the trainer computes them for its batch).
     scratch is a flat array of at least 2 N R floats: norm_firing is
     written to its first N R, and its second N R hold the [N, R]
     temporaries.
@@ -468,22 +468,21 @@ def predict(model: TskModel, x):
 class _EvalWork:
     """Buffers of _evaluate over N rows.
 
-    log_mu holds the [M, Mm, N] log-grades of every row, and pred the N
-    outputs (0 until the first evaluation). The rows are contracted in
-    blocks, min(N, ceil(N * R / EVAL_BLOCK)) near-equal ones as
-    np.array_split cuts them, so the [rows, R]-sized temporaries stay
-    bounded in N and R. blocks holds each block's (lo, hi) and the views of
-    its temporaries, in _block_shapes, at the front of the flat array
-    scratch. With batch > 0, scratch also has room for the 2 batch R floats
-    of a gradient's scratch (see _forward): the trainer lends it to the
-    gradient step, which never runs during an evaluation.
+    pred holds the N outputs (0 until the first evaluation). The rows are
+    evaluated in blocks, min(N, ceil(N * R / EVAL_BLOCK)) near-equal ones
+    as np.array_split cuts them, so the temporaries, the block's
+    log-grades among them, stay bounded in N and R. blocks holds each
+    block's (lo, hi) and the views of its temporaries, in _block_shapes,
+    at the front of the flat array scratch. With batch > 0, scratch also
+    has room for the 2 batch R floats of a gradient's scratch (see
+    _forward): the trainer lends it to the gradient step, which never runs
+    during an evaluation.
     """
 
     def __init__(self, grid: RuleGrid, n: int, batch: int = 0):
         count = max(1, min(n, -(-n * grid.num_rules // EVAL_BLOCK)))
         q, r = divmod(n, count)
         edges = [i * q + min(i, r) for i in range(count + 1)]
-        self.log_mu = np.empty((grid.num_inputs, grid.mfs_per_input, n))
         self.pred = np.zeros(n)
         shapes = {rows: _block_shapes(grid, rows) for rows in {q, q + (r > 0)}}
         block = max(sum(map(math.prod, s)) for s in shapes.values())
@@ -493,10 +492,11 @@ class _EvalWork:
 
 
 def _block_shapes(grid: RuleGrid, n: int) -> tuple:
-    """Shapes of the temporaries of _predict_rows on n rows: the per-input
-    softmax and its [M, 1, n] reduction, the flat Kronecker factors a and b
-    (empty when a factor is one input's softmax itself), their contraction
-    ab with the consequents, and the [n, M + 1] weighted consequents out."""
+    """Shapes of the temporaries of _predict_rows on n rows: the log-grades,
+    which become the per-input softmax in place, and its [M, 1, n]
+    reduction, the flat Kronecker factors a and b (empty when a factor is
+    one input's softmax itself), their contraction ab with the
+    consequents, and the [n, M + 1] weighted consequents out."""
     M, Mm = grid.num_inputs, grid.mfs_per_input
     k = (M + 1) // 2
     return (
@@ -517,19 +517,17 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 
 def _evaluate(model: TskModel, X: np.ndarray, work: _EvalWork) -> np.ndarray:
-    """predict() of the [N, M] rows X into work.pred: the log-grades of all
-    rows at once, then the rest block by block, as BLAS's row blocking sets
-    the contraction's bits. Returns work.pred."""
-    log_mu = _log_grades(model, X, out=work.log_mu)
+    """predict() of the [N, M] rows X into work.pred, block by block, as
+    BLAS's row blocking sets the contraction's bits. Returns work.pred."""
     for lo, hi, views in work.blocks:
-        _predict_rows(model, X[lo:hi], log_mu[:, :, lo:hi], views, work.pred[lo:hi])
+        _predict_rows(model, X[lo:hi], views, work.pred[lo:hi])
     return work.pred
 
 
-def _predict_rows(model: TskModel, X: np.ndarray, log_mu: np.ndarray, views, pred) -> None:
-    """predict() of the [n, M] rows X as one block, from log_mu, their
-    [M, Mm, n] log-grades, written to pred ([n]); the temporaries go to
-    views, arrays of _block_shapes(model.grid, n).
+def _predict_rows(model: TskModel, X: np.ndarray, views, pred) -> None:
+    """predict() of the [n, M] rows X as one block, written to pred ([n]);
+    the temporaries, the rows' log-grades first, go to views, arrays of
+    _block_shapes(model.grid, n).
 
     The Kronecker product a of the first k = ceil(M / 2) inputs' softmaxes
     ([Ra, n]) and b of the others ([Rb, n]) index rule r = i_a * Rb + i_b,
@@ -540,7 +538,7 @@ def _predict_rows(model: TskModel, X: np.ndarray, log_mu: np.ndarray, views, pre
     n, cols = X.shape[0], model.num_inputs + 1
     k = (model.num_inputs + 1) // 2
     soft, red, a_buf, b_buf, ab, out = views
-    _input_softmax(log_mu, out=soft, red=red)
+    _input_softmax(_log_grades(model, X, out=soft), out=soft, red=red)
     # The factors' partial products (at most Mm^(k-1) <= Rb rows) go to
     # ab's memory, which the contraction writes only after them
     tmp = ab.ravel()

@@ -67,18 +67,19 @@ class MomentState:
     """First/second moment accumulators and the step counter.
 
     last_rates holds the realized per-coordinate rates of the most recent
-    step; the trainer's mean_lr, min_lr and max_lr history curves are read
-    from it.
+    step (0 before the first); the trainer's mean_lr, min_lr and max_lr
+    history curves are read from it.
     """
 
     m: np.ndarray
     v: np.ndarray
-    k: int = 0
-    last_rates: np.ndarray | None = None
+    k: int
+    last_rates: np.ndarray
 
     @staticmethod
     def zeros(dim: int) -> "MomentState":
-        return MomentState(np.zeros(dim), np.zeros(dim), 0)
+        """State of dim coordinates, all zero, ready for the in-place step."""
+        return MomentState(np.zeros(dim), np.zeros(dim), 0, np.zeros(dim))
 
 
 def bound_l(k: int, beta2: float, alpha_final: float) -> float:

@@ -249,7 +249,7 @@ class _RunWork:
     the finiteness checks and the l2 term's [R, M] buffer; and drawn, the
     batch indices drawn so far, with rng, the generator that continues
     them. A run overwrites each working array before it reads it, except
-    eval.pred and eval.log_mu, which _Split.start resets."""
+    eval.pred, which _Split.start resets."""
 
     def __init__(self, prepared: _Split, mfs_per_input: int, batch: int):
         initial = init_model_from_data(prepared.train_set.X, mfs_per_input)
@@ -272,14 +272,12 @@ class _Split:
     reads the same values whether it computes them or an earlier run did.
 
     A run gets a flat copy of the entry's initial parameters and its
-    working arrays, with pred reset to 0 and log_mu to the initial model's
-    log-grades, computed there: a kept copy of them would cost every run an
-    [M, Mm, N] array more to save a pass of a few tens of microseconds. A
-    later run of the entry reads the recorded indices and draws on where
-    they stop; they cost iterations * batch * 8 bytes (256 KiB at the stock
-    500 iterations of 64 rows), and a run whose indices would pass
-    MAX_RECORD_BYTES draws its own instead. Entries of two grids draw the
-    same indices for a batch size, each from its own copy of the stream.
+    working arrays, with pred reset to 0. A later run of the entry reads
+    the recorded indices and draws on where they stop; they cost
+    iterations * batch * 8 bytes (256 KiB at the stock 500 iterations of
+    64 rows), and a run whose indices would pass MAX_RECORD_BYTES draws
+    its own instead. Entries of two grids draw the same indices for a
+    batch size, each from its own copy of the stream.
     """
 
     def __init__(self, train_set: Dataset, test_set: Dataset, seed):
@@ -301,8 +299,7 @@ class _Split:
         """(theta, model, work) of a fresh run: theta a flat copy of the
         initial parameters, to be updated in place, model a TskModel of its
         views, and work the _RunWork of the grid and batch size, whose
-        eval.pred is 0 and whose eval.log_mu holds the initial model's
-        log-grades."""
+        eval.pred is 0."""
         key = (mfs_per_input, batch)
         if key not in self._works:
             self._works[key] = _RunWork(self, mfs_per_input, batch)
@@ -310,7 +307,6 @@ class _Split:
         theta = work.theta.copy()
         model = TskModel(work.grid, *_param_views(theta, work.grid))
         work.eval.pred.fill(0.0)
-        _log_grades(model, self.rows[0], out=work.eval.log_mu)
         return theta, model, work
 
     def batches(self, iterations: int, work: _RunWork):
@@ -343,18 +339,17 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     the unmasked loss at the pre-step parameters, taken from the batch rows
     of the previous evaluation (all 0 before the first step, as the
     consequents start at 0), so it equals loss() on the batch up to the
-    roundoff of BLAS row blocking. The next gradient gathers its rows'
-    log-grades from that evaluation too (before the first step, from one
-    pass of the initial model's).
+    roundoff of BLAS row blocking. Each gradient computes the log-grades
+    of its own batch rows.
 
     The run keeps its working arrays, so an iteration allocates almost
     nothing: the parameters, which every step updates in place (so the
     model's views of them are built once), the optimizer's moments and
     rates (adam and adabound only), and a _RunWork: the evaluation's
     buffers (model._EvalWork), whose scratch the gradient borrows for its
-    [batch, R] arrays, the flat gradient, one step temporary and an
-    [R, M] buffer for the l2 term. Its _Split also records the batch
-    indices, as run_suite's do.
+    [batch, R] arrays, the batch's [M, Mm, batch] log-grades, the flat
+    gradient, one step temporary and an [R, M] buffer for the l2 term. Its
+    _Split also records the batch indices, as run_suite's do.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -399,14 +394,14 @@ def _train(config: TrainConfig, prepared: _Split):
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)
     else:
-        moments = MomentState(np.zeros(theta.size), np.zeros(theta.size), 0, np.empty(theta.size))
+        moments = MomentState.zeros(theta.size)
 
     K = config.iterations
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
     X_eval, design = prepared.rows
     # Predictions of the current model on every training row. init_model
     # starts every consequent at 0, so before the first step they are all
-    # 0, as work.eval.pred starts; the log-grades are the initial model's.
+    # 0, as work.eval.pred starts.
     train_pred, test_pred = work.eval.pred[: train_set.n], work.eval.pred[train_set.n :]
     t0 = time.perf_counter()
     for k, idx in enumerate(prepared.batches(K, work)):
@@ -415,12 +410,11 @@ def _train(config: TrainConfig, prepared: _Split):
         if variant:  # a mask that keeps everything takes the unmasked path
             keep = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng).keep
             drop, keep = (None, None) if keep.all() else (variant, keep)
-        # C-ordered, as _log_grades makes them; "clip" spares the index
-        # check's buffer, and sample_batch's indices are in range
-        np.take(work.eval.log_mu, idx, axis=2, out=work.batch_log_mu, mode="clip")
+        rows = design[idx]
+        log_mu = _log_grades(model, rows[:, 1:], out=work.batch_log_mu)
         g = _gradients(
-            model, design[idx], yb, config.lam, drop, keep,
-            work.batch_log_mu, work.eval.scratch, work.grad, work.sq,
+            model, rows, yb, config.lam, drop, keep,
+            log_mu, work.eval.scratch, work.grad, work.sq,
         )
         batch_loss = _objective(model, yb - train_pred[idx], config.lam, work.sq)
         _finite(batch_loss, "batch loss", k)

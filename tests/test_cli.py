@@ -285,6 +285,10 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
         "'mfs_per_input' has no effect on a --grad-check run",
     ),
     "constant CSV column": ({"data": "constant.csv", "target": "y"}, [], "preprocess", "'b'"),
+    "CSV column past the float range": (
+        {"data": "huge.csv", "target": "y"}, [], "preprocess",
+        "feature 'b' has a mean or standard deviation past the float range",
+    ),
     "out is a file": ({"out": "a_file"}, ["--set", "iterations=1"], "write", "a_file"),
     "set pair without =": ({}, ["--set", "iterations"], "load", "key=value"),
     "config file not JSON": ({}, ["--config", "not.json"], "load", "Expecting property name"),
@@ -330,6 +334,7 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
 FILES = {  # written to the working directory of every BAD_INPUTS case
     "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),
     "constant_y.csv": "a,b,y\n" + "".join(f"{i},{i % 3},1\n" for i in range(20)),
+    "huge.csv": "a,b,y\n" + "".join(f"{i},{(-1) ** i * 1.5e308},{i % 3}\n" for i in range(20)),
     "not.json": "{data: synthetic}",
     "list.json": '["data", "synthetic"]',
     "a_file": "",

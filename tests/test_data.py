@@ -402,6 +402,29 @@ class TestPreprocessor:
         with pytest.raises(ConstantFeature, match="'x2'"):
             fit_preprocessor(Dataset(X, np.arange(10.0)))
 
+    @pytest.mark.parametrize(
+        "column, target, message",
+        [
+            (np.array([1.5e308, -1.5e308] * 5), False, "feature 'x2' has a mean or standard"),
+            (np.linspace(1.6e308, 1.7e308, 10), False, "feature 'x2' has a mean or standard"),
+            (np.linspace(1.6e308, 1.7e308, 10), True, "the training targets have a mean"),
+        ],
+        ids=["std-overflows", "mean-overflows", "target-mean-overflows"],
+    )
+    def test_statistics_that_overflow_rejected(self, column, target, message):
+        """Finite cells whose std (squares past 1.8e308) or mean (a sum past
+        it) overflows would z-score or center to zeros, infinities or NaN,
+        so a feature column is refused by name, and the targets too, when
+        the statistics are fitted."""
+        X = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
+        y = np.arange(10.0)
+        if target:
+            y = column
+        else:
+            X[:, 1] = column
+        with pytest.raises(NonFiniteValue, match=f"^{message}.* past the float range$"):
+            fit_preprocessor(Dataset(X, y))
+
     @pytest.mark.parametrize("value", [1.0, 0.1, 0.0])
     def test_constant_target_rejected(self, value):
         """Centered, a constant target is all 0, which every model fits

@@ -395,6 +395,25 @@ class TestPredict:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
+    def test_peak_memory_grows_by_at_most_two_floats_per_row(self):
+        """Each block computes its own log-grades, so past the outputs (one
+        float per row) predict's peak does not grow with the rows: ten
+        times the rows at R=1024 add at most 16 bytes per row. An
+        [M, Mm, N] log-grade array of all rows would add 160."""
+        rng = np.random.default_rng(13)
+        model = random_model(5, 4, rng)
+        X = rng.standard_normal((40_960, 5))
+        peaks = []
+        for rows in (X[:4096], X):
+            predict(model, rows)
+            tracemalloc.start()
+            try:
+                predict(model, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * (X.shape[0] - 4096), peaks
+
     @pytest.mark.parametrize("m, mm, n", [(5, 4, 2500), (3, 3, 700)])
     def test_blocks_agree_with_the_training_forward(self, monkeypatch, m, mm, n):
         """2500 rows at R=1024 are three blocks; at R=27 a small EVAL_BLOCK

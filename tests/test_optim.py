@@ -17,6 +17,7 @@ from tskfuzzy import (
     sgd_step,
 )
 from tskfuzzy.errors import LengthMismatch, NonFiniteGradient
+from tskfuzzy.optim import _adabound_step
 
 cfg = TrainConfig()  # the default bound schedule
 
@@ -121,6 +122,18 @@ class TestAdaBoundStep:
         want = -(hyper.alpha / (np.abs(g) + hyper.epsilon)) * g
         np.testing.assert_array_equal(theta, want)
 
+    def test_zeros_state_takes_the_in_place_step(self):
+        """MomentState.zeros holds every vector the in-place step writes,
+        last_rates included, so _adabound_step runs on it and gives the
+        bits of adabound_step."""
+        hyper, g = TrainConfig(), np.array([2.0, -3.0])
+        want, stepped = adabound_step(MomentState.zeros(2), np.zeros(2), g, hyper, 0.0, np.inf)
+        state, theta = MomentState.zeros(2), np.zeros(2)
+        np.testing.assert_array_equal(state.last_rates, [0.0, 0.0])
+        _adabound_step(state, theta, g, hyper, 0.0, np.inf, np.empty(2))
+        np.testing.assert_array_equal(theta, want)
+        np.testing.assert_array_equal(state.last_rates, stepped.last_rates)
+
     def test_zero_gradient_keeps_theta(self):
         hyper = TrainConfig()
         theta0 = np.array([0.5, -1.5])
@@ -177,7 +190,7 @@ class TestAdaBoundStep:
     def test_deterministic(self):
         hyper = TrainConfig()
         g = np.array([0.3, -0.8, 4.0])
-        state = MomentState(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7]), 3)
+        state = MomentState(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7]), 3, np.zeros(3))
         lo, up = bound_l(4, cfg.beta2, cfg.alpha_final), bound_u(4, cfg.beta2, cfg.alpha_final)
         a1, s1 = adabound_step(state, np.ones(3), g, hyper, lo, up)
         a2, s2 = adabound_step(state, np.ones(3), g, hyper, lo, up)

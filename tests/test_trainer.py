@@ -542,9 +542,8 @@ class TestOneEvaluation:
 
 def copies(theta, moments):
     """Copies of a step's inputs: the parameters and every field of the moments."""
-    rates = moments.last_rates
     return (theta.copy(), moments.m.copy(), moments.v.copy(), moments.k,
-            None if rates is None else rates.copy())
+            moments.last_rates.copy())
 
 
 def replay(cfg, tr, te):
