@@ -236,15 +236,24 @@ def apply_preprocessor(pre: Preprocessor, d: Dataset) -> Dataset:
     return Dataset(Z, d.y - pre.output_mean, names)
 
 
-def split(d: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
+def _generator(rng) -> np.random.Generator:
+    """np.random.default_rng(rng), or ValueError for None, which would draw
+    from the operating system's entropy."""
+    if rng is None:
+        raise ValueError("rng must be a numpy Generator or a seed, got None")
+    return np.random.default_rng(rng)
+
+
+def split(d: Dataset, ratio: float, rng) -> tuple[Dataset, Dataset]:
     """Seed-deterministic random split into (train, test); disjoint and
-    exhaustive. Raises ValueError unless 0 < ratio < 1, and TooSmall for
-    fewer than 2 rows."""
+    exhaustive. rng is a numpy Generator or a seed for default_rng. Raises
+    ValueError unless 0 < ratio < 1 and for an rng of None, and TooSmall
+    for fewer than 2 rows."""
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     if d.n < 2:
         raise TooSmall(f"cannot split {d.n} examples")
-    perm = np.random.default_rng(rng).permutation(d.n)
+    perm = _generator(rng).permutation(d.n)
     n_train = min(max(int(round(ratio * d.n)), 1), d.n - 1)
     tr, te = perm[:n_train], perm[n_train:]
     return (
@@ -254,8 +263,9 @@ def split(d: Dataset, ratio: float = 0.7, rng=None) -> tuple[Dataset, Dataset]:
 
 
 def sample_batch(d: Dataset, batch_size: int, rng) -> np.ndarray:
-    """min(batch_size, N) distinct uniform row indices."""
-    return np.random.default_rng(rng).choice(d.n, size=min(batch_size, d.n), replace=False)
+    """min(batch_size, N) distinct uniform row indices, drawn from rng as
+    split() takes it (ValueError for None)."""
+    return _generator(rng).choice(d.n, size=min(batch_size, d.n), replace=False)
 
 
 def make_synthetic(n: int = 1500, noise: float = 0.1, seed=0) -> Dataset:

@@ -80,12 +80,13 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     X, y = _batch(X, y, "gradient")
     n = X.shape[0]
     variant, keep = _stack_masks(model, masks, n)
-    log_mu = _log_grades(model, X)
+    dist = np.empty((2, n, *model.centers.shape))
+    log_mu = _log_grades(model, X, dist=dist)
     design = np.empty((n, X.shape[1] + 1))
     design[:, 0], design[:, 1:] = 1.0, X
     scratch = np.empty(2 * n * model.num_rules)
     out = np.empty(2 * model.centers.size + model.consequents.size)
-    return _gradients(model, design, y, lam, variant, keep, log_mu, scratch, out)
+    return _gradients(model, design, y, lam, variant, keep, log_mu, dist, scratch, out)
 
 
 def _gradients(
@@ -96,21 +97,23 @@ def _gradients(
     variant,
     keep,
     log_mu: np.ndarray,
+    dist: np.ndarray,
     scratch: np.ndarray,
     out: np.ndarray,
     sq=None,
 ):
     """gradients() without its checks or its np.errstate: design holds the
     batch rows as (1, x), y their targets, variant and keep are what
-    _stack_masks returns for the batch mask, log_mu the rows' log-grades
-    as _log_grades gives them, and scratch a flat array of at least 2 n R
-    floats for the [n, R] arrays, as _forward takes it. The gradient is
-    written to out, a flat vector of the parameter count, which is
-    returned; sq, when given, is a C-ordered [R, M] array for the l2
-    term."""
+    _stack_masks returns for the batch mask, log_mu and dist the rows'
+    log-grades and [2, n, M, Mm] distances x - c and (x - c)**2 as
+    _log_grades(model, X, dist=dist) gives them, and scratch a flat array
+    of at least 2 n R floats for the [n, R] arrays, as _forward takes it.
+    The gradient is written to out, a flat vector of the parameter count,
+    which is returned; dist is overwritten. sq, when given, is a C-ordered
+    [R, M] array for the l2 term."""
     X = design[:, 1:]
     n, R = X.shape[0], model.num_rules
-    grad_c, grad_s, grad_b = _param_views(out, model.grid)
+    grad_b = _param_views(out, model.grid)[2]
     norm_firing, pred = _forward(model, X, variant, keep, log_mu, scratch)
 
     err = pred - y
@@ -141,14 +144,17 @@ def _gradients(
         if variant == "mf":
             V = np.where(keep, V, 0.0)
     # A log-grade held at its floor is constant and passes back 0; zeroing
-    # its distances also keeps an overflowed dx**2 out of the sums.
-    dx = X[:, :, None] - model.centers
-    dx2 = dx**2
+    # its distances also keeps an overflowed (x - c)**2 out of the sums.
     floored = (log_mu == _log_floor(M)).transpose(2, 0, 1)
-    if floored.any():
-        dx[floored] = dx2[floored] = 0.0
-    np.divide((V * dx).sum(axis=0), model.sigmas**2, out=grad_c)
-    np.divide((V * dx2).sum(axis=0), model.sigmas**3, out=grad_s)
+    if np.logical_or.reduce(floored, axis=None):
+        dist[:, floored] = 0.0
+    # centers, then sigmas: sum over the rows of V (x - c) / sigma**2 and of
+    # V (x - c)**2 / sigma**3, into the two consecutive [M, Mm] parts of out
+    powers = np.empty((2, M, Mm))
+    np.square(model.sigmas, out=powers[0])
+    np.power(model.sigmas, 3, out=powers[1])
+    sums = np.add.reduce(np.multiply(dist, V, out=dist), axis=1)
+    np.divide(sums, powers, out=out[: 2 * M * Mm].reshape(2, M, Mm))
     return out
 
 

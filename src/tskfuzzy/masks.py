@@ -3,11 +3,13 @@
 This module defines the drop variants: their names, the keep shape of one
 example under each, and how to draw them. How each variant changes the
 forward and the gradient is in model.py and loss.py. The masks
-of a batch are rng.random((n, *shape)) <= keep_prob, drawn a few rows at a
-time (the rows are outermost, so the chunks take the stream's numbers in
-the same order as one draw), so keep_prob = 1 keeps everything while
-consuming the same random numbers; one example's mask is
-sample_masks(variant, grid, 1, keep_prob, rng).keep[0].
+of a batch are rng.random((n, *shape)) <= keep_prob, so keep_prob = 1 keeps
+everything while consuming the same random numbers; one example's mask is
+sample_masks(variant, grid, 1, keep_prob, rng).keep[0]. At most DRAW_FLOATS
+numbers are drawn at once: a batch too large for that is drawn a few rows
+at a time, and train() draws the batches of as many iterations as fit in
+one call. The rows are outermost, so either way the draws take the
+stream's numbers in the same order as one draw of everything.
 A batch mask that keeps everything is treated as no mask, so it changes
 nothing by construction.
 Masks are drawn once per training example and never applied at test time.
@@ -26,7 +28,7 @@ from .errors import MaskShapeMismatch
 KEEP_AXES = dict(rule=("num_rules",), mf=("num_inputs", "mfs_per_input"),
                  membership=("num_rules", "num_inputs"))
 MAX_RESAMPLES = 16  # redraws of an all-dropped DropRule row before it keeps every rule
-DRAW_FLOATS = 2**14  # random floats a batch draw holds at once: 128 kB, or one example's
+DRAW_FLOATS = 2**14  # random floats a mask draw holds at once: 128 kB, or one example's
 
 
 @dataclass(frozen=True)

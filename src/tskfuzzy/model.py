@@ -272,21 +272,27 @@ def _log_floor(num_inputs: int) -> float:
 # Under it, a row whose squared distances overflow gets floored log-grades.
 
 
-def _log_grades(model: TskModel, X: np.ndarray, out=None) -> np.ndarray:
+def _log_grades(model: TskModel, X: np.ndarray, out=None, dist=None) -> np.ndarray:
     """[M, Mm, N] log-grades of every MF at every one of the [N, M] rows X,
     floored at _log_floor(M), read through the view X.T. They go to out, a
     C-ordered [M, Mm, N] array, or to a new one: either way the row axis is
     innermost in memory, so the per-input reductions and products run along
-    it. Raises DimensionMismatch for rows whose width is not M."""
+    it. dist, when given, is a C-ordered [2, N, M, Mm] array that receives
+    x - c and (x - c)**2, from which the log-grades are then computed with
+    the same bits; the gradient reuses them. Raises DimensionMismatch for
+    rows whose width is not M."""
     M = model.num_inputs
     if X.ndim != 2 or X.shape[1] != M:
         raise DimensionMismatch(f"expected rows of width {M}, got array of shape {X.shape}")
     if out is None:
         out = np.empty((M, model.mfs_per_input, X.shape[0]))
-    log_mu = np.subtract(X.T[:, None], model.centers[:, :, None], out=out)
-    np.square(log_mu, out=log_mu)
+    if dist is None:
+        sq = np.square(np.subtract(X.T[:, None], model.centers[:, :, None], out=out), out=out)
+    else:
+        np.subtract(X[:, :, None], model.centers, out=dist[0])
+        sq = np.square(dist[0], out=dist[1]).transpose(1, 2, 0)
     # IEEE division is sign-symmetric: the bits of negating first, one pass fewer
-    log_mu /= -2.0 * model.sigmas[:, :, None] ** 2
+    log_mu = np.divide(sq, -2.0 * model.sigmas[:, :, None] ** 2, out=out)
     np.maximum(log_mu, _log_floor(M), out=log_mu)
     return log_mu
 
@@ -380,22 +386,22 @@ def _forward(
     if variant in (None, "mf"):
         grades = log_mu if variant is None else np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
         norm_firing = _kron(_input_softmax(grades), firing, spare).T
-    else:
+    else:  # ufunc reduces: ndarray.max and .sum add a Python layer per call
         if variant == "rule":
             log_f = _log_firing(model, log_mu, out=firing.reshape(n, R))
             masked = np.multiply(~keep, _FLOAT_MAX, out=spare.reshape(n, R))
-            log_f -= np.subtract(log_f, masked, out=masked).max(axis=1, keepdims=True)
+            log_f -= np.maximum.reduce(np.subtract(log_f, masked, out=masked), 1, keepdims=True)
             norm_firing = np.exp(np.minimum(log_f, 0.0, out=log_f), out=log_f)
             norm_firing *= keep
         else:
             log_f = _log_firing(model, log_mu, variant, keep)
             norm_firing = np.subtract(
-                log_f, log_f.max(axis=1, keepdims=True), out=firing.reshape(n, R)
+                log_f, np.maximum.reduce(log_f, 1, keepdims=True), out=firing.reshape(n, R)
             )
             np.exp(norm_firing, out=norm_firing)
-        norm_firing /= norm_firing.sum(axis=1, keepdims=True)
+        norm_firing /= np.add.reduce(norm_firing, 1, keepdims=True)
     out = norm_firing @ model.consequents
-    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
+    pred = out[:, 0] + np.add.reduce(out[:, 1:] * X, 1)
     return norm_firing, pred
 
 

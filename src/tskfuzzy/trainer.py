@@ -30,7 +30,7 @@ from .errors import (
     ZeroBaseline,
 )
 from .loss import _gradients, _objective
-from .masks import KEEP_AXES, sample_masks
+from .masks import DRAW_FLOATS, KEEP_AXES, keep_shape, sample_masks
 from .model import (
     SIGMA_MIN,
     RuleGrid,
@@ -227,7 +227,7 @@ def percent_improvement(baseline, other) -> np.ndarray:
 def _check_finite(values: np.ndarray, what: str, k: int, grid: RuleGrid, ok: np.ndarray) -> None:
     """Raise Diverged naming the first non-finite entry of values; ok is a
     bool array of values' shape that receives np.isfinite."""
-    if not np.isfinite(values, out=ok).all():
+    if not np.logical_and.reduce(np.isfinite(values, out=ok)):
         i = int(np.flatnonzero(~ok)[0])
         raise Diverged(
             f"diverged at iteration {k + 1}: {what} {_param_name(i, grid)} is {values[i]}"
@@ -245,11 +245,13 @@ class _RunWork:
     and flat parameters theta of init_model_from_data on the training rows;
     the working arrays, namely the evaluation's buffers (model._EvalWork,
     whose scratch the gradient borrows), the batch's [M, Mm, batch]
-    log-grades, the flat gradient, the step temporary, the bool vector of
-    the finiteness checks and the l2 term's [R, M] buffer; and drawn, the
-    batch indices drawn so far, with rng, the generator that continues
-    them. A run overwrites each working array before it reads it, except
-    eval.pred, which _Split.start resets."""
+    log-grades and its [2, batch, M, Mm] distances x - c and (x - c)**2,
+    which the log-grades are computed from and the gradient reuses, the
+    flat gradient, the step temporary, the bool vector of the finiteness
+    checks and the l2 term's [R, M] buffer; and drawn, the batch indices
+    drawn so far, with rng, the generator that continues them. A run
+    overwrites each working array before it reads it, except eval.pred,
+    which _Split.start resets."""
 
     def __init__(self, prepared: _Split, mfs_per_input: int, batch: int):
         initial = init_model_from_data(prepared.train_set.X, mfs_per_input)
@@ -257,6 +259,7 @@ class _RunWork:
         grid, size = self.grid, self.theta.size
         self.eval = _EvalWork(grid, prepared.rows[0].shape[0], batch)
         self.batch_log_mu = np.empty((grid.num_inputs, grid.mfs_per_input, batch))
+        self.dist = np.empty((2, batch, grid.num_inputs, grid.mfs_per_input))
         self.grad, self.step_tmp = np.empty(size), np.empty(size)
         self.finite = np.empty(size, dtype=bool)
         self.sq = np.empty((grid.num_rules, grid.num_inputs))
@@ -324,6 +327,36 @@ class _Split:
             yield work.drawn[k]
 
 
+def _batch_masks(variant: str, grid: RuleGrid, n: int, keep_prob: float, rng, iterations: int):
+    """(variant, keep) of each of iterations batch masks of n examples, or
+    (None, None) for one that keeps everything, with the bits and the rng
+    state of that many sample_masks calls one after another.
+
+    The masks of as many iterations as fit in DRAW_FLOATS come from one
+    rng.random call, which takes the stream's numbers in the same order,
+    and each keep is a view of that block. sample_masks redraws an
+    all-dropped DropRule row at once, before the next iteration's numbers,
+    so a DropRule block that holds one is drawn again from the state before
+    it, one iteration at a time, as is every iteration where only one fits.
+    """
+    shape = (n, *keep_shape(variant, grid))
+    step = max(1, DRAW_FLOATS // math.prod(shape))
+    for lo in range(0, iterations, step):
+        count = min(step, iterations - lo)
+        if count > 1:
+            state = rng.bit_generator.state if variant == "rule" else None
+            block = np.less_equal(rng.random((count, *shape)), keep_prob)
+            if variant != "rule" or block.any(axis=2).all():
+                full = np.logical_and.reduce(block.reshape(count, -1), axis=1)
+                yield from ((None, None) if f else (variant, keep) for keep, f in zip(block, full))
+                continue
+            rng.bit_generator.state = state
+        for _ in range(count):
+            keep = sample_masks(variant, grid, n, keep_prob, rng).keep
+            yield (None, None) if np.logical_and.reduce(keep, axis=None) else (variant, keep)
+            del keep  # hold no mask through the next draw
+
+
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """Run the configured optimizer for config.iterations; returns (model, history).
 
@@ -339,17 +372,23 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     the unmasked loss at the pre-step parameters, taken from the batch rows
     of the previous evaluation (all 0 before the first step, as the
     consequents start at 0), so it equals loss() on the batch up to the
-    roundoff of BLAS row blocking. Each gradient computes the log-grades
-    of its own batch rows.
+    roundoff of BLAS row blocking. Each iteration computes its batch's
+    distances x - c and (x - c)**2 once: the log-grades come from them, and
+    the gradient's center and sigma terms reuse them.
+
+    The masks of as many iterations as fit in masks.DRAW_FLOATS (8 at R=32
+    and batch 64) are drawn with one rng.random call, which gives the masks
+    of one sample_masks call per iteration bit for bit (_batch_masks).
 
     The run keeps its working arrays, so an iteration allocates almost
     nothing: the parameters, which every step updates in place (so the
     model's views of them are built once), the optimizer's moments and
     rates (adam and adabound only), and a _RunWork: the evaluation's
     buffers (model._EvalWork), whose scratch the gradient borrows for its
-    [batch, R] arrays, the batch's [M, Mm, batch] log-grades, the flat
-    gradient, one step temporary and an [R, M] buffer for the l2 term. Its
-    _Split also records the batch indices, as run_suite's do.
+    [batch, R] arrays, the batch's [M, Mm, batch] log-grades and
+    [2, batch, M, Mm] distances, the flat gradient, one step temporary and
+    an [R, M] buffer for the l2 term. Its _Split also records the batch
+    indices, as run_suite's do.
 
     Raises, before any work (the config checked its own fields when
     built): EmptyTrainingSet for an empty training set; DimensionMismatch
@@ -388,15 +427,17 @@ def _train(config: TrainConfig, prepared: _Split):
 
     theta, model, work = prepared.start(config.mfs_per_input, batch)
     grid = model.grid
-    variant = None if config.drop_variant == "none" else config.drop_variant
-    mask_rng = np.random.default_rng(prepared.mask_seq)
+    K = config.iterations
+    masks = itertools.repeat((None, None))
+    if config.drop_variant != "none":
+        mask_rng = np.random.default_rng(prepared.mask_seq)
+        masks = _batch_masks(config.drop_variant, grid, batch, config.keep_prob, mask_rng, K)
 
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)
     else:
         moments = MomentState.zeros(theta.size)
 
-    K = config.iterations
     hist = np.empty((6, K))  # train_rmse, test_rmse, loss, mean_lr, min_lr, max_lr
     X_eval, design = prepared.rows
     # Predictions of the current model on every training row. init_model
@@ -406,15 +447,13 @@ def _train(config: TrainConfig, prepared: _Split):
     t0 = time.perf_counter()
     for k, idx in enumerate(prepared.batches(K, work)):
         yb = train_set.y[idx]
-        drop, keep = None, None
-        if variant:  # a mask that keeps everything takes the unmasked path
-            keep = sample_masks(variant, grid, len(idx), config.keep_prob, mask_rng).keep
-            drop, keep = (None, None) if keep.all() else (variant, keep)
         rows = design[idx]
-        log_mu = _log_grades(model, rows[:, 1:], out=work.batch_log_mu)
+        log_mu = _log_grades(model, rows[:, 1:], work.batch_log_mu, work.dist)
+        # (variant, keep) of the batch's mask, bound to no name that would
+        # hold it through the next draw
         g = _gradients(
-            model, rows, yb, config.lam, drop, keep,
-            log_mu, work.eval.scratch, work.grad, work.sq,
+            model, rows, yb, config.lam, *next(masks),
+            log_mu, work.dist, work.eval.scratch, work.grad, work.sq,
         )
         batch_loss = _objective(model, yb - train_pred[idx], config.lam, work.sq)
         _finite(batch_loss, "batch loss", k)
@@ -432,7 +471,8 @@ def _train(config: TrainConfig, prepared: _Split):
                 up = bound_u(moments.k + 1, config.beta2, config.alpha_final)
             _adabound_step(moments, theta, g, config, lo, up, work.step_tmp)
             rates = moments.last_rates
-            lr = (np.add.reduce(rates) / rates.size, rates.min(), rates.max())
+            lr = (np.add.reduce(rates) / rates.size, np.minimum.reduce(rates),
+                  np.maximum.reduce(rates))
 
         np.maximum(model.sigmas, SIGMA_MIN, out=model.sigmas)
         _check_finite(theta, "parameter", k, grid, work.finite)

@@ -350,6 +350,18 @@ class TestSplit:
         with pytest.raises(TooSmall):
             split(Dataset(np.zeros((1, 2)), np.zeros(1)), 0.7, np.random.default_rng(0))
 
+    def test_rng_is_required(self):
+        """A split without a generator would draw from OS entropy and not be
+        seed-deterministic: None is refused, a missing rng is a TypeError,
+        and an integer seed splits as default_rng of it."""
+        d = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10.0))
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator or a seed, got None$"):
+            split(d, 0.7, None)
+        with pytest.raises(TypeError):
+            split(d, 0.7)
+        a, b = split(d, 0.7, 3), split(d, 0.7, np.random.default_rng(3))
+        np.testing.assert_array_equal(a[0].y, b[0].y)
+
 
 class TestPreprocessor:
     def test_no_pca_below_limit(self):
@@ -457,6 +469,14 @@ class TestSampleBatch:
         d = Dataset(np.zeros((50, 1)), np.zeros(50))
         idx = sample_batch(d, 20, np.random.default_rng(0))
         assert len(set(idx.tolist())) == 20
+
+    def test_rng_is_required(self):
+        d = Dataset(np.zeros((50, 1)), np.zeros(50))
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator or a seed, got None$"):
+            sample_batch(d, 20, None)
+        np.testing.assert_array_equal(
+            sample_batch(d, 20, 4), sample_batch(d, 20, np.random.default_rng(4))
+        )
 
     def test_oversized_batch_returns_all(self):
         d = Dataset(np.zeros((5, 1)), np.zeros(5))

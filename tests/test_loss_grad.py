@@ -295,9 +295,10 @@ class TestGradientArithmetic:
         (or, under DropMembership, the kept slots). Batches of 16 rows and
         more are included: from there OpenBLAS gives different bits for the
         same product when an operand has the other memory order. The
-        kernel, given the flat gradient and the [R, M] l2 buffer of a
-        training run, fills them with the same bits; gradients() returns a
-        new array every call."""
+        kernel, given the flat gradient, the [R, M] l2 buffer and the
+        [2, n, M, Mm] distance buffer of a training run, fills them with the
+        same bits, and the log-grades computed along with the distances are
+        _log_grades' own; gradients() returns a new array every call."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
         y = np.random.default_rng([seed, 1]).standard_normal(n)
         masks = None if variant is None else DropMask(variant, keep)
@@ -308,9 +309,12 @@ class TestGradientArithmetic:
         out, sq = np.full(got.size, np.nan), np.full((model.num_rules, m), np.nan)
         design = np.column_stack([np.ones(n), X])
         scratch = np.empty(2 * n * model.num_rules)
+        dist = np.full((2, n, m, mm), np.nan)
         with np.errstate(over="ignore"):
-            log_mu = _log_grades(model, X)
-            assert _gradients(model, design, y, lam, variant, keep, log_mu, scratch, out, sq) is out
+            log_mu = _log_grades(model, X, dist=dist)
+            np.testing.assert_array_equal(log_mu, _log_grades(model, X))
+            args = (variant, keep, log_mu, dist, scratch, out, sq)
+            assert _gradients(model, design, y, lam, *args) is out
             norm, pred = forward(model, X, variant, keep)
         np.testing.assert_array_equal(out, got)
         err = pred - y

@@ -1,5 +1,6 @@
 """Drop-mask sampling: keep semantics, structural effects, and statistics."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tskfuzzy import DropMask, RuleGrid, TskModel, firing_levels, sample_masks
+from tskfuzzy import trainer
 from tskfuzzy.errors import MaskShapeMismatch
-from tskfuzzy.masks import KEEP_AXES, keep_shape
+from tskfuzzy.masks import DRAW_FLOATS, KEEP_AXES, keep_shape
 
 
 def _model(rng, num_inputs=2, mfs_per_input=2):
@@ -214,3 +216,45 @@ def test_all_dropped_rule_rows_are_redrawn_in_place(grid, keep_prob, seed):
     np.testing.assert_array_equal(keep[~redrawn], first[~redrawn])
     again = sample_masks("rule", grid, n, keep_prob, np.random.default_rng(seed)).keep
     np.testing.assert_array_equal(keep, again)
+
+
+@pytest.mark.parametrize("variant", list(KEEP_AXES))
+@pytest.mark.parametrize(
+    "grid, n, keep_prob, iterations",
+    [
+        pytest.param((1, 2), 8, 0.5, 50, id="2-rules"),
+        pytest.param((5, 2), 64, 0.5, 21, id="32-rules"),
+        pytest.param((5, 2), 64, 1.0, 10, id="32-rules-keep-all"),
+        pytest.param((5, 4), 64, 0.5, 3, id="1024-rules"),
+    ],
+)
+def test_block_draws_equal_per_iteration_draws(monkeypatch, variant, grid, n, keep_prob, iterations):
+    """train()'s masks, drawn for as many iterations as fit in DRAW_FLOATS
+    at once, are bit for bit those of one sample_masks call per iteration,
+    a mask that keeps everything comes as (None, None), and the generator
+    ends in the same state. On 2 rules at keep 0.5 a quarter of the
+    DropRule rows drop every rule, so the block is drawn again one
+    iteration at a time; at R=1024 only one iteration fits, and each is
+    drawn by sample_masks through trainer's module global."""
+    grid = RuleGrid(*grid)
+    shape = (n, *keep_shape(variant, grid))
+    per_block = DRAW_FLOATS // math.prod(shape)
+    first = np.random.default_rng(11).random((min(per_block, iterations), *shape)) <= keep_prob
+    redrawn = variant == "rule" and not first.any(axis=2).all()
+    assert redrawn == (variant == "rule" and grid.num_rules == 2)
+    calls = []
+    real = trainer.sample_masks
+    monkeypatch.setattr(trainer, "sample_masks", lambda *a: calls.append(None) or real(*a))
+
+    block_rng, seq_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = list(trainer._batch_masks(variant, grid, n, keep_prob, block_rng, iterations))
+    assert len(got) == iterations
+    for drop, keep in got:
+        want = sample_masks(variant, grid, n, keep_prob, seq_rng).keep
+        if want.all():
+            assert (drop, keep) == (None, None)
+        else:
+            assert drop == variant
+            np.testing.assert_array_equal(keep, want)
+    assert block_rng.bit_generator.state == seq_rng.bit_generator.state
+    assert len(calls) == (iterations if per_block <= 1 or redrawn else 0)
