@@ -8,8 +8,6 @@ contain. Iterations are reduced here so the script finishes quickly; drop
 the override for the full-length curves.
 """
 
-import numpy as np
-
 from tskfuzzy import make_synthetic, percent_improvement, run_suite
 from tskfuzzy.cli import DEFAULT_ALGOS, algorithm_config
 

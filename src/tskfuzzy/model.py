@@ -446,11 +446,16 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:
-    """Affine consequent value of every rule: b_0 + sum_m b_m x_m."""
+    """Affine consequent value of every rule: b_0 + sum_m b_m x_m, [R] for
+    one input vector and [N, R] for a batch of rows. Raises
+    DimensionMismatch for any other shape."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
+    if x.ndim not in (1, 2) or x.shape[-1] != model.num_inputs:
+        raise DimensionMismatch(
+            f"expected rows of width {model.num_inputs}, got array of shape {x.shape}"
+        )
     out = model.consequents[:, 0] + np.atleast_2d(x) @ model.consequents[:, 1:].T
-    return out[0] if single else out
+    return out[0] if x.ndim == 1 else out
 
 
 @np.errstate(over="ignore")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, LengthMismatch, SingularSystem
 
 
 @dataclass
@@ -22,12 +22,18 @@ def ridge_fit(X, y, lam: float) -> LinearModel:
 
     Solved on column-centered data via a Cholesky factorization; the
     intercept is recovered from the means afterwards, which is what leaves
-    it out of the penalty. A negative or NaN lam raises ValueError.
+    it out of the penalty. A negative, infinite or NaN lam raises
+    ValueError, X that is not 2-D DimensionMismatch, and y that is not one
+    value per row LengthMismatch.
     """
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"X must be a 2-D [N, M] array, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise LengthMismatch(f"y has shape {y.shape}, expected one value per row: ({X.shape[0]},)")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean

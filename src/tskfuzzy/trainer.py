@@ -30,7 +30,7 @@ from .errors import (
     ZeroBaseline,
 )
 from .loss import _gradients, _objective
-from .masks import DRAW_FLOATS, KEEP_AXES, keep_shape, sample_masks
+from .masks import KEEP_AXES, draw_masks
 from .model import (
     SIGMA_MIN,
     RuleGrid,
@@ -86,7 +86,7 @@ class TrainConfig:
     raises ValueError naming it (NaN fails every range; an integer field
     takes a Python or numpy integer, not a bool, and holds it as an int; a
     float field takes a Python or numpy integer or float, not a bool, and
-    holds it as a float; seed is not None). A config is frozen:
+    holds it as a finite float; seed is not None). A config is frozen:
     dataclasses.replace() makes a changed copy and checks it again.
     """
 
@@ -132,14 +132,17 @@ class TrainConfig:
 def _number(name: str, value, integer: bool = False):
     """value as an int when integer, else as a float; ValueError naming
     name unless value is a Python or numpy integer (or, when not integer,
-    float) and not a bool, or for a float past the float range."""
+    float) and not a bool, or for an infinity or a number past the float range."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     try:
-        return int(value) if integer else float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be in the float range, got {value!r}") from None
+        number = int(value) if integer else float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if math.isinf(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -156,8 +159,8 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 @dataclass(frozen=True)
 class RidgeConfig:
     """The closed-form linear baseline's penalty, checked and held as
-    TrainConfig's lam: a negative or NaN lam, a bool or a value that is not
-    a number raises ValueError."""
+    TrainConfig's lam: a negative, infinite or NaN lam, a bool or a value
+    that is not a number raises ValueError."""
 
     lam: float = 0.05
 
@@ -327,36 +330,6 @@ class _Split:
             yield work.drawn[k]
 
 
-def _batch_masks(variant: str, grid: RuleGrid, n: int, keep_prob: float, rng, iterations: int):
-    """(variant, keep) of each of iterations batch masks of n examples, or
-    (None, None) for one that keeps everything, with the bits and the rng
-    state of that many sample_masks calls one after another.
-
-    The masks of as many iterations as fit in DRAW_FLOATS come from one
-    rng.random call, which takes the stream's numbers in the same order,
-    and each keep is a view of that block. sample_masks redraws an
-    all-dropped DropRule row at once, before the next iteration's numbers,
-    so a DropRule block that holds one is drawn again from the state before
-    it, one iteration at a time, as is every iteration where only one fits.
-    """
-    shape = (n, *keep_shape(variant, grid))
-    step = max(1, DRAW_FLOATS // math.prod(shape))
-    for lo in range(0, iterations, step):
-        count = min(step, iterations - lo)
-        if count > 1:
-            state = rng.bit_generator.state if variant == "rule" else None
-            block = np.less_equal(rng.random((count, *shape)), keep_prob)
-            if variant != "rule" or block.any(axis=2).all():
-                full = np.logical_and.reduce(block.reshape(count, -1), axis=1)
-                yield from ((None, None) if f else (variant, keep) for keep, f in zip(block, full))
-                continue
-            rng.bit_generator.state = state
-        for _ in range(count):
-            keep = sample_masks(variant, grid, n, keep_prob, rng).keep
-            yield (None, None) if np.logical_and.reduce(keep, axis=None) else (variant, keep)
-            del keep  # hold no mask through the next draw
-
-
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     """Run the configured optimizer for config.iterations; returns (model, history).
 
@@ -376,9 +349,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     distances x - c and (x - c)**2 once: the log-grades come from them, and
     the gradient's center and sigma terms reuse them.
 
-    The masks of as many iterations as fit in masks.DRAW_FLOATS (8 at R=32
-    and batch 64) are drawn with one rng.random call, which gives the masks
-    of one sample_masks call per iteration bit for bit (_batch_masks).
+    The masks come from masks.draw_masks, which draws those of as many
+    iterations as fit in masks.DRAW_FLOATS (8 at R=32 and batch 64) with
+    one rng.random call. A DropRule row that drops every rule keeps every
+    rule and takes no further numbers, so these are bit for bit the masks
+    of one sample_masks call per iteration.
 
     The run keeps its working arrays, so an iteration allocates almost
     nothing: the parameters, which every step updates in place (so the
@@ -431,7 +406,7 @@ def _train(config: TrainConfig, prepared: _Split):
     masks = itertools.repeat((None, None))
     if config.drop_variant != "none":
         mask_rng = np.random.default_rng(prepared.mask_seq)
-        masks = _batch_masks(config.drop_variant, grid, batch, config.keep_prob, mask_rng, K)
+        masks = draw_masks(config.drop_variant, grid, batch, config.keep_prob, mask_rng, K)
 
     if config.lr_scheme == "jang":
         jang = JangLrState(config.alpha)

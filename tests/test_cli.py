@@ -271,6 +271,7 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
     "beta2 of 1": ({"algos": ["MBGD-RDA"]}, ["--set", "beta2=1", "--set", "iterations=3"],
                    "load", "beta2"),
     "negative ridge penalty": ({"algos": ["RR"]}, ["--set", "lam=-5"], "load", "lam"),
+    "infinite alpha": ({}, ["--set", "alpha=inf"], "load", "alpha must be finite"),
     "grad-check out not a directory": (
         {"out": "/dev/null/x"}, ["--grad-check", "--set", "trials=1"], "write", "/dev/null/x"
     ),

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tskfuzzy import DropMask, RuleGrid, TskModel, firing_levels, sample_masks
-from tskfuzzy import trainer
 from tskfuzzy.errors import MaskShapeMismatch
-from tskfuzzy.masks import DRAW_FLOATS, KEEP_AXES, keep_shape
+from tskfuzzy.masks import DRAW_FLOATS, KEEP_AXES, draw_masks, keep_shape
 
 
 def _model(rng, num_inputs=2, mfs_per_input=2):
@@ -62,10 +61,24 @@ def test_rule_keep_rate_concentrates():
 
 
 def test_all_dropped_rule_mask_falls_back_to_all_keep():
-    # with an effectively zero keep probability every draw is rejected
+    # with an effectively zero keep probability the draw drops every rule
     rng = np.random.default_rng(8)
     mask = sample_masks("rule", RuleGrid(1, 2), 1, 1e-12, rng)
     assert mask.variant == "rule" and mask.keep.shape == (1, 2) and mask.keep.all()
+
+
+@pytest.mark.parametrize("variant", list(KEEP_AXES))
+def test_empty_batch_takes_no_numbers(variant):
+    """A batch of no examples is an empty [0, *shape] keep, train()'s
+    generator gives (None, None) for each such batch, and neither takes a
+    number from the stream."""
+    grid = RuleGrid(3, 2)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    keep = sample_masks(variant, grid, 0, 0.5, rng).keep
+    assert keep.shape == (0, *keep_shape(variant, grid)) and keep.dtype == bool
+    assert list(draw_masks(variant, grid, 0, 0.5, rng, 3)) == [(None, None)] * 3
+    assert rng.bit_generator.state == state
 
 
 def test_mf_drop_changes_exactly_shared_rule_count():
@@ -129,13 +142,10 @@ def test_mf_and_membership_keep_rates():
 
 
 def reference_rule_mask(num_rules, keep_prob, rng):
-    """The per-example DropRule draw written out: draw, and redraw an
-    all-dropped mask up to 16 times before keeping every rule."""
-    for _ in range(17):
-        keep = rng.random(num_rules) <= keep_prob
-        if keep.any():
-            return keep
-    return np.ones(num_rules, dtype=bool)
+    """The per-example DropRule draw written out: one draw, and an
+    all-dropped mask keeps every rule."""
+    keep = rng.random(num_rules) <= keep_prob
+    return keep if keep.any() else np.ones(num_rules, dtype=bool)
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,9 +157,9 @@ def reference_rule_mask(num_rules, keep_prob, rng):
 )
 def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob, seed):
     """A one-example draw of each variant is what its definition says, from
-    the same stream positions: rule masks with their redraws and all-keep
-    fallback, MF and membership masks as one draw each. The sizes need not
-    come from one grid, so they are given as a namespace."""
+    the same stream positions: one draw each, and a rule mask that drops
+    every rule keeps every rule. The sizes need not come from one grid, so
+    they are given as a namespace."""
     sizes = SimpleNamespace(num_rules=num_rules, num_inputs=shape[0], mfs_per_input=shape[1])
     rng = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
@@ -177,14 +187,11 @@ def test_per_example_streams_match_written_out_draws(num_rules, shape, keep_prob
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
-    """Unless a DropRule row is redrawn, the batch draw gives the masks of
-    n sequential one-example draws bit for bit and leaves the stream in the
-    same state. At M=5, Mm=4 (R=1024) it draws 16 DropRule rows or 3
+    """The batch draw gives the masks of n sequential one-example draws bit
+    for bit and leaves the stream in the same state, all-dropped DropRule
+    rows included. At M=5, Mm=4 (R=1024) it draws 16 DropRule rows or 3
     DropMembership rows at a time."""
     model = _model(np.random.default_rng(0), *grid)
-    first = np.random.default_rng(seed).random((n, *keep_shape(variant, model.grid)))
-    if variant == "rule" and not (first <= keep_prob).any(axis=1).all():
-        return  # a redrawn row: test_all_dropped_rule_rows_are_redrawn_in_place
     batch_rng = np.random.default_rng(seed)
     seq_rng = np.random.default_rng(seed)
     mask = sample_masks(variant, model.grid, n, keep_prob, batch_rng)
@@ -199,23 +206,24 @@ def test_batch_draw_equals_per_example_draws(variant, grid, n, keep_prob, seed):
     "grid, keep_prob, seed",
     [((1, 1), 0.3, 0), ((1, 2), 0.1, 1), ((2, 2), 0.3, 2), ((2, 2), 0.0, 3)],
 )
-def test_all_dropped_rule_rows_are_redrawn_in_place(grid, keep_prob, seed):
+def test_all_dropped_rule_rows_keep_every_rule(grid, keep_prob, seed):
     """On 1, 2 and 4 rules at low keep probabilities many rows come out
-    all-dropped. Each is redrawn in place, so no row drops every rule,
-    keep probability 0 keeps every rule, the rows that were not redrawn
-    are those of the first draw, and the masks depend only on the seed."""
+    all-dropped. Each keeps every rule instead, the other rows are those of
+    the one draw, keep probability 0 keeps every rule, and the batch takes
+    exactly n * R numbers from the stream."""
     grid = RuleGrid(*grid)
     n = 30
-    first = np.random.default_rng(seed).random((n, grid.num_rules)) <= keep_prob
-    redrawn = ~first.any(axis=1)
-    assert redrawn.any()
-    keep = sample_masks("rule", grid, n, keep_prob, np.random.default_rng(seed)).keep
-    assert keep.any(axis=1).all()
+    ref = np.random.default_rng(seed)
+    first = ref.random((n, grid.num_rules)) <= keep_prob
+    dropped = ~first.any(axis=1)
+    assert dropped.any()
+    rng = np.random.default_rng(seed)
+    keep = sample_masks("rule", grid, n, keep_prob, rng).keep
+    assert keep[dropped].all()
+    np.testing.assert_array_equal(keep[~dropped], first[~dropped])
     if keep_prob == 0.0:
         assert keep.all()
-    np.testing.assert_array_equal(keep[~redrawn], first[~redrawn])
-    again = sample_masks("rule", grid, n, keep_prob, np.random.default_rng(seed)).keep
-    np.testing.assert_array_equal(keep, again)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("variant", list(KEEP_AXES))
@@ -228,26 +236,27 @@ def test_all_dropped_rule_rows_are_redrawn_in_place(grid, keep_prob, seed):
         pytest.param((5, 4), 64, 0.5, 3, id="1024-rules"),
     ],
 )
-def test_block_draws_equal_per_iteration_draws(monkeypatch, variant, grid, n, keep_prob, iterations):
+def test_block_draws_equal_per_iteration_draws(variant, grid, n, keep_prob, iterations):
     """train()'s masks, drawn for as many iterations as fit in DRAW_FLOATS
     at once, are bit for bit those of one sample_masks call per iteration,
     a mask that keeps everything comes as (None, None), and the generator
     ends in the same state. On 2 rules at keep 0.5 a quarter of the
-    DropRule rows drop every rule, so the block is drawn again one
-    iteration at a time; at R=1024 only one iteration fits, and each is
-    drawn by sample_masks through trainer's module global."""
+    DropRule rows drop every rule, and the block is still one rng.random
+    call; at R=1024 only one iteration fits, and each is drawn a few rows
+    at a time."""
     grid = RuleGrid(*grid)
-    shape = (n, *keep_shape(variant, grid))
-    per_block = DRAW_FLOATS // math.prod(shape)
-    first = np.random.default_rng(11).random((min(per_block, iterations), *shape)) <= keep_prob
-    redrawn = variant == "rule" and not first.any(axis=2).all()
-    assert redrawn == (variant == "rule" and grid.num_rules == 2)
-    calls = []
-    real = trainer.sample_masks
-    monkeypatch.setattr(trainer, "sample_masks", lambda *a: calls.append(None) or real(*a))
-
+    size = math.prod(keep_shape(variant, grid))
+    per_block = DRAW_FLOATS // (n * size)
+    first = np.random.default_rng(11).random((min(per_block, iterations), n, size)) <= keep_prob
+    dropped = variant == "rule" and not first.any(axis=2).all()
+    assert dropped == (variant == "rule" and grid.num_rules == 2)
     block_rng, seq_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = list(trainer._batch_masks(variant, grid, n, keep_prob, block_rng, iterations))
+    sizes = []  # numbers taken by each rng.random call
+    counted = SimpleNamespace(
+        random=lambda shape: sizes.append(math.prod(shape)) or block_rng.random(shape)
+    )
+
+    got = list(draw_masks(variant, grid, n, keep_prob, counted, iterations))
     assert len(got) == iterations
     for drop, keep in got:
         want = sample_masks(variant, grid, n, keep_prob, seq_rng).keep
@@ -257,4 +266,6 @@ def test_block_draws_equal_per_iteration_draws(monkeypatch, variant, grid, n, ke
             assert drop == variant
             np.testing.assert_array_equal(keep, want)
     assert block_rng.bit_generator.state == seq_rng.bit_generator.state
-    assert len(calls) == (iterations if per_block <= 1 or redrawn else 0)
+    calls = (math.ceil(iterations / per_block) if per_block
+             else iterations * math.ceil(n / (DRAW_FLOATS // size)))
+    assert len(sizes) == calls and max(sizes) <= DRAW_FLOATS

@@ -473,20 +473,20 @@ class TestPredict:
         assert peak < limit
 
         base, peaks = [], []
-        draw, kernel = trainer.sample_masks, trainer._gradients
+        draw, kernel = trainer.draw_masks, trainer._gradients
 
         def drawn(*args):
-            out = draw(*args)
-            tracemalloc.reset_peak()
-            base.append(tracemalloc.get_traced_memory()[0])
-            return out
+            for out in draw(*args):
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+                yield out
 
         def measured(*args):
             out = kernel(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - base[-1])
             return out
 
-        monkeypatch.setattr(trainer, "sample_masks", drawn)
+        monkeypatch.setattr(trainer, "draw_masks", drawn)
         monkeypatch.setattr(trainer, "_gradients", measured)
         data = make_synthetic(110, seed=3)
         tr, te = Dataset(data.X[:100], data.y[:100]), Dataset(data.X[100:], data.y[100:])
@@ -574,8 +574,9 @@ class TestPredict:
     def test_rows_of_the_wrong_width_are_rejected(self, width):
         """A row of width M - 1 or M + 1 would broadcast against the [Mm, M]
         parameters or fail deep inside numpy; every entry point that takes
-        rows raises DimensionMismatch instead. Zero rows of width M are an
-        empty batch."""
+        rows raises DimensionMismatch instead, as rule_outputs does for a
+        scalar or an array of more than two axes. Zero rows of width M are
+        an empty batch."""
         grid = RuleGrid(2, 2)
         model = TskModel(grid, [[0, 1], [0, 1]], [[1, 1], [1, 1]], np.arange(12.0).reshape(4, 3))
         X, y = np.full((3, width), 0.5), np.zeros(3)
@@ -587,6 +588,10 @@ class TestPredict:
             lambda: gradients(model, X, y),
             lambda: gradients(model, X, y, masks=rule_masks),
             lambda: firing_levels(model, X[0]),
+            lambda: rule_outputs(model, X),
+            lambda: rule_outputs(model, X[0]),
+            lambda: rule_outputs(model, np.zeros((2, 3, 2))),  # would broadcast to [2, 3, R]
+            lambda: rule_outputs(model, 0.5),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatch, match="width 2"):

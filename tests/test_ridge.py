@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tskfuzzy import ridge_fit, ridge_predict
-from tskfuzzy.errors import DimensionMismatch, SingularSystem
+from tskfuzzy.errors import DimensionMismatch, LengthMismatch, SingularSystem
 
 
 def oracle_fit(X, y, lam):
@@ -78,11 +78,22 @@ def test_singular_without_penalty():
     ridge_fit(X, y, lam=0.05)  # any positive penalty fixes it
 
 
-@pytest.mark.parametrize("lam", [-5.0, -1e-300, float("nan")])
+@pytest.mark.parametrize("lam", [-5.0, -1e-300, float("nan"), float("inf")])
 def test_negative_lambda_rejected(lam):
     X = np.random.default_rng(6).standard_normal((20, 3))
     with pytest.raises(ValueError, match="lam"):
         ridge_fit(X, X[:, 0], lam=lam)
+
+
+def test_inputs_of_the_wrong_shape_rejected():
+    """Rows that are not a 2-D array and targets that are not one per row
+    raise the errors Dataset and ridge_predict raise, not numpy's."""
+    X = np.random.default_rng(7).standard_normal((20, 3))
+    with pytest.raises(DimensionMismatch, match=r"shape \(20,\)"):
+        ridge_fit(X[:, 0], X[:, 1], lam=0.05)
+    for y in (X[:19, 0], X[:, :1]):
+        with pytest.raises(LengthMismatch, match=r"one value per row: \(20,\)"):
+            ridge_fit(X, y, lam=0.05)
 
 
 def test_predict_basics():

@@ -258,7 +258,9 @@ class TestTrain:
          ("batch_size", np.True_), ("seed", -1), ("seed", (1, -2)), ("seed", 1.5),
          ("seed", None), ("keep_prob", True), ("alpha", "0.01"), ("lam", None),
          ("beta1", np.False_), ("epsilon", [1e-8]),
-         pytest.param("alpha_final", 10**400, id="alpha_final-past-float-range")],
+         pytest.param("alpha_final", 10**400, id="alpha_final-past-float-range"),
+         ("alpha", float("inf")), ("lam", float("inf")), ("epsilon", float("inf")),
+         ("alpha_final", float("inf"))],
     )
     def test_invalid_field_rejected(self, small_splits, field, value):
         tr, te = small_splits
@@ -269,7 +271,7 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(TrainConfig(), **{field: value})
 
-    @pytest.mark.parametrize("lam", [-5.0, float("nan"), True, "x", None])
+    @pytest.mark.parametrize("lam", [-5.0, float("nan"), float("inf"), True, "x", None])
     def test_invalid_ridge_penalty_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
             RidgeConfig(lam=lam)
