@@ -112,9 +112,9 @@ def public_outputs(pkg, seed: int) -> dict:
     readable name: predict of the rows and of the first as a 1-D row, and
     loss, gradients and firing_levels of the first two rows with no mask
     and with a mask of each drop variant (keeping at least one rule per
-    DropRule row, as the masked loss requires); and predict of one model
-    at M=5, Mm=4 (R=1024) on 2,500 rows, which it evaluates in three
-    blocks of 834, 833 and 833 rows."""
+    DropRule row, as trees that refuse an all-dropped row require); and
+    predict of one model at M=5, Mm=4 (R=1024) on 2,500 rows, which it
+    evaluates in three blocks of 834, 833 and 833 rows."""
     rng = np.random.default_rng((seed, 5, 4))
     model = seeded_model(pkg, 5, 4, rng)
     X = 2.0 * rng.standard_normal((2500, 5))

@@ -185,9 +185,12 @@ def fit_preprocessor(train: Dataset, max_dims: int = 5) -> Preprocessor:
     targets that are all equal: centered, they are all 0, which any model
     fits exactly. Raises NonFiniteValue for a column of finite values whose
     mean or standard deviation overflows, which no z-score survives, and
-    for training targets whose mean overflows.
+    for training targets whose mean overflows. Raises TooSmall for fewer
+    than 2 training rows, which have no sample standard deviation.
     """
     X = train.X
+    if train.n < 2:
+        raise TooSmall(f"preprocessing needs at least 2 training rows, got {train.n}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = X.mean(axis=0)
         stds = X.std(axis=0, ddof=1)

@@ -21,9 +21,8 @@ class EmptyBatch(TskFuzzyError):
 
 
 class MaskShapeMismatch(TskFuzzyError):
-    """Drop masks do not line up with the batch or the model's grid, or a
-    DropRule mask drops every rule of an example, which leaves its
-    normalized firing levels undefined."""
+    """Drop masks are not one batch DropMask of a known variant whose keep
+    is a bool array lined up with the batch and the model's grid."""
 
 
 class NonFiniteGradient(TskFuzzyError):
@@ -68,7 +67,8 @@ class SchemaMismatch(TskFuzzyError):
 
 
 class TooSmall(TskFuzzyError):
-    """Dataset too small to split."""
+    """Dataset too small to split, or a training set of fewer than 2 rows,
+    which has no sample standard deviation to z-score or initialize with."""
 
 
 class SingularSystem(TskFuzzyError):

@@ -12,16 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyBatch, LengthMismatch
+from .masks import _check_masks
 from .model import (
-    TskModel,
-    _forward,
-    _log_floor,
-    _log_grades,
-    _param_views,
-    _stack_masks,
-    flatten,
-    predict,
-    unflatten,
+    TskModel, _forward, _log_floor, _log_grades, _param_views, flatten, predict, unflatten
 )
 
 
@@ -34,7 +27,7 @@ def loss(model: TskModel, X, y, lam: float = 0.0, masks=None) -> float:
     the test-time loss, from predict()'s arithmetic.
     """
     X, y = _batch(X, y, "loss")
-    variant, keep = _stack_masks(model, masks, X.shape[0])
+    variant, keep = _check_masks(masks, model.grid, X.shape[0])
     if variant is None:
         pred = predict(model, X)
     else:
@@ -75,11 +68,12 @@ def gradients(model: TskModel, X, y, lam: float = 0.0, masks=None) -> np.ndarray
     contribute to nothing, and an MF whose grade was replaced by 1 in some
     slot receives no gradient through that slot. The l2 term lam * b is
     added once per batch to every non-bias consequent coefficient,
-    independent of the masks.
+    independent of the masks. A DropRule row that drops every rule keeps
+    every rule, as in masks.draw_masks.
     """
     X, y = _batch(X, y, "gradient")
     n = X.shape[0]
-    variant, keep = _stack_masks(model, masks, n)
+    variant, keep = _check_masks(masks, model.grid, n)
     dist = np.empty((2, n, *model.centers.shape))
     log_mu = _log_grades(model, X, dist=dist)
     design = np.empty((n, X.shape[1] + 1))
@@ -103,9 +97,9 @@ def _gradients(
     sq=None,
 ):
     """gradients() without its checks or its np.errstate: design holds the
-    batch rows as (1, x), y their targets, variant and keep are what
-    _stack_masks returns for the batch mask, log_mu and dist the rows'
-    log-grades and [2, n, M, Mm] distances x - c and (x - c)**2 as
+    batch rows as (1, x), y their targets, variant and keep the batch mask
+    as masks._check_masks or masks.draw_masks settle it, log_mu and dist
+    the rows' log-grades and [2, n, M, Mm] distances x - c and (x - c)**2 as
     _log_grades(model, X, dist=dist) gives them, and scratch a flat array
     of at least 2 n R floats for the [n, R] arrays, as _forward takes it.
     The gradient is written to out, a flat vector of the parameter count,

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import _parse_number
-from .errors import ConstantFeature, DimensionMismatch, LengthMismatch, MaskShapeMismatch, ParseError
-from .masks import DropMask, keep_shape
+from .errors import ConstantFeature, DimensionMismatch, LengthMismatch, ParseError, TooSmall
+from .masks import DropMask, _check_masks
 
 SIGMA_MIN = 1e-4  # Gaussian width floor, in normalized-feature units
 # Smallest sigma a model accepts: the forward divides by 2 sigma^2 and the
@@ -57,14 +57,6 @@ class RuleGrid:
     @property
     def num_rules(self) -> int:
         return self.antecedents.shape[0]
-
-    def rules_using(self, m: int, i: int) -> np.ndarray:
-        """Indices of the rules whose antecedent for input m is that input's MF i.
-
-        For a full grid this set always has mfs_per_input^(num_inputs - 1)
-        members, and over i it partitions the rule set.
-        """
-        return np.flatnonzero(self.antecedents[:, m] == i)
 
 
 class TskModel:
@@ -167,8 +159,11 @@ def init_model(mins, maxs, stds, mfs_per_input: int) -> TskModel:
 
 
 def init_model_from_data(X, mfs_per_input: int) -> TskModel:
-    """init_model with min/max/std taken from the rows of X (sample std)."""
+    """init_model with min/max/std taken from the rows of X (sample std).
+    Raises TooSmall for fewer than 2 rows, which have no sample std."""
     X = np.asarray(X, dtype=float)
+    if X.shape[0] < 2:
+        raise TooSmall(f"initializing MFs needs at least 2 training rows, got {X.shape[0]}")
     return init_model(X.min(axis=0), X.max(axis=0), X.std(axis=0, ddof=1), mfs_per_input)
 
 
@@ -351,9 +346,9 @@ def _forward(
 ) -> tuple:
     """Batched forward pass of the [N, M] rows X: (norm_firing, pred), the
     [N, R] normalized firing levels and the N outputs. variant and keep are
-    what _stack_masks returns for the batch mask: no DropRule row drops
-    every rule. log_mu is the rows' [M, Mm, N] log-grades as _log_grades
-    gives them (the trainer computes them for its batch).
+    a batch mask as masks._check_masks or masks.draw_masks settle it: no
+    DropRule row drops every rule. log_mu is the rows' [M, Mm, N]
+    log-grades as _log_grades gives them (the trainer computes them).
     scratch is a flat array of at least 2 N R floats: norm_firing is
     written to its first N R, and its second N R hold the [N, R]
     temporaries.
@@ -405,43 +400,18 @@ def _forward(
     return norm_firing, pred
 
 
-def _stack_masks(model: TskModel, masks: DropMask | None, n: int, normalized: bool = True):
-    """Validate a batch mask and return (variant, keep).
-
-    masks is None or one DropMask whose keep has a leading batch axis of n,
-    as the trainer samples them. No mask, and a mask that keeps everything,
-    give (None, None), so a no-op mask takes the unmasked path. Raises
-    MaskShapeMismatch for a DropRule row that drops every rule, whose
-    normalized firing is undefined, unless normalized is False.
-    """
-    if masks is None:
-        return None, None
-    if not isinstance(masks, DropMask):
-        raise MaskShapeMismatch(f"masks must be one batch DropMask, got {type(masks).__name__}")
-    keep = np.asarray(masks.keep, dtype=bool)
-    expected = (n, *keep_shape(masks.variant, model.grid))
-    if keep.shape != expected:
-        raise MaskShapeMismatch(
-            f"stacked {masks.variant} masks have shape {keep.shape}, expected {expected}"
-        )
-    if normalized and masks.variant == "rule":
-        empty = np.flatnonzero(~keep.any(axis=1))
-        if empty.size:
-            raise MaskShapeMismatch(f"rule mask of example {empty[0]} drops every rule")
-    return (None, None) if keep.all() else (masks.variant, keep)
-
-
 @np.errstate(over="ignore")
 def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarray:
     """Firing level of every rule for one input vector, not normalized.
 
     With a mask, dropped rules fire at 0 while dropped MFs or membership
-    slots contribute grade 1 in place of their Gaussian value.
+    slots contribute grade 1 in place of their Gaussian value; a DropRule
+    mask that drops every rule keeps every rule, as in training.
     """
     X = np.asarray(x, dtype=float)[None]
-    if mask is not None:
+    if isinstance(mask, DropMask):
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
-    variant, keep = _stack_masks(model, mask, 1, normalized=False)
+    variant, keep = _check_masks(mask, model.grid, 1)
     return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]
 
 

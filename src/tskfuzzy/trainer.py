@@ -366,7 +366,9 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset):
     indices, as run_suite's do.
 
     Raises, before any work (the config checked its own fields when
-    built): EmptyTrainingSet for an empty training set; DimensionMismatch
+    built): EmptyTrainingSet for an empty training set; TooSmall for a
+    training set of one row, which has no sample std to initialize the MF
+    widths with (init_model_from_data); DimensionMismatch
     for test rows of another width than the training rows; EmptyDataset
     for an empty test set when there is an iteration to evaluate;
     GridTooLarge when _step_bytes() of the grid and batch passes

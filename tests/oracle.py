@@ -24,7 +24,8 @@ STEP = 1e-30
 def reference_loss(grid, theta, X, y, lam, masks=None):
     """0.5 * sum over rows of (y - pred)^2 + (lam / 2) * sum of the squared
     non-bias consequents, at the flat parameters theta (flatten()'s layout,
-    real or complex). masks is None or a batch DropMask."""
+    real or complex). masks is None or a batch DropMask; a DropRule row
+    that drops every rule keeps every rule."""
     M, Mm, R = grid.num_inputs, grid.mfs_per_input, grid.num_rules
     centers = theta[: M * Mm].reshape(M, Mm)
     sigmas = theta[M * Mm : 2 * M * Mm].reshape(M, Mm)
@@ -38,7 +39,8 @@ def reference_loss(grid, theta, X, y, lam, masks=None):
         slots = np.where(masks.keep, slots, 1.0)
     firing = np.prod(slots, axis=2)  # [N, R]
     if variant == "rule":
-        firing = np.where(masks.keep, firing, 0.0)
+        keep = masks.keep | ~masks.keep.any(axis=1, keepdims=True)
+        firing = np.where(keep, firing, 0.0)
     outputs = consequents[:, 0] + X @ consequents[:, 1:].T  # [N, R]
     pred = (firing * outputs).sum(axis=1) / firing.sum(axis=1)
     return 0.5 * ((y - pred) ** 2).sum() + 0.5 * lam * (consequents[:, 1:] ** 2).sum()

@@ -302,7 +302,8 @@ def test_criterion_8_drop_variant_semantics():
             keep[m, i] = False
             f = firing_levels(model, x, DropMask("mf", keep))
             changed = np.flatnonzero(f != base)
-            mf_ok = mf_ok and np.array_equal(changed, model.grid.rules_using(m, i))
+            using = np.flatnonzero(model.grid.antecedents[:, m] == i)
+            mf_ok = mf_ok and np.array_equal(changed, using)
             mf_ok = mf_ok and changed.size == 2 ** (2 - 1)
 
     slot_ok = True

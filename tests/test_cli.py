@@ -286,6 +286,10 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
         "'mfs_per_input' has no effect on a --grad-check run",
     ),
     "constant CSV column": ({"data": "constant.csv", "target": "y"}, [], "preprocess", "'b'"),
+    "CSV of two rows": (
+        {"data": "two_rows.csv", "target": "y"}, [], "preprocess",
+        "preprocessing needs at least 2 training rows, got 1",
+    ),
     "CSV column past the float range": (
         {"data": "huge.csv", "target": "y"}, [], "preprocess",
         "feature 'b' has a mean or standard deviation past the float range",
@@ -334,6 +338,7 @@ BAD_INPUTS = {  # config file keys, flags, stage, text of the message
 }
 FILES = {  # written to the working directory of every BAD_INPUTS case
     "constant.csv": "a,b,y\n" + "".join(f"{i},1,{i % 3}\n" for i in range(20)),
+    "two_rows.csv": "a,y\n1,2\n3,5\n",
     "constant_y.csv": "a,b,y\n" + "".join(f"{i},{i % 3},1\n" for i in range(20)),
     "huge.csv": "a,b,y\n" + "".join(f"{i},{(-1) ** i * 1.5e308},{i % 3}\n" for i in range(20)),
     "not.json": "{data: synthetic}",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import complex_step_grad
+from oracle import complex_step_grad, reference_loss
 from test_model import FORWARD_CASES, forward, forward_case
 
 from tskfuzzy import (
@@ -23,8 +23,8 @@ from tskfuzzy import (
 )
 from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
 from tskfuzzy.loss import _gradients
-from tskfuzzy.masks import sample_masks
-from tskfuzzy.model import _log_floor, _log_grades, _stack_masks
+from tskfuzzy.masks import _check_masks, sample_masks
+from tskfuzzy.model import _log_floor, _log_grades
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -211,7 +211,7 @@ class TestGradientStructure:
         y = rng.standard_normal(3)
         m_drop, i_drop = 1, 0
         keep = np.ones((4, 2), dtype=bool)
-        keep[model.grid.rules_using(m_drop, i_drop), m_drop] = False
+        keep[np.flatnonzero(model.grid.antecedents[:, m_drop] == i_drop), m_drop] = False
         g = gradients(model, X, y, 0.0, DropMask("membership", np.tile(keep, (3, 1, 1))))
         grad_c = g[: 2 * 2].reshape(2, 2)
         grad_s = g[2 * 2 : 2 * 2 * 2].reshape(2, 2)
@@ -247,14 +247,27 @@ class TestGradientStructure:
             assert np.all(np.isfinite(gradients(model, X, y, 0.05)))
 
     def test_mask_shape_errors(self):
+        """A keep of the wrong shape or not of bools is refused by every
+        entry point that takes a mask; a float keep of 0.5 would otherwise
+        read as keeping everything."""
         rng = np.random.default_rng(13)
         model = random_model(2, 2, rng)
         X = rng.standard_normal((3, 2))
         y = rng.standard_normal(3)
-        with pytest.raises(MaskShapeMismatch):
-            gradients(model, X, y, 0.0, DropMask("rule", np.ones((2, 4), bool)))
-        with pytest.raises(MaskShapeMismatch):
-            gradients(model, X, y, 0.0, DropMask("rule", np.ones((3, 5), bool)))
+        bad = [  # keep, text of the message
+            (np.ones((2, 4), bool), r"shape \(2, 4\), expected \(3, 4\)"),
+            (np.ones((3, 5), bool), r"shape \(3, 5\), expected \(3, 4\)"),
+            (np.full((3, 4), 0.5), "must be bool, got dtype float64"),
+            (np.ones((3, 4), dtype=int), "must be bool, got dtype int64"),
+            ([[1, 0, 1, 1]] * 3, "must be bool, got dtype int64"),
+        ]
+        for keep, message in bad:
+            for call in (loss, gradients, finite_diff_grad):
+                with pytest.raises(MaskShapeMismatch, match=message):
+                    call(model, X, y, 0.0, masks=DropMask("rule", keep))
+            if np.asarray(keep).dtype != bool:
+                with pytest.raises(MaskShapeMismatch, match=message):
+                    firing_levels(model, X[0], DropMask("rule", np.asarray(keep)[0]))
 
     def test_per_example_mask_list_rejected(self):
         rng = np.random.default_rng(17)
@@ -264,21 +277,70 @@ class TestGradientStructure:
         masks = [DropMask("rule", np.ones(4, bool))] * 3
         with pytest.raises(MaskShapeMismatch, match="one batch DropMask, got list"):
             gradients(model, X, y, 0.0, masks)
+        for mask in (masks[:1], np.ones(4, bool)):
+            with pytest.raises(MaskShapeMismatch, match="DropMask, got"):
+                firing_levels(model, X[0], mask)
 
-    def test_rule_mask_dropping_every_rule_rejected(self):
+    def test_rule_mask_dropping_every_rule_keeps_every_rule(self):
+        """A DropRule row that drops every rule keeps every rule, as
+        draw_masks settles its draws: the masked loss and gradient equal
+        those of the mask with that row kept, and a mask whose only
+        dropping row drops everything is no mask at all."""
         rng = np.random.default_rng(16)
         model = random_model(2, 2, rng)
         X = rng.standard_normal((3, 2))
         y = rng.standard_normal(3)
         keep = np.ones((3, 4), dtype=bool)
+        keep[0, 2] = False
+        kept = DropMask("rule", keep.copy())
         keep[1] = False
         masks = DropMask("rule", keep)
-        with pytest.raises(MaskShapeMismatch, match="example 1 drops every rule"):
-            gradients(model, X, y, 0.0, masks)
-        with pytest.raises(MaskShapeMismatch, match="example 1 drops every rule"):
-            loss(model, X, y, 0.0, masks)
-        # firing levels are not normalized, so they stay defined
-        assert np.all(firing_levels(model, X[1], DropMask("rule", keep[1])) == 0.0)
+        for call in (loss, gradients):
+            got, want = call(model, X, y, 0.05, masks), call(model, X, y, 0.05, kept)
+            np.testing.assert_array_equal(got, want)
+        keep[0, 2] = True
+        assert loss(model, X, y, 0.05, masks) == loss(model, X, y, 0.05)
+        np.testing.assert_array_equal(
+            firing_levels(model, X[1], DropMask("rule", keep[1])), firing_levels(model, X[1])
+        )
+        assert not keep[1].any()
+
+
+class TestRawBernoulliRuleMasks:
+    @pytest.mark.parametrize("num_inputs", [1, 2, 3])
+    def test_all_dropped_rows_equal_kept_rows(self, num_inputs):
+        """Raw Bernoulli DropRule masks on 2, 4 and 8 rules, with their
+        all-dropped rows left in: loss, gradients, finite_diff_grad and
+        firing_levels equal, bit for bit, the same calls with those rows
+        set to keep every rule, the caller's keep is not written, and the
+        gradient matches the complex-step gradient of the reference loss,
+        which applies the same rule, within criterion 11's 1e-5."""
+        rng = np.random.default_rng(2026 + num_inputs)
+        model = random_model(num_inputs, 2, rng)
+        R, n = model.num_rules, 24
+        X = rng.standard_normal((n, num_inputs))
+        y = rng.standard_normal(n)
+        keep = rng.random((n, R)) <= 1.0 - 0.25 ** (1 / R)  # a quarter of the rows all-dropped
+        dead = ~keep.any(axis=1)
+        assert dead.any() and not dead.all()
+        before = keep.copy()
+        settled = keep.copy()
+        settled[dead] = True
+        raw, kept = DropMask("rule", keep), DropMask("rule", settled)
+        for call in (loss, gradients, finite_diff_grad):
+            got, want = call(model, X, y, 0.05, masks=raw), call(model, X, y, 0.05, masks=kept)
+            np.testing.assert_array_equal(got, want)
+        for i in range(n):
+            np.testing.assert_array_equal(
+                firing_levels(model, X[i], DropMask("rule", keep[i])),
+                firing_levels(model, X[i], DropMask("rule", settled[i])),
+            )
+        np.testing.assert_array_equal(keep, before)
+        assert reference_loss(model.grid, flatten(model), X, y, 0.05, raw) == pytest.approx(
+            loss(model, X, y, 0.05, raw), rel=1e-12
+        )
+        g = gradients(model, X, y, 0.05, raw)
+        assert max_mixed_error(g, complex_step_grad(model, X, y, 0.05, raw)) <= 1e-5
 
 
 class TestGradientArithmetic:
@@ -305,7 +367,7 @@ class TestGradientArithmetic:
         got = gradients(model, X, y, lam, masks)
         assert not np.shares_memory(got, gradients(model, X, y, lam, masks))
 
-        variant, keep = _stack_masks(model, masks, n)
+        variant, keep = _check_masks(masks, model.grid, n)
         out, sq = np.full(got.size, np.nan), np.full((model.num_rules, m), np.nan)
         design = np.column_stack([np.ones(n), X])
         scratch = np.empty(2 * n * model.num_rules)

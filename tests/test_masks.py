@@ -81,6 +81,29 @@ def test_empty_batch_takes_no_numbers(variant):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize(
+    "n, keep_prob, message",
+    [
+        (-1, 0.5, "n must be a non-negative integer, got -1"),
+        (2.0, 0.5, "n must be a non-negative integer, got 2.0"),
+        (True, 0.5, "n must be a non-negative integer, got True"),
+        ("3", 0.5, "n must be a non-negative integer, got '3'"),
+        (3, float("nan"), r"keep_prob must be in \[0, 1\], got nan"),
+        (3, -0.1, r"keep_prob must be in \[0, 1\], got -0.1"),
+        (3, 1.5, r"keep_prob must be in \[0, 1\], got 1.5"),
+    ],
+)
+def test_bad_sample_arguments_rejected(n, keep_prob, message):
+    """A NaN keep_prob would drop every MF, and a negative n end in
+    numpy's negative dimensions; neither takes a number from the stream."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for variant in KEEP_AXES:
+        with pytest.raises(ValueError, match=message):
+            sample_masks(variant, RuleGrid(2, 2), n, keep_prob, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_mf_drop_changes_exactly_shared_rule_count():
     """One dropped MF alters the firing level of every rule using it and
     no other: 2^(M-1) rules on a two-input grid."""
@@ -92,7 +115,7 @@ def test_mf_drop_changes_exactly_shared_rule_count():
     keep[1, 0] = False
     masked = firing_levels(model, x, DropMask("mf", keep))
     changed = np.flatnonzero(masked != base)
-    expected = model.grid.rules_using(1, 0)
+    expected = np.flatnonzero(model.grid.antecedents[:, 1] == 0)
     np.testing.assert_array_equal(changed, expected)
     assert changed.size == 2 ** (2 - 1)
 

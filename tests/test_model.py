@@ -84,11 +84,13 @@ class TestRuleGrid:
         np.testing.assert_array_equal(grid.antecedents, want)
 
     def test_rules_using_partitions_rules(self):
+        """The rules whose antecedent for input m is MF i number Mm^(M-1)
+        and, over i, partition the rule set."""
         grid = RuleGrid(3, 2)
         for m in range(3):
             seen = []
             for i in range(2):
-                members = grid.rules_using(m, i)
+                members = np.flatnonzero(grid.antecedents[:, m] == i)
                 assert members.size == 2 ** (3 - 1)
                 seen.extend(members.tolist())
             assert sorted(seen) == list(range(grid.num_rules))

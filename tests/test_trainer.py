@@ -53,6 +53,7 @@ from tskfuzzy.errors import (
     EmptyTrainingSet,
     GridTooLarge,
     LengthMismatch,
+    TooSmall,
     ZeroBaseline,
 )
 
@@ -133,6 +134,13 @@ class TestTrain:
         _, te = small_splits
         with pytest.raises(EmptyTrainingSet):
             train(quick(), Dataset(np.empty((0, 5)), np.empty(0)), te)
+
+    def test_single_row_training_set(self, small_splits):
+        """One row has no sample standard deviation to set the MF widths:
+        refused by name, before numpy would warn of no degrees of freedom."""
+        tr, te = small_splits
+        with pytest.raises(TooSmall, match="at least 2 training rows, got 1"):
+            train(quick(), Dataset(tr.X[:1], tr.y[:1]), te)
 
     def test_history_lengths_and_finiteness(self, small_splits):
         tr, te = small_splits
