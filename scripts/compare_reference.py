@@ -111,10 +111,9 @@ def public_outputs(pkg, seed: int) -> dict:
     each of M = 1 to 5 inputs and Mm = 2 or 3 MFs, and on 12 rows, keyed by a
     readable name: predict of the rows and of the first as a 1-D row, and
     loss, gradients and firing_levels of the first two rows with no mask
-    and with a mask of each drop variant (keeping at least one rule per
-    DropRule row, as trees that refuse an all-dropped row require); and
-    predict of one model at M=5, Mm=4 (R=1024) on 2,500 rows, which it
-    evaluates in three blocks of 834, 833 and 833 rows."""
+    and with a mask of each drop variant; and predict of one model at M=5,
+    Mm=4 (R=1024) on 2,500 rows, which it evaluates in three blocks of 834,
+    833 and 833 rows."""
     rng = np.random.default_rng((seed, 5, 4))
     model = seeded_model(pkg, 5, 4, rng)
     X = 2.0 * rng.standard_normal((2500, 5))
@@ -130,8 +129,6 @@ def public_outputs(pkg, seed: int) -> dict:
             masks = None
             if variant != "none":
                 keep = rng.random((len(X), *pkg.masks.keep_shape(variant, model.grid))) <= 0.5
-                if variant == "rule":
-                    keep[np.arange(len(X)), rng.integers(0, model.num_rules, len(X))] = True
                 masks = pkg.DropMask(variant, keep)
             key = f"{name} {variant}"
             out[f"{key} loss"] = np.array(pkg.loss(model, X, y, 0.05, masks))

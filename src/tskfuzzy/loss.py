@@ -14,7 +14,7 @@ import numpy as np
 from .errors import EmptyBatch, LengthMismatch
 from .masks import _check_masks
 from .model import (
-    TskModel, _forward, _log_floor, _log_grades, _param_views, flatten, predict, unflatten
+    SIGMA_TINY, TskModel, _forward, _log_floor, _log_grades, _param_views, flatten, predict
 )
 
 
@@ -161,20 +161,24 @@ def finite_diff_grad(
     while the parameters move, so this differentiates the same masked loss
     that gradients() differentiates.
     Independent of the analytic path; kept simple on purpose so it can act
-    as an oracle. O(h^2) truncation error per coordinate.
+    as an oracle. O(h^2) truncation error per coordinate. The loss is taken
+    of a probe model on the model's grid whose parameters are views of one
+    flat copy, stepped in place, so model itself is never written. Raises
+    ValueError for an h that is not positive or that takes a sigma below
+    SIGMA_TINY.
     """
     if not h > 0:
         raise ValueError("h must be positive")
+    smallest = float(model.sigmas.min())
+    if not smallest - h >= SIGMA_TINY:
+        raise ValueError(f"h={h} takes the smallest sigma, {smallest}, below {SIGMA_TINY:.3g}")
     theta = flatten(model)
-    M, Mm = model.num_inputs, model.mfs_per_input
+    probe = TskModel(model.grid, *_param_views(theta, model.grid))
     grad = np.empty(theta.size)
-    for i in range(theta.size):
-        plus = theta.copy()
-        plus[i] += h
-        minus = theta.copy()
-        minus[i] -= h
-        grad[i] = (
-            loss(unflatten(plus, M, Mm), X, y, lam, masks)
-            - loss(unflatten(minus, M, Mm), X, y, lam, masks)
-        ) / (2.0 * h)
+    for i, value in enumerate(theta.tolist()):
+        theta[i] = value + h
+        plus = loss(probe, X, y, lam, masks)
+        theta[i] = value - h
+        grad[i] = (plus - loss(probe, X, y, lam, masks)) / (2.0 * h)
+        theta[i] = value
     return grad

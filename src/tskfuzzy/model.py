@@ -305,42 +305,6 @@ def _input_softmax(log_mu: np.ndarray, out=None, red=None) -> np.ndarray:
     return out
 
 
-def _log_firing(
-    model: TskModel, log_mu: np.ndarray, variant: str | None = None, keep=None, out=None
-) -> np.ndarray:
-    """[N, R] log firing levels from the [M, Mm, N] log-grades of
-    _log_grades. keep is the stacked per-example keep array; out, a
-    C-ordered [N, R] array, receives the incidence product when given.
-
-    Each rule's log firing level is the sum of the log-grades of the M MFs
-    it uses, so the [N, M * Mm] log-grades map to log firing levels through
-    the transpose of RuleGrid.incidence, the matrix gradients() routes back
-    through. The training forward needs them only under DropRule and
-    DropMembership. A dropped MF has log-grade 0 and a dropped rule -inf;
-    DropMembership, whose substitutions are per rule, gathers the [N, R, M]
-    slots and adds them in input order. Log-grades are floored at
-    finfo.min / (M + 1), so a row whose squared distances overflow stays
-    finite (0 * -inf would be NaN in the product) and a sum of M of them
-    cannot overflow.
-    """
-    M = model.num_inputs
-    if variant == "mf":
-        log_mu = np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
-    slots = log_mu.transpose(2, 0, 1)  # [N, M, Mm]
-    if variant == "membership":
-        slots = np.where(keep, slots[:, np.arange(M), model.grid.antecedents], 0.0)
-        return sum(slots[:, :, m] for m in range(M))
-    incidence = model.grid.incidence
-    # C order: the reshape alone is an F-ordered view, and OpenBLAS sums
-    # that order differently
-    log_f = np.matmul(
-        np.ascontiguousarray(slots).reshape(-1, incidence.shape[1]), incidence.T, out=out
-    )
-    if variant == "rule":
-        log_f = np.where(keep, log_f, -np.inf)
-    return log_f
-
-
 def _forward(
     model: TskModel, X: np.ndarray, variant, keep, log_mu: np.ndarray, scratch: np.ndarray
 ) -> tuple:
@@ -361,9 +325,13 @@ def _forward(
     an F-ordered [N, R], with no log and no [N, R] exp, and every row keeps
     a dominant rule at >= Mm^-M.
     DropRule and DropMembership change single rules, so their softmax is
-    over each [N, R] row of log firing levels, shifted by its maximum.
-    Either way a row far from every MF weights its dominant rule(s). The
-    output is the row dot of norm_firing @ consequents with (1, x).
+    over each [N, R] row of log firing levels, shifted by its maximum. A
+    rule's log firing level sums the log-grades of its M MFs: DropRule's
+    are the product of the C-ordered [N, M * Mm] log-grades with
+    RuleGrid.incidence.T, and DropMembership gathers the [N, R, M] slots,
+    sets the dropped ones to 0 and adds them in input order. Either way a
+    row far from every MF weights its dominant rule(s). The output is the
+    row dot of norm_firing @ consequents with (1, x).
 
     DropRule shifts the unmasked log firing levels by the largest kept one,
     the row max of log_f - finfo.max * ~keep (a kept entry is unchanged and
@@ -382,14 +350,18 @@ def _forward(
         grades = log_mu if variant is None else np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
         norm_firing = _kron(_input_softmax(grades), firing, spare).T
     else:  # ufunc reduces: ndarray.max and .sum add a Python layer per call
+        slots = log_mu.transpose(2, 0, 1)  # [N, M, Mm]
         if variant == "rule":
-            log_f = _log_firing(model, log_mu, out=firing.reshape(n, R))
+            flat = np.ascontiguousarray(slots).reshape(n, -1)  # OpenBLAS sums F order otherwise
+            log_f = np.matmul(flat, model.grid.incidence.T, out=firing.reshape(n, R))
             masked = np.multiply(~keep, _FLOAT_MAX, out=spare.reshape(n, R))
             log_f -= np.maximum.reduce(np.subtract(log_f, masked, out=masked), 1, keepdims=True)
             norm_firing = np.exp(np.minimum(log_f, 0.0, out=log_f), out=log_f)
             norm_firing *= keep
         else:
-            log_f = _log_firing(model, log_mu, variant, keep)
+            M = model.num_inputs
+            slots = np.where(keep, slots[:, np.arange(M), model.grid.antecedents], 0.0)
+            log_f = sum(slots[:, :, m] for m in range(M))
             norm_firing = np.subtract(
                 log_f, np.maximum.reduce(log_f, 1, keepdims=True), out=firing.reshape(n, R)
             )
@@ -406,13 +378,22 @@ def firing_levels(model: TskModel, x, mask: DropMask | None = None) -> np.ndarra
 
     With a mask, dropped rules fire at 0 while dropped MFs or membership
     slots contribute grade 1 in place of their Gaussian value; a DropRule
-    mask that drops every rule keeps every rule, as in training.
+    mask that drops every rule keeps every rule, as in training. Each
+    rule's M floored log-grades (_log_grades) are summed in input order.
     """
     X = np.asarray(x, dtype=float)[None]
     if isinstance(mask, DropMask):
         mask = DropMask(mask.variant, np.asarray(mask.keep)[None])
     variant, keep = _check_masks(mask, model.grid, 1)
-    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]
+    log_mu = _log_grades(model, X)[:, :, 0]  # [M, Mm]
+    if variant == "mf":
+        log_mu = np.where(keep[0], log_mu, 0.0)
+    M = model.num_inputs
+    slots = log_mu[np.arange(M), model.grid.antecedents]  # [R, M]
+    if variant == "membership":
+        slots = np.where(keep[0], slots, 0.0)
+    firing = np.exp(sum(slots[:, m] for m in range(M)))
+    return np.where(keep[0], firing, 0.0) if variant == "rule" else firing
 
 
 def rule_outputs(model: TskModel, x) -> np.ndarray:

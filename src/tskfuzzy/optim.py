@@ -17,11 +17,15 @@ if TYPE_CHECKING:
 
 
 def sgd_step(theta: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """One plain descent step theta - alpha * g, as a new vector."""
+    """One plain descent step theta - alpha * g, as a new vector. Raises
+    LengthMismatch unless theta and g agree and ValueError for an alpha that
+    is not finite."""
     theta = np.array(theta, dtype=float)  # a copy, which _sgd_step updates
     g = np.asarray(g, dtype=float)
     if theta.shape != g.shape:
         raise LengthMismatch(f"theta has shape {theta.shape}, gradient {g.shape}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     _sgd_step(theta, g, alpha, np.empty_like(g))
     return theta
 
@@ -117,14 +121,19 @@ def adabound_step(
     and the per-coordinate rate alpha / (sqrt(v_hat) + epsilon) is clipped
     into [l, u] before scaling the corrected first moment. Passing l=0,
     u=inf makes this exactly an Adam step. state and theta are left as
-    they were: the step runs on copies of them.
+    they were: the step runs on copies of them. Raises LengthMismatch
+    unless theta, g, state.m and state.v agree, NonFiniteGradient for a
+    non-finite g, and ValueError unless 0 <= l <= u.
     """
     theta = np.array(theta, dtype=float)  # a copy, which _adabound_step updates
     g = np.asarray(g, dtype=float)
-    if theta.shape != g.shape or state.m.shape != g.shape:
+    if not theta.shape == g.shape == state.m.shape == state.v.shape:
         raise LengthMismatch(
-            f"theta {theta.shape}, gradient {g.shape}, state {state.m.shape} must agree"
+            f"theta {theta.shape}, gradient {g.shape}, state m {state.m.shape} and"
+            f" v {state.v.shape} must agree"
         )
+    if not 0 <= l <= u:
+        raise ValueError(f"rate bounds must satisfy 0 <= l <= u, got l={l}, u={u}")
     if not np.isfinite(g).all():
         bad = np.flatnonzero(~np.isfinite(g))
         raise NonFiniteGradient(f"gradient has non-finite entries at indices {bad[:5]}")

@@ -43,7 +43,7 @@ def test_changed_public_entry_differs(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     model = tmp_path / "src" / "tskfuzzy" / "model.py"
     text = model.read_text(encoding="utf-8")
-    line = "    return np.exp(_log_firing(model, _log_grades(model, X), variant, keep))[0]\n"
+    line = '    return np.where(keep[0], firing, 0.0) if variant == "rule" else firing\n'
     assert text.count(line) == 1
     model.write_text(text.replace(line, line[:-1] + " * (1 + 2**-52)\n"), encoding="utf-8")
     done = compare_against(tmp_path)

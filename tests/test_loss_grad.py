@@ -1,6 +1,8 @@
 """Loss values, analytic gradients against the finite-difference oracle,
 and drop-aware gradient masking."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from tskfuzzy import (
 from tskfuzzy.errors import EmptyBatch, LengthMismatch, MaskShapeMismatch
 from tskfuzzy.loss import _gradients
 from tskfuzzy.masks import _check_masks, sample_masks
-from tskfuzzy.model import _log_floor, _log_grades
+from tskfuzzy.model import SIGMA_TINY, _log_floor, _log_grades
 
 
 def random_model(num_inputs, mfs_per_input, rng):
@@ -129,6 +131,18 @@ class TestGradientsAgainstOracle:
     def test_oracle_step_must_be_positive(self, h):
         model = random_model(1, 2, np.random.default_rng(3))
         with pytest.raises(ValueError, match="h must be positive"):
+            finite_diff_grad(model, [[0.5]], [1.0], 0.0, h=h)
+
+    @pytest.mark.parametrize(
+        "sigma, h", [(1.0, 10.0), (1.0, float("inf")), (2 * SIGMA_TINY, 1.5 * SIGMA_TINY)],
+        ids=["below zero", "infinite h", "positive but below the floor"],
+    )
+    def test_oracle_step_must_keep_sigmas_above_the_floor(self, sigma, h):
+        """An h that takes a sigma below SIGMA_TINY is refused by name before
+        any loss is taken."""
+        model = random_model(1, 2, np.random.default_rng(3))
+        model.sigmas[0, 1] = sigma
+        with pytest.raises(ValueError, match="^" + re.escape(f"h={h} takes the smallest sigma, ")):
             finite_diff_grad(model, [[0.5]], [1.0], 0.0, h=h)
 
     def test_oracle_zero_at_zero_loss(self):

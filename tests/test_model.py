@@ -47,7 +47,6 @@ from tskfuzzy.model import (
     MAX_INPUTS,
     SIGMA_TINY,
     _forward,
-    _log_firing,
     _log_grades,
 )
 
@@ -144,6 +143,66 @@ class TestTskModel:
             TskModel(RuleGrid(2, 2), centers, sigmas, consequents)
 
 
+def log_firing_by_slot(model, X, variant, keep):
+    """Per-slot log-domain reference: every rule's M log-grades gathered as
+    [N, R, M] slots (0 where dropped), and their sums in input order (-inf
+    for a dropped rule)."""
+    A = model.grid.antecedents
+    rows = np.arange(model.num_inputs)
+    log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
+    slot = log_mu[:, rows, A]
+    if variant == "mf":
+        slot = np.where(keep[:, rows, A], slot, 0.0)
+    elif variant == "membership":
+        slot = np.where(keep, slot, 0.0)
+    log_f = np.zeros(slot.shape[:2])
+    for m in rows:
+        log_f = log_f + slot[:, :, m]
+    if variant == "rule":
+        log_f = np.where(keep, log_f, -np.inf)
+    return slot, log_f
+
+
+def slot_forward(model, X, variant, keep, log_f=None):
+    """Reference softmax, shifted by the row maximum, and row dot with
+    (1, x), of the per-slot log firing levels or of log_f when given."""
+    if log_f is None:
+        log_f = log_firing_by_slot(model, X, variant, keep)[1]
+    norm = np.exp(log_f - log_f.max(axis=1, keepdims=True))
+    norm = norm / norm.sum(axis=1, keepdims=True)
+    out = norm @ model.consequents
+    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
+    return norm, pred
+
+
+FORWARD_CASES = dict(
+    m=st.integers(1, 6),
+    mm=st.integers(1, 4),
+    n=st.integers(1, 6),
+    variant=st.sampled_from([None, *KEEP_AXES]),
+    far=st.floats(0.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def forward_case(m, mm, n, variant, far, seed, sigma=None):
+    """A random model (every sigma set to `sigma` if given), n rows with row
+    0 pushed `far` widths out, and stacked masks of the variant; rule masks
+    keep at least one rule per row, as _forward takes only settled masks."""
+    rng = np.random.default_rng(seed)
+    model = random_model(m, mm, rng)
+    if sigma is not None:
+        model.sigmas[:] = sigma
+    X = rng.standard_normal((n, m))
+    X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
+    keep = None
+    if variant is not None:
+        keep = rng.random((n, *keep_shape(variant, model.grid))) <= 0.5
+    if variant == "rule":
+        keep[np.arange(n), rng.integers(0, model.num_rules, n)] = True
+    return model, X, keep
+
+
 class TestFiringLevels:
     def test_one_at_rule_centers(self):
         rng = np.random.default_rng(0)
@@ -202,83 +261,47 @@ class TestFiringLevels:
         f = firing_levels(model, rng.standard_normal(2), DropMask("membership", keep))
         assert f[2] == 1.0
 
-
-def slot_log_firing(model, X, variant, keep):
-    """Per-slot log-domain reference: every rule's M log-grades gathered as
-    [N, R, M] slots (0 where dropped), and their sums in input order (-inf
-    for a dropped rule)."""
-    A = model.grid.antecedents
-    rows = np.arange(model.num_inputs)
-    log_mu = -((X[:, :, None] - model.centers) ** 2) / (2.0 * model.sigmas**2)
-    slot = log_mu[:, rows, A]
-    if variant == "mf":
-        slot = np.where(keep[:, rows, A], slot, 0.0)
-    elif variant == "membership":
-        slot = np.where(keep, slot, 0.0)
-    log_f = np.zeros(slot.shape[:2])
-    for m in rows:
-        log_f = log_f + slot[:, :, m]
-    if variant == "rule":
-        log_f = np.where(keep, log_f, -np.inf)
-    return slot, log_f
-
-
-def slot_forward(model, X, variant, keep, log_f=None):
-    """Reference softmax, shifted by the row maximum, and row dot with
-    (1, x), of the per-slot log firing levels or of log_f when given."""
-    if log_f is None:
-        log_f = slot_log_firing(model, X, variant, keep)[1]
-    norm = np.exp(log_f - log_f.max(axis=1, keepdims=True))
-    norm = norm / norm.sum(axis=1, keepdims=True)
-    out = norm @ model.consequents
-    pred = out[:, 0] + (out[:, 1:] * X).sum(axis=1)
-    return norm, pred
-
-
-FORWARD_CASES = dict(
-    m=st.integers(1, 6),
-    mm=st.integers(1, 4),
-    n=st.integers(1, 6),
-    variant=st.sampled_from([None, *KEEP_AXES]),
-    far=st.floats(0.0, 60.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
-def forward_case(m, mm, n, variant, far, seed, sigma=None):
-    """A random model (every sigma set to `sigma` if given), n rows with row
-    0 pushed `far` widths out, and stacked masks of the variant; rule masks
-    keep at least one rule per row, as the softmax of an all-dropped row is
-    undefined."""
-    rng = np.random.default_rng(seed)
-    model = random_model(m, mm, rng)
-    if sigma is not None:
-        model.sigmas[:] = sigma
-    X = rng.standard_normal((n, m))
-    X[0] = model.centers[:, 0] + far * model.sigmas[:, 0] * rng.choice([-1.0, 1.0], m)
-    keep = None
-    if variant is not None:
-        keep = rng.random((n, *keep_shape(variant, model.grid))) <= 0.5
-    if variant == "rule":
-        keep[np.arange(n), rng.integers(0, model.num_rules, n)] = True
-    return model, X, keep
+    @settings(max_examples=150, deadline=None)
+    @given(**FORWARD_CASES)
+    def test_is_the_exp_of_the_slot_sums(self, m, mm, n, variant, far, seed):
+        """firing_levels of each row is the exp of the per-slot reference's
+        log firing levels bit for bit: the same log-grades, dropped MFs and
+        slots at 0, summed in input order, and 0 for a dropped rule."""
+        model, X, keep = forward_case(m, mm, n, variant, far, seed)
+        for i in range(n):
+            mask = None if keep is None else DropMask(variant, keep[i])
+            row_keep = None if keep is None else keep[i : i + 1]
+            want = np.exp(log_firing_by_slot(model, X[i : i + 1], variant, row_keep)[1][0])
+            np.testing.assert_array_equal(firing_levels(model, X[i], mask), want)
 
 
 class TestTensorProductForward:
     @settings(max_examples=150, deadline=None)
     @given(**FORWARD_CASES)
     def test_matches_slot_sum_and_its_softmax(self, m, mm, n, variant, far, seed):
-        """Log firing levels equal the per-slot sums in input order up to
-        the order of the M additions: within 2 (M - 1) eps sum_m |slot| per
-        entry, with the same -inf entries, and exactly at M = 1. Under
-        DropRule and DropMembership, normalized firing and predictions equal
-        the reference softmax and row dot of _log_firing's own output bit
-        for bit, also on rows pushed `far` widths out, where every grade
-        underflows; the per-input softmax of the other two is
+        """The log firing levels _forward reads, the product of the
+        C-ordered [n, M * Mm] log-grades with the transpose of the incidence
+        matrix (0 where DropMF drops, -inf for the rules DropRule drops),
+        equal the per-slot sums in input order up to the order of the M
+        additions: within 2 (M - 1) eps sum_m |slot| per entry, with the
+        same -inf entries, and exactly at M = 1. DropMembership's are the
+        per-slot sums themselves. Under DropRule and DropMembership,
+        _forward's normalized firing and predictions equal the reference
+        softmax and row dot of those log firing levels bit for bit, also on
+        rows pushed `far` widths out, where every grade underflows; the
+        per-input softmax of the other two is
         test_per_input_softmax_matches_slot_softmax."""
         model, X, keep = forward_case(m, mm, n, variant, far, seed)
-        slot, want = slot_log_firing(model, X, variant, keep)
-        log_f = _log_firing(model, _log_grades(model, X), variant, keep)
+        slot, want = log_firing_by_slot(model, X, variant, keep)
+        log_f = want
+        if variant != "membership":
+            log_mu = _log_grades(model, X)
+            if variant == "mf":
+                log_mu = np.where(keep.transpose(1, 2, 0), log_mu, 0.0)
+            flat = np.ascontiguousarray(log_mu.transpose(2, 0, 1)).reshape(n, -1)
+            log_f = flat @ model.grid.incidence.T
+            if variant == "rule":
+                log_f = np.where(keep, log_f, -np.inf)
         dropped = np.isneginf(want)
         np.testing.assert_array_equal(np.isneginf(log_f), dropped)
         tol = 2 * (m - 1) * np.finfo(float).eps * np.abs(slot).sum(axis=2)
@@ -351,7 +374,7 @@ class TestPredict:
         M <= 2M Mm."""
         sigma = SIGMA_MIN if at_floor else None
         model, X, keep = forward_case(m, mm, n, variant, far, seed, sigma)
-        slot, log_f = slot_log_firing(model, X, variant, keep)
+        slot, log_f = log_firing_by_slot(model, X, variant, keep)
         want = slot_forward(model, X, variant, keep, log_f)[1]
         L = np.abs(slot).sum(axis=2).min(axis=1)
         R = model.num_rules

@@ -36,6 +36,11 @@ class TestSgdStep:
         with pytest.raises(LengthMismatch):
             sgd_step(np.zeros(3), np.zeros(2), 0.1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got "):
+            sgd_step(np.zeros(2), np.ones(2), alpha)
+
 
 class TestJangRule:
     def test_four_decreases_boost(self):
@@ -184,8 +189,19 @@ class TestAdaBoundStep:
             adabound_step(MomentState.zeros(2), np.zeros(2), np.array([np.inf, 0.0]), hyper, 0.0, np.inf)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=r"state m \(3,\)"):
             adabound_step(MomentState.zeros(3), np.zeros(2), np.zeros(2), TrainConfig(), 0.0, np.inf)
+        state = MomentState(np.zeros(2), np.zeros(3), 0, np.zeros(2))
+        with pytest.raises(LengthMismatch, match=r" v \(3,\) must agree"):
+            adabound_step(state, np.zeros(2), np.zeros(2), TrainConfig(), 0.0, np.inf)
+
+    @pytest.mark.parametrize(
+        "l, u", [(0.5, 0.1), (-0.1, 1.0), (np.nan, 1.0), (0.0, np.nan)],
+        ids=["l above u", "negative l", "nan l", "nan u"],
+    )
+    def test_bounds_out_of_order_rejected(self, l, u):
+        with pytest.raises(ValueError, match=r"^rate bounds must satisfy 0 <= l <= u, got l="):
+            adabound_step(MomentState.zeros(2), np.zeros(2), np.ones(2), TrainConfig(), l, u)
 
     def test_deterministic(self):
         hyper = TrainConfig()
